@@ -1,7 +1,7 @@
 """Analytic pairwise error probability curves for a 3-user downlink.
 
-Walks the main analytic chain: conditional error factors, quadrature
-averaging over the ordered channel density, and hypothesis averaging
+Walks the main analytic chain: conditional error factors, the PEP
+kernel's average over the ordered channel, and hypothesis averaging
 over interferer symbols, then prints per-user curves next to a live
 Monte Carlo run with imperfect SIC.
 """

@@ -1,9 +1,9 @@
 """Command-line front end: curve generation, simulation, optimization.
 
 Subcommands
-    pep        analytic pairwise error probability curves (quadrature)
+    pep        analytic pairwise error probability curves
     simulate   Monte Carlo counters as CSV
-    diversity  effective diversity tables from quadrature curves
+    diversity  effective diversity tables from analytic curves
     bound      high-SNR bound values (re-derived and verbatim forms)
     optimize   constrained power-allocation grid search
     fig2       canned 3-user analytic-vs-simulated PEP recipe
@@ -12,7 +12,9 @@ Subcommands
 
 Every run writes CSV files plus a manifest.json recording the command
 line, the resolved configuration, the seed and the output list, which is
-enough to reproduce the CSV bodies byte-identically.
+enough to reproduce the CSV bodies byte-identically.  A resolved list of
+100 or more entries is recorded as its length and the sha256 of its JSON
+form.
 
 Conventions: snr_db means 10*log10(P / sigma_n^2); the default channel
 has sigma_h_sq = 0.5 so that E[|h|^2] = 1 and the average SNR equals
@@ -26,6 +28,8 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
+import hashlib
 import json
 import sys
 import time
@@ -62,6 +66,7 @@ EXIT_INFEASIBLE = 4
 FIG2_ALPHA = (0.7, 0.2, 0.1)
 FIG2_SNR_GRID = tuple(float(s) for s in range(0, 45, 5))
 DESIGNATED_PAIR = (0, 1)  # adjacent Gray pair used for per-user curves
+LONG_LIST = 100  # resolved lists this long enter the manifest as length + sha256
 
 
 @dataclass(frozen=True)
@@ -84,6 +89,16 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.12g}"
     return str(x)
+
+
+def _manifest_value(v):
+    if isinstance(v, float):
+        return _fmt(v)
+    if isinstance(v, (list, tuple)) and len(v) >= LONG_LIST:
+        text = json.dumps(v, default=str)
+        return {"length": len(v),
+                "sha256": hashlib.sha256(text.encode()).hexdigest()}
+    return v
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -267,7 +282,7 @@ def cmd_simulate(args, res: _Resolver, out: Path) -> list[str]:
 
 
 def _pair_averaged_curves(cfg, snrs, sic_mode="perfect"):
-    """Per-user quadrature PEP averaged over all ordered symbol pairs."""
+    """Per-user analytic PEP averaged over all ordered symbol pairs."""
     m = cfg.constellation.size
     pairs = [(a, b) for a in range(m) for b in range(m) if a != b]
     curves = {}
@@ -284,8 +299,9 @@ def _pair_averaged_curves(cfg, snrs, sic_mode="perfect"):
     return curves
 
 
-def cmd_diversity(args, res: _Resolver, out: Path) -> list[str]:
-    cfg = _system(res)
+def cmd_diversity(args, res: _Resolver, out: Path, name="diversity.csv",
+                  default_alpha=None) -> list[str]:
+    cfg = _system(res, default_alpha=default_alpha)
     snrs = res.get("snr_db", list(FIG2_SNR_GRID), parse_snr_list)
     curves = _pair_averaged_curves(cfg, snrs)
     rows = []
@@ -301,11 +317,11 @@ def cmd_diversity(args, res: _Resolver, out: Path) -> list[str]:
                  fd.get(p.snr_db, float("nan"))]
             )
     write_csv(
-        out / "diversity.csv",
+        out / name,
         ["snr_db", "user", "pep", "d_eff_ratio", "d_eff_finite_diff"],
         rows,
     )
-    return ["diversity.csv"]
+    return [name]
 
 
 def cmd_bound(args, res: _Resolver, out: Path) -> list[str]:
@@ -434,30 +450,6 @@ def cmd_fig2(args, res: _Resolver, out: Path) -> list[str]:
     return files
 
 
-def cmd_fig3(args, res: _Resolver, out: Path) -> list[str]:
-    cfg = _system(res, default_users=3, default_alpha=FIG2_ALPHA)
-    snrs = res.get("snr_db", list(FIG2_SNR_GRID), parse_snr_list)
-    curves = _pair_averaged_curves(cfg, snrs)
-    rows = []
-    for l, curve in curves.items():
-        ratio = {e.snr_db: e.d_eff for e in effective_diversity(curve, "ratio_form")}
-        fd = {
-            e.snr_db: e.d_eff
-            for e in effective_diversity(curve, "finite_difference")
-        }
-        for p in curve.points:
-            rows.append(
-                [p.snr_db, l, p.pep, ratio.get(p.snr_db, float("nan")),
-                 fd.get(p.snr_db, float("nan"))]
-            )
-    write_csv(
-        out / "fig3_diversity.csv",
-        ["snr_db", "user", "pep", "d_eff_ratio", "d_eff_finite_diff"],
-        rows,
-    )
-    return ["fig3_diversity.csv"]
-
-
 def cmd_fig4(args, res: _Resolver, out: Path):
     # sigma_h_sq = 1.0 reproduces the reference feasibility window.
     return _optimize_common(res, out, "fig4", default_sigma=1.0)
@@ -501,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("diversity", cmd_diversity),
         ("bound", cmd_bound),
         ("fig2", cmd_fig2),
-        ("fig3", cmd_fig3),
+        ("fig3", functools.partial(cmd_diversity, name="fig3_diversity.csv",
+                                   default_alpha=FIG2_ALPHA)),
     ]:
         p = sub.add_parser(name)
         add_common(p)
@@ -544,9 +537,7 @@ def main(argv=None) -> int:
         files, code = result, EXIT_OK
     manifest = RunManifest(
         command_line=["noma-pep"] + argv,
-        config={k: _fmt(v) if isinstance(v, float) else v
-                for k, v in sorted(res.resolved.items())
-                if not isinstance(v, (list, tuple)) or len(v) < 100},
+        config={k: _manifest_value(v) for k, v in sorted(res.resolved.items())},
         seed=res.resolved.get("seed"),
         tool_version=__version__,
         outputs=files,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -108,6 +109,16 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch):
     assert rc == 3
 
 
+@pytest.mark.parametrize("command, csv_name", [("pep", "pep.csv"),
+                                               ("diversity", "diversity.csv")])
+def test_non_finite_power_exits_3(tmp_path, capsys, command, csv_name):
+    rc = main([command, "--users", "2", "--power", "nan", "--snr-db", "10",
+               "--out", str(tmp_path)])
+    assert rc == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / csv_name).exists()
+
+
 def test_optimize_infeasible_exits_4(tmp_path, capsys):
     rc = main(["optimize", "--users", "2", "--alpha", "0.8,0.2",
                "--snr-db", "10", "--pth", "1e-12", "--grid-step", "0.01",
@@ -141,6 +152,28 @@ def test_fig3_recipe(tmp_path):
     assert header == ["snr_db", "user", "pep", "d_eff_ratio",
                       "d_eff_finite_diff"]
     assert {r[1] for r in rows} == {"1", "2", "3"}
+
+
+def test_fig3_is_diversity_with_fig2_defaults(tmp_path):
+    args = ["--snr-db", "30,40", "--alpha", "0.7,0.2,0.1"]
+    assert main(["fig3"] + args + ["--out", str(tmp_path / "f")]) == 0
+    assert main(["diversity"] + args + ["--out", str(tmp_path / "d")]) == 0
+    assert (tmp_path / "f" / "fig3_diversity.csv").read_bytes() == (
+        tmp_path / "d" / "diversity.csv"
+    ).read_bytes()
+
+
+def test_manifest_records_long_lists_by_hash(tmp_path):
+    rc = main(["pep", "--users", "1", "--alpha", "1.0", "--snr-db", "0:99:1",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    snrs = [float(s) for s in range(100)]
+    assert config["snr_db"] == {
+        "length": 100,
+        "sha256": hashlib.sha256(json.dumps(snrs).encode()).hexdigest(),
+    }
+    assert config["alpha"] == [1.0]  # short lists stay verbatim
 
 
 def test_fig2_recipe_small(tmp_path):

@@ -1,7 +1,10 @@
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.stats import norm
 
 import noma_pep.pep as pep_mod
@@ -9,11 +12,13 @@ from noma_pep import (
     ChannelModel,
     EnumerationCapError,
     ErrorHypothesis,
+    NumericalError,
     average_pep,
     beta_factor,
     closed_form_consistency_report,
     conditional_pep,
     gamma_factor,
+    ordered_magnitude_pdf,
     pep_quadrature,
     pep_user1_closed,
     pep_user_l_closed,
@@ -356,3 +361,143 @@ def test_consistency_report_constant_ratio():
     assert np.max(np.abs(ratios - ratios.mean())) < 1e-6 * abs(ratios.mean())
     # the observed constant equals 2/sigma_h_sq for the verbatim prefactor
     assert abs(ratios.mean() - 2 / 0.5) < 1e-6
+
+
+# ------------------------------------------------- kernel accuracy oracles
+
+
+def _mpmath_pep(l, L, r, sigma_h_sq):
+    """Partial-fraction closed form of the ordered-user PEP in mpmath.
+
+    The l-th smallest of L exponential SNRs has a density that is an
+    alternating sum of exponentials; each term averages Q in closed form.
+    Past r ~ 1e3 the sum cancels about 50 digits, hence the 220-digit
+    working precision.
+    """
+    with mpmath.workdps(220):
+        r = mpmath.mpf(r)
+        s2 = mpmath.mpf(sigma_h_sq)
+        total = mpmath.mpf(0)
+        for j in range(l):
+            z = L - l + j + 1
+            g = r * r * s2 / z
+            # 1 - sqrt(g/(1+g)) without the cancellation at large g
+            tail = 1 / ((1 + g) * (1 + mpmath.sqrt(g / (1 + g))))
+            total += mpmath.binomial(l - 1, j) * (-1) ** j * tail / (2 * z)
+        pep = mpmath.factorial(L) / (
+            mpmath.factorial(l - 1) * mpmath.factorial(L - l)) * total
+        return 1 - pep if r < 0 else pep
+
+
+def _quad_pep(l, model, r):
+    """The ordered magnitude density times Q, integrated by scipy quad."""
+    upper = math.sqrt(2.0 * model.sigma_h_sq * 90.0)
+    pts = [math.sqrt(model.sigma_h_sq)]
+    if r:
+        w_q = 1.0 / abs(r)
+        if w_q < upper:
+            pts += [w_q, min(6.0 * w_q, 0.999 * upper)]
+    value, _ = quad(
+        lambda w: ordered_magnitude_pdf(l, model, w) * q_function(r * w),
+        0.0, upper, epsabs=0.0, epsrel=1e-13, limit=400,
+        points=sorted(set(pts)),
+    )
+    return value
+
+
+RATIOS = [0.0] + [s * 10.0**k for k in range(-8, 4) for s in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("sigma_h_sq", [0.5, 1.0])
+def test_kernel_matches_mpmath_oracle(sigma_h_sq):
+    worst = 0.0
+    for L in range(1, 11):
+        model = ChannelModel(num_users=L, sigma_h_sq=sigma_h_sq)
+        for l in range(1, L + 1):
+            for r in RATIOS:
+                exact = _mpmath_pep(l, L, r, sigma_h_sq)
+                got = pep_quadrature(l, L, r, 1.0, model)
+                worst = max(worst, float(abs(got - exact) / exact))
+    assert worst < 1e-12, worst
+
+
+def test_kernel_matches_quad_oracle():
+    for sigma_h_sq in (0.5, 1.0):
+        for L in range(1, 5):
+            model = ChannelModel(num_users=L, sigma_h_sq=sigma_h_sq)
+            for l in range(1, L + 1):
+                for r in (-2.0, -0.1, 0.0, 0.05, 0.3, 1.0, 3.0, 10.0, 30.0):
+                    ref = _quad_pep(l, model, r)
+                    got = pep_quadrature(l, L, r, 1.0, model)
+                    assert abs(got - ref) <= 1e-10 * ref, (l, L, r, got, ref)
+
+
+@pytest.mark.parametrize("beta, ups", [(math.nan, 0.3), (math.inf, 0.3),
+                                       (-math.inf, 0.3), (0.5, math.nan)])
+def test_quadrature_non_finite_ratio_raises(beta, ups):
+    model = ChannelModel(num_users=2, sigma_h_sq=0.5)
+    with pytest.raises(NumericalError):
+        pep_quadrature(1, 2, beta, ups, model)
+
+
+def test_average_pep_non_finite_power_raises():
+    c = qpsk_constellation(1.0)
+    model = ChannelModel(num_users=2, sigma_h_sq=0.5, noise_var=1e-2)
+    with pytest.raises(NumericalError):
+        average_pep(1, 2, 0, 1, (0.8, 0.2), math.nan, model, c)
+
+
+# ------------------------------- hypothesis averaging against the old loop
+
+
+def _looped_average_pep(l, L, tx, rx, alpha, P, model, c, patterns):
+    """One ErrorHypothesis and one scalar PEP per interferer tuple."""
+    pts = [complex(p) for p in c.points]
+    ups = upsilon_factor(pts[tx] - pts[rx], model.noise_var)
+    total = 0.0
+    for weight, deltas in patterns:
+        acc = 0.0
+        for combo in itertools.product(range(c.size), repeat=L - l):
+            h = ErrorHypothesis(
+                user=l, tx_symbol=pts[tx], detected_symbol=pts[rx],
+                interferer_symbols=tuple(pts[i] for i in combo),
+                prior_deltas=deltas,
+            )
+            acc += pep_quadrature(l, L, beta_factor(h, alpha, P), ups, model)
+        total += weight * acc / c.size ** (L - l)
+    return total
+
+
+@pytest.mark.parametrize("L", [3, 4])
+@pytest.mark.parametrize("mode", ["perfect", "pattern", "weighted"])
+def test_average_pep_matches_per_tuple_loop(L, mode):
+    c = qpsk_constellation(1.0)
+    alpha = tuple(np.array([2.0 ** (L - i) for i in range(L)]) / (2**L - 1))
+    pts = [complex(p) for p in c.points]
+    diffs = [0j] + [a - b for a in pts for b in pts if a != b]
+    rng = np.random.default_rng(7 + L)
+    worst = 0.0
+    for snr_db in (0.0, 20.0, 40.0):
+        model = ChannelModel(num_users=L, sigma_h_sq=0.5,
+                             noise_var=10 ** (-snr_db / 10))
+        for l in range(1, L + 1):
+            kwargs = {"sic_mode": mode}
+            if mode == "perfect":
+                patterns = [(1.0, (0j,) * (l - 1))]
+            elif mode == "pattern":
+                deltas = tuple(diffs[i] for i in rng.integers(1, 13, l - 1))
+                patterns = [(1.0, deltas)]
+                kwargs["prior_deltas"] = deltas
+            else:
+                table = {}
+                for _ in range(4):
+                    key = tuple(diffs[i] for i in rng.integers(0, 13, l - 1))
+                    table[key] = table.get(key, 0.0) + 0.25
+                patterns = list((w, k) for k, w in table.items())
+                kwargs["delta_weights"] = table
+            for tx, rx in ((0, 1), (0, 2), (3, 1)):
+                old = _looped_average_pep(l, L, tx, rx, alpha, 1.0, model, c,
+                                          patterns)
+                new = average_pep(l, L, tx, rx, alpha, 1.0, model, c, **kwargs)
+                worst = max(worst, abs(new - old) / old)
+    assert worst < 1e-13, worst
