@@ -16,7 +16,7 @@ from noma_pep import (
     pep_user1_closed,
     pep_quadrature,
     qpsk_constellation,
-    sic_delta_weights,
+    sic_weight_tables,
     simulate,
 )
 
@@ -41,10 +41,11 @@ print("snr_db  user  analytic      simulated     ci")
 for snr in (10.0, 20.0, 30.0):
     stats = simulate(cfg, snr, 1_000_000, seed=11)
     model = channel.with_noise(cfg.noise_var_for_snr(snr))
+    weights = sic_weight_tables(stats, QPSK)
     for user in (1, 2, 3):
-        weights = sic_delta_weights(stats, user, QPSK, tx=TX)
         analytic = average_pep(user, 3, TX, RX, ALPHA, 1.0, model, QPSK,
-                               sic_mode="weighted", delta_weights=weights)
+                               sic_mode="weighted",
+                               delta_weights=weights[(user, TX)])
         est = empirical_pep(stats, user, TX, RX)
         print(f"{snr:6.0f}  {user:4d}  {analytic:.6e}  {est.pep:.6e}"
               f"  +/-{est.ci_half_width:.1e}")

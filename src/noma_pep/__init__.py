@@ -2,7 +2,7 @@
 
 Building blocks:
 
-  constellation  symbol alphabets, differences, bit-error weights
+  constellation  symbol alphabets and bit-error weights
   channel        ordered Rayleigh magnitude and SNR densities, sampling
   pep            conditional and unconditional pairwise error probability
   asymptotic     exponential bounds and effective diversity estimation
@@ -29,10 +29,8 @@ from .channel import (
 )
 from .constellation import (
     Constellation,
-    SymbolPair,
     bit_errors,
     qpsk_constellation,
-    symbol_difference,
 )
 from .optimize import (
     OptimizationProblem,
@@ -52,7 +50,6 @@ from .pep import (
     beta_factor,
     closed_form_consistency_report,
     conditional_pep,
-    gamma_factor,
     pep_quadrature,
     pep_user1_closed,
     pep_user_l_closed,
@@ -68,6 +65,7 @@ from .simulate import (
     empirical_pep,
     sic_delta_weights,
     sic_detect,
+    sic_weight_tables,
     simulate,
     stats_rows,
     superposed_signal,

@@ -38,10 +38,14 @@ class ChannelModel:
     def __post_init__(self):
         if self.num_users < 1:
             raise ValueError(f"need at least one user, got {self.num_users}")
-        if self.sigma_h_sq <= 0:
-            raise ValueError(f"sigma_h_sq must be positive, got {self.sigma_h_sq}")
-        if self.noise_var <= 0:
-            raise ValueError(f"noise_var must be positive, got {self.noise_var}")
+        if not 0 < self.sigma_h_sq < math.inf:
+            raise ValueError(
+                f"sigma_h_sq must be finite and positive, got {self.sigma_h_sq}"
+            )
+        if not 0 < self.noise_var < math.inf:
+            raise ValueError(
+                f"noise_var must be finite and positive, got {self.noise_var}"
+            )
 
     def with_noise(self, noise_var: float) -> "ChannelModel":
         return replace(self, noise_var=noise_var)

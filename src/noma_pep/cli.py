@@ -21,8 +21,8 @@ has sigma_h_sq = 0.5 so that E[|h|^2] = 1 and the average SNR equals
 P / sigma_n^2.  The fig4 recipe pins sigma_h_sq = 1.0, which reproduces
 the reference two-user feasibility window at 30 dB.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 infeasible optimization.
+Exit codes: 0 success, 2 configuration error (including non-finite
+flag values), 3 numerical failure, 4 infeasible optimization.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -53,7 +54,7 @@ from .pep import (
 from .simulate import (
     SystemConfig,
     empirical_pep,
-    sic_delta_weights,
+    sic_weight_tables,
     simulate,
     stats_rows,
 )
@@ -126,12 +127,15 @@ def parse_snr_list(text: str) -> list[float]:
     """Accept '0,5,10' or 'start:stop:step' (stop inclusive)."""
     if ":" in text:
         parts = [float(p) for p in text.split(":")]
-        if len(parts) != 3 or parts[2] <= 0:
+        if len(parts) != 3 or not parts[2] > 0:
             raise ValueError(f"bad SNR range {text!r}, expected start:stop:step")
         start, stop, step = parts
-        grid = np.arange(start, stop + step / 2, step)
-        return [float(s) for s in grid]
-    return [float(p) for p in text.split(",")]
+        grid = [float(s) for s in np.arange(start, stop + step / 2, step)]
+    else:
+        grid = [float(p) for p in text.split(",")]
+    if not all(math.isfinite(s) for s in grid):
+        raise ValueError(f"SNR values must be finite, got {text!r}")
+    return grid
 
 
 def parse_alpha(text: str) -> tuple[float, ...]:
@@ -198,17 +202,6 @@ def _system(res: _Resolver, default_users=3, default_alpha=None,
     return cfg
 
 
-def _weights_for(cfg, snr_db, trials, seed):
-    """Per (user, transmitted symbol) SIC residual weight tables."""
-    stats = simulate(cfg, snr_db, trials, seed)
-    m = cfg.constellation.size
-    return {
-        (l, tx): sic_delta_weights(stats, l, cfg.constellation, tx=tx)
-        for l in range(1, cfg.num_users + 1)
-        for tx in range(m)
-    }
-
-
 def _analytic_pep(cfg, l, tx, rx, snr_db, sic_mode, weights=None,
                   prior_deltas=None):
     model = cfg.channel.with_noise(cfg.noise_var_for_snr(snr_db))
@@ -239,9 +232,10 @@ def cmd_pep(args, res: _Resolver, out: Path) -> list[str]:
     m = cfg.constellation.size
     rows = []
     for snr in snrs:
-        weights = (
-            _weights_for(cfg, snr, trials, seed) if sic_mode == "weighted" else None
-        )
+        weights = None
+        if sic_mode == "weighted":
+            stats = simulate(cfg, snr, trials, seed)
+            weights = sic_weight_tables(stats, cfg.constellation)
         for l in range(1, cfg.num_users + 1):
             for tx in range(m):
                 for rx in range(m):
@@ -364,13 +358,6 @@ def _optimize_common(res: _Resolver, out: Path, prefix: str,
     weights_trials = res.get("weights_trials", 1_000_000, int)
     seed = res.get("seed", 20_000, int)
     deltas = res.get("prior_deltas", None, parse_deltas)
-    if sic_mode == "pattern" and (
-        deltas is None or len(deltas) < cfg.num_users - 1
-    ):
-        raise ValueError(
-            "pattern mode needs --prior-deltas with at least "
-            f"{cfg.num_users - 1} complex values"
-        )
     problem = OptimizationProblem(
         cfg=cfg,
         snr_db=snr,
@@ -427,10 +414,7 @@ def cmd_fig2(args, res: _Resolver, out: Path) -> list[str]:
     per_user_rows = {l: [] for l in range(1, cfg.num_users + 1)}
     for snr in snrs:
         stats = simulate(cfg, snr, trials, seed, workers=workers)
-        weights = {
-            (l, tx): sic_delta_weights(stats, l, cfg.constellation, tx=tx)
-            for l in range(1, cfg.num_users + 1)
-        }
+        weights = sic_weight_tables(stats, cfg.constellation)
         for l in range(1, cfg.num_users + 1):
             analytic = _analytic_pep(cfg, l, tx, rx, snr, "weighted", weights)
             emp = empirical_pep(stats, l, tx, rx)

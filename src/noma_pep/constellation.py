@@ -1,4 +1,4 @@
-"""Modulation alphabets, symbol differences and bit-error weights.
+"""Modulation alphabets and bit-error weights.
 
 Everything downstream (conditional error probabilities, union bounds,
 the link simulator) works on a :class:`Constellation`: a finite set of
@@ -14,9 +14,7 @@ import numpy as np
 
 __all__ = [
     "Constellation",
-    "SymbolPair",
     "qpsk_constellation",
-    "symbol_difference",
     "bit_errors",
 ]
 
@@ -68,18 +66,6 @@ class Constellation:
         return np.asarray(self.points, dtype=np.complex128)
 
 
-@dataclass(frozen=True)
-class SymbolPair:
-    """Transmitted symbol, detection hypothesis, and their difference."""
-
-    tx: complex
-    rx_hypothesis: complex
-
-    @property
-    def delta(self) -> complex:
-        return self.tx - self.rx_hypothesis
-
-
 # Fixed Gray mapping: 00 -> (+1+j), 01 -> (-1+j), 11 -> (-1-j), 10 -> (+1-j),
 # scaled to the requested average power.  Any Gray map gives the same error
 # sums; fixing one makes emitted tables bit-exactly reproducible.
@@ -89,16 +75,11 @@ _QPSK_UNSCALED = (1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j)
 
 def qpsk_constellation(avg_power: float = 1.0) -> Constellation:
     """Gray-labeled QPSK alphabet with the given average symbol power."""
-    if avg_power <= 0:
-        raise ValueError(f"average power must be positive, got {avg_power}")
+    if not 0 < avg_power < math.inf:
+        raise ValueError(f"average power must be finite and positive, got {avg_power}")
     scale = math.sqrt(avg_power / 2.0)
     points = tuple(scale * p for p in _QPSK_UNSCALED)
     return Constellation(points=points, bit_labels=_QPSK_LABELS, avg_power=avg_power)
-
-
-def symbol_difference(x: complex, x_hat: complex) -> complex:
-    """Difference x - x_hat between a transmitted symbol and a hypothesis."""
-    return x - x_hat
 
 
 def bit_errors(c: Constellation, x: int, x_hat: int) -> int:

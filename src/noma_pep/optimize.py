@@ -15,7 +15,7 @@ import numpy as np
 
 from .constellation import Constellation, bit_errors
 from .pep import average_pep
-from .simulate import SystemConfig, sic_delta_weights, simulate
+from .simulate import SystemConfig, sic_weight_tables, simulate
 
 __all__ = [
     "OptimizationProblem",
@@ -41,27 +41,39 @@ class OptimizationProblem:
     sic_mode       "perfect", "pattern" or "weighted"; weighted mode
                    re-estimates SIC residual weights per grid point from
                    a seeded simulation, keeping the search deterministic
+    prior_deltas   pattern-mode SIC residuals, at least L-1 of them; user
+                   l uses the first l-1
+    weights_trials simulated trials per grid point in weighted mode
+    weights_seed   weighted-mode simulation seed; solve seeds grid point k
+                   with weights_seed + k
     """
 
     cfg: SystemConfig
     snr_db: float
     p_th: float
     grid_step: float
-    objective_scope: str = "average_over_users"
     sic_mode: str = "perfect"
     prior_deltas: tuple[complex, ...] | None = None
     weights_trials: int = 1_000_000
     weights_seed: int = 20_000
 
     def __post_init__(self):
+        if not math.isfinite(self.snr_db):
+            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
         if not 0.0 < self.p_th < 1.0:
             raise ValueError(f"p_th must lie in (0, 1), got {self.p_th}")
         if not 0.0 < self.grid_step <= 0.01 + 1e-15:
             raise ValueError(
                 f"grid_step must lie in (0, 0.01], got {self.grid_step}"
             )
-        if self.objective_scope not in ("average_over_users", "per_user_list"):
-            raise ValueError(f"unknown objective_scope {self.objective_scope!r}")
+        L = self.cfg.num_users
+        if self.sic_mode == "pattern" and (
+            self.prior_deltas is None or len(self.prior_deltas) < L - 1
+        ):
+            raise ValueError(
+                f"pattern mode needs prior_deltas with at least {L - 1} "
+                "complex values"
+            )
 
 
 @dataclass(frozen=True)
@@ -110,51 +122,38 @@ def union_bound_ber(
     constellation: Constellation,
     sic_mode: str = "perfect",
     prior_deltas=None,
-    delta_weights=None,
 ) -> float:
     """Union bound on user l's bit error rate at the given SNR.
 
-    delta_weights may be a single pattern table or a dict keyed by the
-    transmitted symbol index holding one table per symbol (preferred for
-    weighted mode, matching each pair's conditioning).
+    sic_mode is "perfect" or "pattern" (with user l's l-1 prior_deltas);
+    weighted-mode bounds need one residual table per transmitted symbol
+    and are computed by objective_psi and solve.
     """
     a = tuple(float(x) for x in alpha)
     noisy = model.with_noise(P / 10.0 ** (snr_db / 10.0))
     L = noisy.num_users
-    per_tx = delta_weights is not None and all(
-        isinstance(k, int) for k in delta_weights
-    )
 
     def lookup(tx, rx):
-        dw = delta_weights[tx] if per_tx else delta_weights
         return average_pep(
             l, L, tx, rx, a, P, noisy, constellation,
             sic_mode=sic_mode, prior_deltas=prior_deltas,
-            delta_weights=dw,
         )
 
     return union_bound_from_pep(lookup, constellation)
 
 
-def _weights_by_user(problem: OptimizationProblem, alpha, seed: int):
-    """Per-point SIC residual weights estimated from a seeded simulation.
+def _per_user_bounds_and_peps(problem: OptimizationProblem, alpha, seed: int):
+    """Union bound and worst-pair PEP for every user at one grid point.
 
-    Keyed by (user, transmitted symbol): hypothesis averaging uses the
-    weight table conditioned on the pair's transmitted symbol.
+    Weighted mode estimates the SIC residual weight tables at this point
+    from a simulation seeded with seed.
     """
-    cfg = replace(problem.cfg, alpha=tuple(alpha))
-    stats = simulate(cfg, problem.snr_db, problem.weights_trials, seed)
-    m = cfg.constellation.size
-    return {
-        (l, tx): sic_delta_weights(stats, l, cfg.constellation, tx=tx)
-        for l in range(1, cfg.num_users + 1)
-        for tx in range(m)
-    }
-
-
-def _per_user_bounds_and_peps(problem: OptimizationProblem, alpha, weights):
-    """Union bound and worst-pair PEP for every user at one grid point."""
     cfg = problem.cfg
+    weights = None
+    if problem.sic_mode == "weighted":
+        point = replace(cfg, alpha=tuple(alpha))
+        stats = simulate(point, problem.snr_db, problem.weights_trials, seed)
+        weights = sic_weight_tables(stats, cfg.constellation)
     L = cfg.num_users
     model = cfg.channel.with_noise(cfg.P / 10.0 ** (problem.snr_db / 10.0))
     m = cfg.constellation.size
@@ -183,14 +182,14 @@ def _per_user_bounds_and_peps(problem: OptimizationProblem, alpha, weights):
     return bounds, worst
 
 
-def objective_psi(problem: OptimizationProblem, alpha, delta_weights_by_user=None):
-    """Averaged (or per-user) union-bound BER at one power allocation."""
+def objective_psi(problem: OptimizationProblem, alpha):
+    """User-averaged union-bound BER at one power allocation.
+
+    Weighted mode estimates the residual weights from a simulation seeded
+    with problem.weights_seed.
+    """
     a = _validate_alpha(problem, alpha)
-    if problem.sic_mode == "weighted" and delta_weights_by_user is None:
-        delta_weights_by_user = _weights_by_user(problem, a, problem.weights_seed)
-    bounds, _ = _per_user_bounds_and_peps(problem, a, delta_weights_by_user)
-    if problem.objective_scope == "per_user_list":
-        return list(bounds)
+    bounds, _ = _per_user_bounds_and_peps(problem, a, problem.weights_seed)
     return float(np.mean(bounds))
 
 
@@ -257,10 +256,9 @@ def solve(problem: OptimizationProblem) -> OptimizationResult:
     grid = _descending_grid(L, problem.grid_step)
     entries = []
     for idx, alpha in enumerate(grid):
-        weights = None
-        if problem.sic_mode == "weighted":
-            weights = _weights_by_user(problem, alpha, problem.weights_seed + idx)
-        bounds, worst = _per_user_bounds_and_peps(problem, alpha, weights)
+        bounds, worst = _per_user_bounds_and_peps(
+            problem, alpha, problem.weights_seed + idx
+        )
         psi = float(np.mean(bounds))
         feasible = all(p <= problem.p_th for p in worst)
         entries.append(

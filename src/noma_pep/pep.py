@@ -43,7 +43,6 @@ __all__ = [
     "EnumerationCapError",
     "q_function",
     "upsilon_factor",
-    "gamma_factor",
     "beta_factor",
     "conditional_pep",
     "pep_user1_closed",
@@ -164,17 +163,6 @@ def _check_alpha(alpha, L: int):
     if np.any(a <= 0):
         raise ValueError("power coefficients must be positive")
     return a
-
-
-def gamma_factor(h: ErrorHypothesis, alpha, P: float) -> float:
-    """Signal-plus-interference factor for the first (weakest) user.
-
-    gamma = sqrt(alpha_1 P) |dlt|^2 + 2 Re{dlt * sum_l sqrt(alpha_l P) x_l*}
-    where the sum runs over the uncancelled users 2..L.
-    """
-    if h.user != 1:
-        raise ValueError(f"gamma_factor is defined for user 1, got user {h.user}")
-    return beta_factor(h, alpha, P)
 
 
 def beta_factor(h: ErrorHypothesis, alpha, P: float) -> float:

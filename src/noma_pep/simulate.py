@@ -32,6 +32,7 @@ __all__ = [
     "empirical_detection_prob",
     "bit_error_rate",
     "sic_delta_weights",
+    "sic_weight_tables",
     "stats_rows",
 ]
 
@@ -48,7 +49,6 @@ class SystemConfig:
     P              total transmit power
     channel        fading model; channel.num_users must equal len(alpha)
     constellation  shared symbol alphabet
-    snr_grid_db    optional SNR grid for sweep recipes
     symbol_mode    "uniform_random" or "fixed"
     fixed_symbols  symbol indices per user when symbol_mode == "fixed"
     """
@@ -57,7 +57,6 @@ class SystemConfig:
     P: float
     channel: ChannelModel
     constellation: Constellation
-    snr_grid_db: tuple[float, ...] = ()
     symbol_mode: str = "uniform_random"
     fixed_symbols: tuple[int, ...] | None = None
 
@@ -67,7 +66,7 @@ class SystemConfig:
             raise ValueError("alpha must be a non-empty vector")
         if abs(a.sum() - 1.0) > 1e-12:
             raise ValueError(f"power coefficients must sum to 1, got {a.sum()!r}")
-        if np.any(a <= 0):
+        if not np.all(a > 0):
             raise ValueError("power coefficients must be positive")
         if np.any(np.diff(a) >= 0):
             raise ValueError("power coefficients must be strictly descending")
@@ -75,8 +74,8 @@ class SystemConfig:
             raise ValueError(
                 f"channel has {self.channel.num_users} users, alpha has {a.size}"
             )
-        if self.P <= 0:
-            raise ValueError(f"total power must be positive, got {self.P}")
+        if not 0 < self.P < math.inf:
+            raise ValueError(f"total power must be finite and positive, got {self.P}")
         if self.symbol_mode not in ("uniform_random", "fixed"):
             raise ValueError(f"unknown symbol_mode {self.symbol_mode!r}")
         if self.symbol_mode == "fixed":
@@ -194,16 +193,32 @@ def _decision_metrics(residual, scale, pts):
     )[:, None] * (np.abs(pts) ** 2)[None, :]
 
 
+def _sic_stages(cfg: SystemConfig, residual, h, u: int):
+    """Sequential SIC chain of user u+1 over its received samples.
+
+    Detects users 1..u in power order by minimum distance against the
+    power-scaled alphabet, subtracting each decision from the residual
+    before the next stage.  Returns the stage decisions, shape (n, u),
+    and user u+1's own decision metrics, shape (n, M).
+    """
+    pts = cfg.constellation.points_array()
+    coeff = np.sqrt(np.asarray(cfg.alpha) * cfg.P)
+    decisions = np.empty((residual.size, u), dtype=np.int64)
+    for k in range(u):
+        dk = np.argmin(_decision_metrics(residual, coeff[k] * h, pts), axis=1)
+        residual = residual - coeff[k] * h * pts[dk]
+        decisions[:, k] = dk
+    return decisions, _decision_metrics(residual, coeff[u] * h, pts)
+
+
 def _run_batch(
     cfg: SystemConfig, snr_db: float, sigma_n_sq: float, n: int, seed: int
 ) -> SimStats:
     rng = np.random.default_rng(seed)
     L = cfg.num_users
-    pts = cfg.constellation.points_array()
-    m = pts.size
+    m = cfg.constellation.size
     std_h = math.sqrt(cfg.channel.sigma_h_sq)
     std_n = math.sqrt(sigma_n_sq / 2.0)
-    coeff = np.sqrt(np.asarray(cfg.alpha) * cfg.P)
 
     # Draw order is fixed (gains, symbols, noise) so a batch is a pure
     # function of (cfg, sigma_n_sq, n, seed).
@@ -222,23 +237,15 @@ def _run_batch(
         scale=std_n, size=(n, L)
     )
 
-    s = pts[tx_idx] @ coeff
+    s = superposed_signal(cfg, tx_idx)
     stats = SimStats.zeros(L, m, snr_db)
     stats.trials = n
     rows = np.arange(n)
 
     for u in range(L):
         hu = h[:, u]
-        residual = hu * s + noise[:, u]
-        det = np.empty((n, u + 1), dtype=np.int64)
-        for k in range(u):
-            metrics = _decision_metrics(residual, coeff[k] * hu, pts)
-            dk = np.argmin(metrics, axis=1)
-            residual = residual - coeff[k] * hu * pts[dk]
-            det[:, k] = dk
-        metrics = _decision_metrics(residual, coeff[u] * hu, pts)
+        det, metrics = _sic_stages(cfg, hu * s + noise[:, u], hu, u)
         du = np.argmin(metrics, axis=1)
-        det[:, u] = du
 
         txu = tx_idx[:, u]
         stats.tx_counts[u] = np.bincount(txu, minlength=m)
@@ -311,25 +318,17 @@ def _run_batch_star(args):
 def sic_detect(r: complex, h: complex, cfg: SystemConfig, l: int):
     """Sequential SIC detection of one received sample at user l.
 
-    Detects users 1..l-1 in power order by minimum distance against the
-    power-scaled alphabet, subtracting each decision before the next
-    stage, then detects user l's own symbol.  Returns the pair
+    Runs the simulator's SIC chain on the single sample: users 1..l-1 in
+    power order, each decision subtracted before the next stage, then
+    user l's own symbol.  Returns the pair
     (detected_index, prior_decision_indices).
     """
     if not 1 <= l <= cfg.num_users:
         raise ValueError(f"user index {l} out of range 1..{cfg.num_users}")
-    pts = cfg.constellation.points_array()
-    coeff = np.sqrt(np.asarray(cfg.alpha) * cfg.P)
-    residual = np.array([complex(r)])
-    hv = np.array([complex(h)])
-    priors = []
-    for k in range(l - 1):
-        metrics = _decision_metrics(residual, coeff[k] * hv, pts)
-        dk = int(np.argmin(metrics[0]))
-        residual = residual - coeff[k] * hv * pts[dk]
-        priors.append(dk)
-    metrics = _decision_metrics(residual, coeff[l - 1] * hv, pts)
-    return int(np.argmin(metrics[0])), tuple(priors)
+    priors, metrics = _sic_stages(
+        cfg, np.array([complex(r)]), np.array([complex(h)]), l - 1
+    )
+    return int(np.argmin(metrics[0])), tuple(priors[0].tolist())
 
 
 def empirical_pep(stats: SimStats, l: int, tx: int, rx: int) -> PepEstimate:
@@ -425,6 +424,20 @@ def sic_delta_weights(
     if total == 0:
         raise ValueError(f"no trials with symbol {tx} transmitted by user {l}")
     return {pat: cnt / total for pat, cnt in table.items()}
+
+
+def sic_weight_tables(stats: SimStats, constellation: Constellation):
+    """Residual weight tables of every user and transmitted symbol.
+
+    Maps (l, tx) to sic_delta_weights(stats, l, constellation, tx=tx),
+    the table weighted-mode hypothesis averaging takes for the pairs of
+    user l that transmit tx.
+    """
+    return {
+        (l, tx): sic_delta_weights(stats, l, constellation, tx=tx)
+        for l in range(1, stats.num_users + 1)
+        for tx in range(constellation.size)
+    }
 
 
 def stats_rows(stats: SimStats, bits_per_symbol: int) -> list[dict]:

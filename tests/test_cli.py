@@ -112,11 +112,28 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch):
 @pytest.mark.parametrize("command, csv_name", [("pep", "pep.csv"),
                                                ("diversity", "diversity.csv")])
 def test_non_finite_power_exits_3(tmp_path, capsys, command, csv_name):
+    # A non-finite flag is a configuration error (exit 2), rejected before
+    # the kernel's non-finite check (exit 3) is reached.
     rc = main([command, "--users", "2", "--power", "nan", "--snr-db", "10",
                "--out", str(tmp_path)])
-    assert rc == 3
-    assert "numerical failure" in capsys.readouterr().err
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
     assert not (tmp_path / csv_name).exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "pep", "diversity", "fig4"])
+@pytest.mark.parametrize("flag, value", [("--power", "nan"),
+                                         ("--alpha", "nan,0.2"),
+                                         ("--sigma-h-sq", "nan"),
+                                         ("--snr-db", "nan")])
+def test_non_finite_flag_exits_2(tmp_path, capsys, command, flag, value):
+    args = [command, "--users", "2", "--trials", "2000", "--out", str(tmp_path)]
+    if flag != "--snr-db":
+        args += ["--snr-db", "10"]
+    rc = main(args + [flag, value])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_optimize_infeasible_exits_4(tmp_path, capsys):

@@ -66,12 +66,11 @@ def test_objective_average_lower_bound():
     problem = make_problem()
     alpha = (0.8, 0.2)
     psi = objective_psi(problem, alpha)
-    per_user = objective_psi(
-        OptimizationProblem(cfg=problem.cfg, snr_db=problem.snr_db,
-                            p_th=problem.p_th, grid_step=problem.grid_step,
-                            objective_scope="per_user_list"),
-        alpha,
-    )
+    per_user = [
+        union_bound_ber(l, alpha, 1.0, problem.snr_db, problem.cfg.channel,
+                        QPSK)
+        for l in (1, 2)
+    ]
     assert psi >= max(per_user) / len(per_user) - 1e-15
     assert abs(psi - np.mean(per_user)) < 1e-15
 
@@ -92,7 +91,7 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         make_problem(grid_step=0.05)
     with pytest.raises(ValueError):
-        make_problem(objective_scope="everything")
+        make_problem(sic_mode="pattern", prior_deltas=())
 
 
 def test_descending_grid_two_users():

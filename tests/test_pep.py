@@ -17,7 +17,6 @@ from noma_pep import (
     beta_factor,
     closed_form_consistency_report,
     conditional_pep,
-    gamma_factor,
     ordered_magnitude_pdf,
     pep_quadrature,
     pep_user1_closed,
@@ -32,7 +31,6 @@ S = 1 / math.sqrt(2)
 X0 = complex(S, S)
 X1 = complex(-S, S)
 X2 = complex(-S, -S)
-X3 = complex(S, -S)
 
 
 def test_q_function_values():
@@ -46,14 +44,14 @@ def test_q_function_values():
 def test_gamma_no_interferers_is_delta_sq():
     h = ErrorHypothesis(user=1, tx_symbol=X0, detected_symbol=X1)
     # delta = sqrt(2), |delta|^2 = 2
-    assert abs(gamma_factor(h, (1.0,), 1.0) - 2.0) < 1e-12
+    assert abs(beta_factor(h, (1.0,), 1.0) - 2.0) < 1e-12
 
 
 def test_gamma_two_user_hand_value():
     h = ErrorHypothesis(
         user=1, tx_symbol=X0, detected_symbol=X1, interferer_symbols=(X0,)
     )
-    got = gamma_factor(h, (0.8, 0.2), 1.0)
+    got = beta_factor(h, (0.8, 0.2), 1.0)
     # brute-force complex arithmetic, written out independently
     delta = X0 - X1
     expected = math.sqrt(0.8) * abs(delta) ** 2 + 2 * (
@@ -61,14 +59,6 @@ def test_gamma_two_user_hand_value():
     ).real
     assert abs(got - expected) < 1e-12
     assert abs(expected - (2 * math.sqrt(0.8) + 2 * math.sqrt(0.2))) < 1e-12
-
-
-def test_gamma_requires_user_one():
-    h = ErrorHypothesis(
-        user=2, tx_symbol=X0, detected_symbol=X1, prior_deltas=(0j,)
-    )
-    with pytest.raises(ValueError):
-        gamma_factor(h, (0.8, 0.2), 1.0)
 
 
 def test_degenerate_pair_rejected():
@@ -82,14 +72,6 @@ def test_beta_last_user_perfect_sic():
     )
     beta = beta_factor(h, (0.7, 0.2, 0.1), 1.0)
     assert abs(beta - math.sqrt(0.1) * 4.0) < 1e-12
-
-
-def test_beta_reduces_to_gamma_for_user_one():
-    h = ErrorHypothesis(
-        user=1, tx_symbol=X0, detected_symbol=X3, interferer_symbols=(X1, X2)
-    )
-    alpha = (0.7, 0.2, 0.1)
-    assert beta_factor(h, alpha, 2.0) == gamma_factor(h, alpha, 2.0)
 
 
 def test_beta_three_user_hand_value():
@@ -138,7 +120,7 @@ def test_conditional_pep_edges():
     h = ErrorHypothesis(user=1, tx_symbol=X0, detected_symbol=X1)
     assert conditional_pep(h, (1.0,), 1.0, 0.5, 0.0) == 0.5
     # choose magnitude so that the Q argument is exactly 3
-    beta = gamma_factor(h, (1.0,), 1.0)
+    beta = beta_factor(h, (1.0,), 1.0)
     ups = upsilon_factor(X0 - X1, 0.5)
     mag = 3.0 * ups / beta
     got = conditional_pep(h, (1.0,), 1.0, 0.5, mag)

@@ -14,6 +14,7 @@ from noma_pep import (
     qpsk_constellation,
     sic_delta_weights,
     sic_detect,
+    sic_weight_tables,
     simulate,
     stats_rows,
     superposed_signal,
@@ -198,6 +199,8 @@ def test_delta_weights_basics():
     stats = simulate(cfg, 40.0, 200_000, seed=4)
     w1 = sic_delta_weights(stats, 1, QPSK)
     assert w1 == {(): 1.0}
+    tables = sic_weight_tables(stats, QPSK)
+    assert set(tables) == {(l, tx) for l in (1, 2, 3) for tx in range(4)}
     for l in (2, 3):
         w = sic_delta_weights(stats, l, QPSK)
         assert abs(sum(w.values()) - 1.0) < 1e-12
@@ -205,6 +208,7 @@ def test_delta_weights_basics():
         for tx in range(4):
             wt = sic_delta_weights(stats, l, QPSK, tx=tx)
             assert abs(sum(wt.values()) - 1.0) < 1e-12
+            assert tables[(l, tx)] == wt
 
 
 def test_delta_weights_need_enough_trials():
