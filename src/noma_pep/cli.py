@@ -222,6 +222,7 @@ def cmd_pep(args, res: _Resolver, out: Path) -> list[str]:
     sic_mode = res.get("sic_mode", "perfect", str)
     seed = res.get("seed", 1, int)
     trials = res.get("trials", 200_000, int)
+    workers = res.get("workers", 1, int)
     deltas = res.get("prior_deltas", None, parse_deltas)
     if sic_mode == "pattern":
         if deltas is None or len(deltas) < cfg.num_users - 1:
@@ -234,7 +235,7 @@ def cmd_pep(args, res: _Resolver, out: Path) -> list[str]:
     for snr in snrs:
         weights = None
         if sic_mode == "weighted":
-            stats = simulate(cfg, snr, trials, seed)
+            stats = simulate(cfg, snr, trials, seed, workers=workers)
             weights = sic_weight_tables(stats, cfg.constellation)
         for l in range(1, cfg.num_users + 1):
             for tx in range(m):
@@ -357,6 +358,7 @@ def _optimize_common(res: _Resolver, out: Path, prefix: str,
     sic_mode = res.get("sic_mode", "weighted", str)
     weights_trials = res.get("weights_trials", 1_000_000, int)
     seed = res.get("seed", 20_000, int)
+    workers = res.get("workers", 1, int)
     deltas = res.get("prior_deltas", None, parse_deltas)
     problem = OptimizationProblem(
         cfg=cfg,
@@ -368,7 +370,7 @@ def _optimize_common(res: _Resolver, out: Path, prefix: str,
         weights_trials=weights_trials,
         weights_seed=seed,
     )
-    result = solve(problem)
+    result = solve(problem, workers=workers)
     L = cfg.num_users
     header = (
         [f"alpha_{i + 1}" for i in range(L)]

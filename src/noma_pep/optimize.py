@@ -142,17 +142,21 @@ def union_bound_ber(
     return union_bound_from_pep(lookup, constellation)
 
 
-def _per_user_bounds_and_peps(problem: OptimizationProblem, alpha, seed: int):
+def _per_user_bounds_and_peps(
+    problem: OptimizationProblem, alpha, seed: int, workers: int = 1
+):
     """Union bound and worst-pair PEP for every user at one grid point.
 
     Weighted mode estimates the SIC residual weight tables at this point
-    from a simulation seeded with seed.
+    from a simulation seeded with seed, run on `workers` processes.
     """
     cfg = problem.cfg
     weights = None
     if problem.sic_mode == "weighted":
         point = replace(cfg, alpha=tuple(alpha))
-        stats = simulate(point, problem.snr_db, problem.weights_trials, seed)
+        stats = simulate(
+            point, problem.snr_db, problem.weights_trials, seed, workers=workers
+        )
         weights = sic_weight_tables(stats, cfg.constellation)
     L = cfg.num_users
     model = cfg.channel.with_noise(cfg.P / 10.0 ** (problem.snr_db / 10.0))
@@ -244,20 +248,22 @@ def _descending_grid(L: int, step: float):
     return out
 
 
-def solve(problem: OptimizationProblem) -> OptimizationResult:
+def solve(problem: OptimizationProblem, workers: int = 1) -> OptimizationResult:
     """Exhaustive grid search for the feasible union-bound minimizer.
 
     A grid point is feasible when every user's worst-pair PEP is at most
     p_th.  Ties on the objective prefer larger alpha_1, then larger
     following coefficients.  With no feasible point the full sweep is
-    still returned with infeasible=True.
+    still returned with infeasible=True.  Weighted mode runs each grid
+    point's simulation on `workers` processes; the result does not
+    depend on the worker count.
     """
     L = problem.cfg.num_users
     grid = _descending_grid(L, problem.grid_step)
     entries = []
     for idx, alpha in enumerate(grid):
         bounds, worst = _per_user_bounds_and_peps(
-            problem, alpha, problem.weights_seed + idx
+            problem, alpha, problem.weights_seed + idx, workers
         )
         psi = float(np.mean(bounds))
         feasible = all(p <= problem.p_th for p in worst)

@@ -5,9 +5,20 @@ passes the sum through each user's ordered Rayleigh channel plus AWGN, and
 runs the sequential minimum-distance SIC receiver at every user.  SIC
 decision errors propagate; there is no genie correction.
 
+A batch draws all of its random numbers first, then detects in row
+blocks of BLOCK_ROWS trials, so the temporaries of the detector stay
+small whatever the batch size.  Each SIC stage decides by the signs of
+the real and imaginary parts of the derotated residual, which is the
+minimum-distance decision for alphabets with one point per quadrant,
+mirrored across both axes (QPSK); simulate and sic_detect reject any
+other alphabet.  Only the user's own stage computes the full distance
+metrics, which the pairwise counters need.
+
 Counters are plain integers so that merging partial runs is exact
 component-wise addition: a run split into batches gives byte-identical
 results for any worker count, because batch i always draws from seed+i.
+Residual patterns are counted over the codes that occur, so their
+memory grows with the number of trials, not with the M^(2L) code space.
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ __all__ = [
 
 DEFAULT_BATCH_SIZE = 1_000_000
 MIN_WEIGHT_TRIALS = 100_000
+BLOCK_ROWS = 1 << 16  # detector rows per block; counters do not depend on it
 
 
 @dataclass(frozen=True)
@@ -184,35 +196,69 @@ def superposed_signal(cfg: SystemConfig, symbol_indices: np.ndarray) -> np.ndarr
 def _decision_metrics(residual, scale, pts):
     """Squared distances |residual - scale * point|^2 up to a common term.
 
-    Dropping |residual|^2 leaves the ordering and all pairwise metric
-    differences unchanged.
+    Row j holds hypothesis j, shape (M, n), so every row is one pass over
+    the samples.  Dropping |residual|^2 leaves the ordering and all
+    pairwise metric differences unchanged.
     """
     w = residual * np.conj(scale)
-    return -2.0 * np.real(w[:, None] * np.conj(pts)[None, :]) + (
-        np.abs(scale) ** 2
-    )[:, None] * (np.abs(pts) ** 2)[None, :]
+    gain = np.abs(scale) ** 2
+    energy = np.abs(pts) ** 2
+    metrics = np.empty((pts.size, residual.size))
+    for j in range(pts.size):
+        metrics[j] = -2.0 * np.real(w * np.conj(pts[j])) + gain * energy[j]
+    return metrics
 
 
-def _sic_stages(cfg: SystemConfig, residual, h, u: int):
+def _quadrant_table(constellation: Constellation) -> np.ndarray:
+    """Symbol index of each quadrant, keyed 2*(re < 0) + (im < 0).
+
+    Slicing each axis of the derotated residual by sign is the
+    minimum-distance decision only when the alphabet has one point per
+    quadrant and the points mirror each other across both axes, as QPSK
+    does; any other alphabet raises ValueError.
+    """
+    pts = constellation.points_array()
+    re, im = np.abs(pts.real), np.abs(pts.imag)
+    key = 2 * (pts.real < 0) + (pts.imag < 0)
+    if (
+        pts.size != 4
+        or sorted(key.tolist()) != [0, 1, 2, 3]
+        or not (re[0] > 0 and np.all(re == re[0]))
+        or not (im[0] > 0 and np.all(im == im[0]))
+    ):
+        raise ValueError(
+            "the SIC simulator slices each axis by sign and needs one "
+            "point per quadrant, mirrored across both axes (QPSK)"
+        )
+    table = np.empty(4, dtype=np.int64)
+    table[key] = np.arange(4)
+    return table
+
+
+def _sic_stages(cfg: SystemConfig, quadrant, residual, h, u: int):
     """Sequential SIC chain of user u+1 over its received samples.
 
-    Detects users 1..u in power order by minimum distance against the
-    power-scaled alphabet, subtracting each decision from the residual
-    before the next stage.  Returns the stage decisions, shape (n, u),
-    and user u+1's own decision metrics, shape (n, M).
+    Detects users 1..u in power order, each by the quadrant (table from
+    _quadrant_table) of the residual derotated by its power-scaled gain,
+    and subtracts each decision before the next stage.  A component that
+    is exactly zero counts as non-negative.  Returns the stage decisions,
+    shape (n, u), and user u+1's own decision metrics, shape (M, n).
     """
     pts = cfg.constellation.points_array()
     coeff = np.sqrt(np.asarray(cfg.alpha) * cfg.P)
     decisions = np.empty((residual.size, u), dtype=np.int64)
     for k in range(u):
-        dk = np.argmin(_decision_metrics(residual, coeff[k] * h, pts), axis=1)
-        residual = residual - coeff[k] * h * pts[dk]
+        scale = coeff[k] * h
+        w = residual * np.conj(scale)
+        dk = quadrant[2 * (w.real < 0) + (w.imag < 0)]
+        residual = residual - scale * pts[dk]
         decisions[:, k] = dk
     return decisions, _decision_metrics(residual, coeff[u] * h, pts)
 
 
 def _run_batch(
-    cfg: SystemConfig, snr_db: float, sigma_n_sq: float, n: int, seed: int
+    cfg: SystemConfig, quadrant, snr_db: float, sigma_n_sq: float, n: int,
+    seed: int,
 ) -> SimStats:
     rng = np.random.default_rng(seed)
     L = cfg.num_users
@@ -222,10 +268,10 @@ def _run_batch(
 
     # Draw order is fixed (gains, symbols, noise) so a batch is a pure
     # function of (cfg, sigma_n_sq, n, seed).
-    h = rng.normal(scale=std_h, size=(n, L)) + 1j * rng.normal(
-        scale=std_h, size=(n, L)
-    )
-    order = np.argsort(np.abs(h), axis=1, kind="stable")
+    h = np.empty((n, L), dtype=np.complex128)
+    h.real = rng.normal(scale=std_h, size=(n, L))
+    h.imag = rng.normal(scale=std_h, size=(n, L))
+    order = np.argsort(h.real**2 + h.imag**2, axis=1, kind="stable")
     h = np.take_along_axis(h, order, axis=1)
     if cfg.symbol_mode == "fixed":
         tx_idx = np.broadcast_to(
@@ -233,44 +279,60 @@ def _run_batch(
         ).copy()
     else:
         tx_idx = rng.integers(0, m, size=(n, L))
-    noise = rng.normal(scale=std_n, size=(n, L)) + 1j * rng.normal(
-        scale=std_n, size=(n, L)
-    )
-
     s = superposed_signal(cfg, tx_idx)
-    stats = SimStats.zeros(L, m, snr_db)
-    stats.trials = n
-    rows = np.arange(n)
+    noise = np.empty((n, L), dtype=np.complex128)
+    noise.real = rng.normal(scale=std_n, size=(n, L))
+    noise.imag = rng.normal(scale=std_n, size=(n, L))
 
+    # events[u, a, d, e]: trials of user u+1 that sent a, detected d, and
+    # in which hypothesis b scored no worse than a exactly when bit b of e
+    # is set.
+    events = np.zeros((L, (m * m) << m), dtype=np.int64)
+    patterns = []
+    code = np.empty(n, dtype=np.int64)
     for u in range(L):
-        hu = h[:, u]
-        det, metrics = _sic_stages(cfg, hu * s + noise[:, u], hu, u)
-        du = np.argmin(metrics, axis=1)
+        for start in range(0, n, BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
+            hu = h[rows, u]
+            det, metrics = _sic_stages(
+                cfg, quadrant, hu * s[rows] + noise[rows, u], hu, u
+            )
+            txu = tx_idx[rows, u]
+            sent = metrics[txu, np.arange(txu.size)]
+            key = (txu * m + np.argmin(metrics, axis=0)) << m
+            for b in range(m):
+                key += (metrics[b] <= sent) << b
+            events[u] += np.bincount(key, minlength=(m * m) << m)
 
-        txu = tx_idx[:, u]
-        stats.tx_counts[u] = np.bincount(txu, minlength=m)
-        stats.detected_counts[u] = np.bincount(
-            txu * m + du, minlength=m * m
-        ).reshape(m, m)
-        stats.symbol_errors[u] = int(np.sum(du != txu))
-        stats.bit_errors[u] = int(cfg.constellation._bit_diff[txu, du].sum())
+            # Key: own transmitted symbol in the lowest base-m digit, then
+            # one base-m^2 digit per SIC stage for the (tx, detected) pair.
+            c = code[rows]
+            c[:] = txu
+            mult = m
+            for k in range(u):
+                c += (tx_idx[rows, k] * m + det[:, k]) * mult
+                mult *= m * m
+        values, counts = np.unique(code, return_counts=True)
+        patterns.append(dict(zip(values.tolist(), counts.tolist())))
 
-        m_true = metrics[rows, txu]
-        for b in range(m):
-            ev = (metrics[:, b] <= m_true) & (txu != b)
-            stats.pairwise_counts[u, :, b] = np.bincount(txu[ev], minlength=m)
-
-        # Key: own transmitted symbol in the lowest base-m digit, then one
-        # base-m^2 digit per SIC stage for the (tx, detected) index pair.
-        code = txu.astype(np.int64).copy()
-        mult = m
-        for k in range(u):
-            code += (tx_idx[:, k] * m + det[:, k]) * mult
-            mult *= m * m
-        counts = np.bincount(code)
-        nz = np.nonzero(counts)[0]
-        stats.delta_pattern_counts[u] = {int(c): int(counts[c]) for c in nz}
-    return stats
+    events = events.reshape(L, m, m, 1 << m)
+    detected = events.sum(axis=3)
+    beats = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+    pairwise = events.sum(axis=2) @ beats
+    # The sent symbol always scores no worse than itself; b = a is no event.
+    pairwise[:, np.arange(m), np.arange(m)] = 0
+    return SimStats(
+        num_users=L,
+        m=m,
+        snr_db=snr_db,
+        trials=n,
+        tx_counts=detected.sum(axis=2),
+        detected_counts=detected,
+        pairwise_counts=pairwise,
+        bit_errors=(detected * cfg.constellation._bit_diff).sum(axis=(1, 2)),
+        symbol_errors=n - np.trace(detected, axis1=1, axis2=2),
+        delta_pattern_counts=patterns,
+    )
 
 
 def simulate(
@@ -285,19 +347,25 @@ def simulate(
 
     Deterministic for fixed (cfg, snr_db, trials, seed, batch_size):
     trials are split into fixed batches and batch i is seeded seed+i, so
-    the result is independent of the worker count.
+    the result is independent of the worker count.  Raises ValueError
+    before any draw when the alphabet cannot be sliced per axis (see
+    _quadrant_table).
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
+    quadrant = _quadrant_table(cfg.constellation)
     sigma_n_sq = cfg.noise_var_for_snr(snr_db)
     sizes = []
     left = trials
     while left > 0:
         sizes.append(min(batch_size, left))
         left -= batch_size
-    args = [(cfg, snr_db, sigma_n_sq, nb, seed + i) for i, nb in enumerate(sizes)]
+    args = [
+        (cfg, quadrant, snr_db, sigma_n_sq, nb, seed + i)
+        for i, nb in enumerate(sizes)
+    ]
 
     if workers > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -321,14 +389,19 @@ def sic_detect(r: complex, h: complex, cfg: SystemConfig, l: int):
     Runs the simulator's SIC chain on the single sample: users 1..l-1 in
     power order, each decision subtracted before the next stage, then
     user l's own symbol.  Returns the pair
-    (detected_index, prior_decision_indices).
+    (detected_index, prior_decision_indices).  Raises ValueError when the
+    alphabet cannot be sliced per axis.
     """
     if not 1 <= l <= cfg.num_users:
         raise ValueError(f"user index {l} out of range 1..{cfg.num_users}")
     priors, metrics = _sic_stages(
-        cfg, np.array([complex(r)]), np.array([complex(h)]), l - 1
+        cfg,
+        _quadrant_table(cfg.constellation),
+        np.array([complex(r)]),
+        np.array([complex(h)]),
+        l - 1,
     )
-    return int(np.argmin(metrics[0])), tuple(priors[0].tolist())
+    return int(np.argmin(metrics[:, 0])), tuple(priors[0].tolist())
 
 
 def empirical_pep(stats: SimStats, l: int, tx: int, rx: int) -> PepEstimate:

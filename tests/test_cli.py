@@ -4,6 +4,7 @@ import json
 import pytest
 
 import noma_pep.cli as cli
+import noma_pep.optimize as optimize
 from noma_pep.cli import main
 from noma_pep.pep import NumericalError
 
@@ -58,6 +59,34 @@ def test_simulate_worker_invariance_bytes(tmp_path):
     assert (out1 / "simulate.csv").read_bytes() == (
         out2 / "simulate.csv"
     ).read_bytes()
+
+
+def test_workers_reach_weighted_pep_and_fig4(tmp_path, monkeypatch):
+    rc = main(["pep", "--users", "2", "--alpha", "0.8,0.2", "--sic-mode",
+               "weighted", "--snr-db", "10", "--trials", "100000",
+               "--workers", "2", "--out", str(tmp_path / "pep")])
+    assert rc == 0
+    config = json.loads((tmp_path / "pep" / "manifest.json").read_text())["config"]
+    assert config["workers"] == 2
+
+    seen = []
+    real_simulate = optimize.simulate
+
+    def recording_simulate(*args, **kwargs):
+        seen.append(kwargs.get("workers"))
+        return real_simulate(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "simulate", recording_simulate)
+    args = ["fig4", "--grid-step", "0.01", "--weights-trials", "100000",
+            "--seed", "3"]
+    outs = {w: tmp_path / f"fig4_w{w}" for w in (1, 2)}
+    for w, out in outs.items():
+        assert main(args + ["--workers", str(w), "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["workers"] == w
+    assert seen == [1] * 49 + [2] * 49
+    for name in ("fig4_sweep.csv", "fig4_summary.csv"):
+        assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes()
 
 
 def test_config_file_and_flag_override(tmp_path):

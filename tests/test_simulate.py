@@ -1,10 +1,15 @@
+import dataclasses
+import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from noma_pep import (
     ChannelModel,
+    Constellation,
+    SimStats,
     SystemConfig,
     average_pep,
     bit_error_rate,
@@ -22,6 +27,7 @@ from noma_pep import (
 )
 
 QPSK = qpsk_constellation(1.0)
+sim = importlib.import_module("noma_pep.simulate")
 
 
 def make_cfg(alpha, sigma_h_sq=0.5, **kw):
@@ -275,3 +281,152 @@ def test_stats_rows_schema():
         assert set(r) == {"snr_db", "user", "metric", "value",
                           "ci_half_width", "trials"}
         assert 0.0 <= r["value"] <= 1.0
+
+
+def _reference_batch(cfg, snr_db, sigma_n_sq, n, seed):
+    """Full-batch SIC chain the blocked simulator must reproduce exactly.
+
+    Sorts gains by |h|, decides every SIC stage by the minimum of the full
+    distance metric row, and counts pairwise events one hypothesis at a
+    time.
+    """
+    rng = np.random.default_rng(seed)
+    L = cfg.num_users
+    m = cfg.constellation.size
+    pts = cfg.constellation.points_array()
+    coeff = np.sqrt(np.asarray(cfg.alpha) * cfg.P)
+    std_h = math.sqrt(cfg.channel.sigma_h_sq)
+    std_n = math.sqrt(sigma_n_sq / 2.0)
+
+    def metrics_of(residual, scale):
+        w = residual * np.conj(scale)
+        return -2.0 * np.real(w[:, None] * np.conj(pts)[None, :]) + (
+            np.abs(scale) ** 2
+        )[:, None] * (np.abs(pts) ** 2)[None, :]
+
+    h = rng.normal(scale=std_h, size=(n, L)) + 1j * rng.normal(
+        scale=std_h, size=(n, L)
+    )
+    h = np.take_along_axis(h, np.argsort(np.abs(h), axis=1, kind="stable"), axis=1)
+    if cfg.symbol_mode == "fixed":
+        tx_idx = np.broadcast_to(
+            np.asarray(cfg.fixed_symbols, dtype=np.int64), (n, L)
+        ).copy()
+    else:
+        tx_idx = rng.integers(0, m, size=(n, L))
+    noise = rng.normal(scale=std_n, size=(n, L)) + 1j * rng.normal(
+        scale=std_n, size=(n, L)
+    )
+    s = pts[tx_idx] @ coeff
+
+    stats = SimStats.zeros(L, m, snr_db)
+    stats.trials = n
+    rows = np.arange(n)
+    for u in range(L):
+        hu = h[:, u]
+        residual = hu * s + noise[:, u]
+        det = np.empty((n, u), dtype=np.int64)
+        for k in range(u):
+            dk = np.argmin(metrics_of(residual, coeff[k] * hu), axis=1)
+            residual = residual - coeff[k] * hu * pts[dk]
+            det[:, k] = dk
+        metrics = metrics_of(residual, coeff[u] * hu)
+        du = np.argmin(metrics, axis=1)
+        txu = tx_idx[:, u]
+        stats.tx_counts[u] = np.bincount(txu, minlength=m)
+        stats.detected_counts[u] = np.bincount(
+            txu * m + du, minlength=m * m
+        ).reshape(m, m)
+        stats.symbol_errors[u] = int(np.sum(du != txu))
+        stats.bit_errors[u] = int(cfg.constellation._bit_diff[txu, du].sum())
+        m_true = metrics[rows, txu]
+        for b in range(m):
+            ev = (metrics[:, b] <= m_true) & (txu != b)
+            stats.pairwise_counts[u, :, b] = np.bincount(txu[ev], minlength=m)
+        code = txu.astype(np.int64).copy()
+        mult = m
+        for k in range(u):
+            code += (tx_idx[:, k] * m + det[:, k]) * mult
+            mult *= m * m
+        counts = np.bincount(code)
+        stats.delta_pattern_counts[u] = {
+            int(c): int(counts[c]) for c in np.nonzero(counts)[0]
+        }
+    return stats
+
+
+REFERENCE_ALPHA = {1: (1.0,), 2: (0.8, 0.2), 3: (0.7, 0.2, 0.1),
+                   4: (0.5, 0.3, 0.15, 0.05)}
+
+
+@pytest.mark.parametrize("n", [1, 100_003])
+@pytest.mark.parametrize("mode", ["uniform_random", "fixed"])
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_blocked_batch_matches_reference_chain(L, mode, n):
+    # 100_003 rows span two detector blocks, the second one partial.
+    fixed = (2, 0, 3, 1)[:L] if mode == "fixed" else None
+    cfg = make_cfg(REFERENCE_ALPHA[L], symbol_mode=mode, fixed_symbols=fixed)
+    quadrant = sim._quadrant_table(cfg.constellation)
+    for snr_db in (0.0, 20.0, 40.0):
+        sigma_n_sq = cfg.noise_var_for_snr(snr_db)
+        seed = 1000 * L + int(snr_db)
+        got = sim._run_batch(cfg, quadrant, snr_db, sigma_n_sq, n, seed)
+        want = _reference_batch(cfg, snr_db, sigma_n_sq, n, seed)
+        for f in dataclasses.fields(SimStats):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype, f.name
+                np.testing.assert_array_equal(a, b, err_msg=f.name)
+            else:
+                assert a == b, f.name
+        assert [list(d) for d in got.delta_pattern_counts] == [
+            list(d) for d in want.delta_pattern_counts
+        ]
+
+
+def test_pattern_counting_memory_stays_bounded():
+    # Six users give 4^11 possible pattern codes; counting them with a
+    # dense table would take 32 MB for any number of trials.
+    alpha = tuple(np.array([32.0, 16, 8, 4, 2, 1]) / 63)
+    cfg = make_cfg(alpha)
+    tracemalloc.start()
+    try:
+        stats = simulate(cfg, 20.0, 2_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    for u in range(6):
+        assert sum(stats.delta_pattern_counts[u].values()) == 2_000
+
+
+def _alphabet(points):
+    points = tuple(complex(p) for p in points)
+    power = float(np.mean(np.abs(np.asarray(points)) ** 2))
+    return Constellation(points=points, bit_labels=("00", "01", "11", "10"),
+                         avg_power=power)
+
+
+@pytest.mark.parametrize("points", [
+    (1, 1j, -1, -1j),  # QPSK rotated onto the axes
+    (1 + 1j, -2 + 1j, -1 - 1j, 1 - 1j),  # one per quadrant, not mirrored
+    (1 + 1j, -1 + 1j, 1 + 1j, 1 - 1j),  # second quadrant empty
+])
+def test_simulator_rejects_alphabets_it_cannot_slice(points):
+    c = _alphabet(points)
+    ch = ChannelModel(num_users=2, sigma_h_sq=0.5)
+    cfg = SystemConfig(alpha=(0.8, 0.2), P=1.0, channel=ch, constellation=c)
+    with pytest.raises(ValueError, match="quadrant"):
+        simulate(cfg, 10.0, 1_000, seed=1)
+    with pytest.raises(ValueError, match="quadrant"):
+        sic_detect(0.3 + 0.1j, 0.5 + 0.2j, cfg, 2)
+
+
+def test_quadrant_table_matches_minimum_distance():
+    pts = QPSK.points_array()
+    table = sim._quadrant_table(QPSK)
+    for j, p in enumerate(pts):
+        assert table[2 * (p.real < 0) + (p.imag < 0)] == j
+    # A rectangle with one point per quadrant slices the same way.
+    rect = _alphabet((2 + 1j, -2 + 1j, -2 - 1j, 2 - 1j))
+    np.testing.assert_array_equal(sim._quadrant_table(rect), table)
