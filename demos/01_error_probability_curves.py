@@ -38,8 +38,8 @@ print()
 
 print("Per-user PEP, weighted SIC-residual mode vs simulation")
 print("snr_db  user  analytic      simulated     ci")
-for snr in (10.0, 20.0, 30.0):
-    stats = simulate(cfg, snr, 1_000_000, seed=11)
+snrs = [10.0, 20.0, 30.0]
+for snr, stats in zip(snrs, simulate(cfg, snrs, 1_000_000, seed=11)):
     model = channel.with_noise(cfg.noise_var_for_snr(snr))
     weights = sic_weight_tables(stats, QPSK)
     for user in (1, 2, 3):

@@ -11,10 +11,11 @@ Subcommands
     fig4       canned 2-user power sweep recipe
 
 Every run writes CSV files plus a manifest.json recording the command
-line, the resolved configuration, the seed and the output list, which is
-enough to reproduce the CSV bodies byte-identically.  A resolved list of
-100 or more entries is recorded as its length and the sha256 of its JSON
-form.
+line, the resolved configuration, the seed, the output list and the
+environment (library versions and the SIMD features numpy enabled),
+which is enough to reproduce the CSV bodies byte-identically.  A
+resolved list of 100 or more entries is recorded as its length and the
+sha256 of its JSON form.
 
 Conventions: snr_db means 10*log10(P / sigma_n^2); the default channel
 has sigma_h_sq = 0.5 so that E[|h|^2] = 1 and the average SNR equals
@@ -38,6 +39,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .asymptotic import chernoff_average, effective_diversity, pep_upper_bound
@@ -80,6 +82,30 @@ class RunManifest:
     tool_version: str
     outputs: list[str]
     duration_seconds: float
+    environment: dict
+
+
+def _run_environment() -> dict:
+    """Interpreter and library versions and the SIMD features numpy enabled.
+
+    Simulated counters can depend on the SIMD path numpy dispatches: a
+    fused multiply-add changes the last bit of a complex product, which
+    can move a decision-metric tie.  The SIMD lists are the baseline and
+    the enabled dispatch targets that numpy.show_runtime() reports.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return {
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "simd_baseline": list(umath.__cpu_baseline__),
+        "simd_enabled": [
+            f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]
+        ],
+    }
 
 
 def _fmt(x) -> str:
@@ -231,12 +257,14 @@ def cmd_pep(args, res: _Resolver, out: Path) -> list[str]:
                 f"{cfg.num_users - 1} complex values"
             )
     m = cfg.constellation.size
+    weights_by_snr = [None] * len(snrs)
+    if sic_mode == "weighted":
+        weights_by_snr = [
+            sic_weight_tables(stats, cfg.constellation)
+            for stats in simulate(cfg, snrs, trials, seed, workers=workers)
+        ]
     rows = []
-    for snr in snrs:
-        weights = None
-        if sic_mode == "weighted":
-            stats = simulate(cfg, snr, trials, seed, workers=workers)
-            weights = sic_weight_tables(stats, cfg.constellation)
+    for snr, weights in zip(snrs, weights_by_snr):
         for l in range(1, cfg.num_users + 1):
             for tx in range(m):
                 for rx in range(m):
@@ -261,8 +289,7 @@ def cmd_simulate(args, res: _Resolver, out: Path) -> list[str]:
     workers = res.get("workers", 1, int)
     bits = cfg.constellation.bits_per_symbol
     rows = []
-    for snr in snrs:
-        stats = simulate(cfg, snr, trials, seed, workers=workers)
+    for stats in simulate(cfg, snrs, trials, seed, workers=workers):
         for r in stats_rows(stats, bits):
             rows.append(
                 [r["snr_db"], r["user"], r["metric"], r["value"],
@@ -414,8 +441,8 @@ def cmd_fig2(args, res: _Resolver, out: Path) -> list[str]:
     workers = res.get("workers", 1, int)
     tx, rx = DESIGNATED_PAIR
     per_user_rows = {l: [] for l in range(1, cfg.num_users + 1)}
-    for snr in snrs:
-        stats = simulate(cfg, snr, trials, seed, workers=workers)
+    for snr, stats in zip(snrs, simulate(cfg, snrs, trials, seed,
+                                         workers=workers)):
         weights = sic_weight_tables(stats, cfg.constellation)
         for l in range(1, cfg.num_users + 1):
             analytic = _analytic_pep(cfg, l, tx, rx, snr, "weighted", weights)
@@ -528,6 +555,7 @@ def main(argv=None) -> int:
         tool_version=__version__,
         outputs=files,
         duration_seconds=round(time.time() - started, 3),
+        environment=_run_environment(),
     )
     (out / "manifest.json").write_text(
         json.dumps(asdict(manifest), indent=2, default=str)

@@ -7,7 +7,10 @@ decision errors propagate; there is no genie correction.
 
 A batch draws all of its random numbers first, then detects in row
 blocks of BLOCK_ROWS trials, so the temporaries of the detector stay
-small whatever the batch size.  Each SIC stage decides by the signs of
+small whatever the batch size.  The draws do not depend on the SNR: the
+noise is drawn as standard normals and scaled per block, so one batch
+serves every SNR point of a call (common random numbers) and only the
+detection runs once per point.  Each SIC stage decides by the signs of
 the real and imaginary parts of the derotated residual, which is the
 minimum-distance decision for alphabets with one point per quadrant,
 mirrored across both axes (QPSK); simulate and sic_detect reject any
@@ -16,7 +19,8 @@ metrics, which the pairwise counters need.
 
 Counters are plain integers so that merging partial runs is exact
 component-wise addition: a run split into batches gives byte-identical
-results for any worker count, because batch i always draws from seed+i.
+results for any worker count, because batch i always draws from seed+i,
+and an SNR point gives the same counters alone or in a list.
 Residual patterns are counted over the codes that occur, so their
 memory grows with the number of trials, not with the M^(2L) code space.
 """
@@ -24,6 +28,7 @@ memory grows with the number of trials, not with the M^(2L) code space.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -257,17 +262,22 @@ def _sic_stages(cfg: SystemConfig, quadrant, residual, h, u: int):
 
 
 def _run_batch(
-    cfg: SystemConfig, quadrant, snr_db: float, sigma_n_sq: float, n: int,
-    seed: int,
-) -> SimStats:
+    cfg: SystemConfig, quadrant, snr_dbs, n: int, seed: int
+) -> list[SimStats]:
+    """Counters of one batch of n trials at each SNR of snr_dbs, in order.
+
+    The batch is drawn once and every SNR point detects the same gains,
+    symbols and standard-normal noise, scaled to its own noise level.
+    """
     rng = np.random.default_rng(seed)
     L = cfg.num_users
     m = cfg.constellation.size
     std_h = math.sqrt(cfg.channel.sigma_h_sq)
-    std_n = math.sqrt(sigma_n_sq / 2.0)
 
     # Draw order is fixed (gains, symbols, noise) so a batch is a pure
-    # function of (cfg, sigma_n_sq, n, seed).
+    # function of (cfg, n, seed).  rng.normal(scale=s) returns s times
+    # the standard normal it draws, so scaling z below is bitwise equal
+    # to drawing the noise at each SNR's scale.
     h = np.empty((n, L), dtype=np.complex128)
     h.real = rng.normal(scale=std_h, size=(n, L))
     h.imag = rng.normal(scale=std_h, size=(n, L))
@@ -280,9 +290,20 @@ def _run_batch(
     else:
         tx_idx = rng.integers(0, m, size=(n, L))
     s = superposed_signal(cfg, tx_idx)
-    noise = np.empty((n, L), dtype=np.complex128)
-    noise.real = rng.normal(scale=std_n, size=(n, L))
-    noise.imag = rng.normal(scale=std_n, size=(n, L))
+    z = np.empty((n, L), dtype=np.complex128)
+    z.real = rng.standard_normal(size=(n, L))
+    z.imag = rng.standard_normal(size=(n, L))
+    return [
+        _detect_batch(cfg, quadrant, snr_db, h, tx_idx, s, z)
+        for snr_db in snr_dbs
+    ]
+
+
+def _detect_batch(cfg, quadrant, snr_db, h, tx_idx, s, z) -> SimStats:
+    """Run every user's SIC chain over a drawn batch at one SNR."""
+    n, L = h.shape
+    m = cfg.constellation.size
+    std_n = math.sqrt(cfg.noise_var_for_snr(snr_db) / 2.0)
 
     # events[u, a, d, e]: trials of user u+1 that sent a, detected d, and
     # in which hypothesis b scored no worse than a exactly when bit b of e
@@ -295,7 +316,7 @@ def _run_batch(
             rows = slice(start, start + BLOCK_ROWS)
             hu = h[rows, u]
             det, metrics = _sic_stages(
-                cfg, quadrant, hu * s[rows] + noise[rows, u], hu, u
+                cfg, quadrant, hu * s[rows] + std_n * z[rows, u], hu, u
             )
             txu = tx_idx[rows, u]
             sent = metrics[txu, np.arange(txu.size)]
@@ -337,35 +358,43 @@ def _run_batch(
 
 def simulate(
     cfg: SystemConfig,
-    snr_db: float,
+    snr_db: float | Sequence[float],
     trials: int,
     seed: int,
     workers: int = 1,
     batch_size: int = DEFAULT_BATCH_SIZE,
-) -> SimStats:
-    """Run `trials` independent superposition/SIC trials at one SNR.
+) -> SimStats | list[SimStats]:
+    """Run `trials` superposition/SIC trials at one SNR or at each of several.
+
+    With a single snr_db, returns its SimStats.  With a sequence, returns
+    one SimStats per entry, in order, each equal field for field to a
+    separate call with the same trials, seed and batch_size.  The points
+    share every batch's draws (common random numbers), so the batch is
+    drawn once and only the detection runs per point.
 
     Deterministic for fixed (cfg, snr_db, trials, seed, batch_size):
     trials are split into fixed batches and batch i is seeded seed+i, so
     the result is independent of the worker count.  Raises ValueError
-    before any draw when the alphabet cannot be sliced per axis (see
-    _quadrant_table).
+    before any draw when an SNR is not finite, the sequence is empty, or
+    the alphabet cannot be sliced per axis (see _quadrant_table).
     """
+    single = np.ndim(snr_db) == 0
+    snrs = [snr_db] if single else list(snr_db)
+    if not snrs:
+        raise ValueError("need at least one SNR point")
+    if not all(math.isfinite(s) for s in snrs):
+        raise ValueError(f"SNR values must be finite, got {snr_db!r}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
     quadrant = _quadrant_table(cfg.constellation)
-    sigma_n_sq = cfg.noise_var_for_snr(snr_db)
     sizes = []
     left = trials
     while left > 0:
         sizes.append(min(batch_size, left))
         left -= batch_size
-    args = [
-        (cfg, quadrant, snr_db, sigma_n_sq, nb, seed + i)
-        for i, nb in enumerate(sizes)
-    ]
+    args = [(cfg, quadrant, snrs, nb, seed + i) for i, nb in enumerate(sizes)]
 
     if workers > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -373,10 +402,10 @@ def simulate(
     else:
         parts = [_run_batch(*a) for a in args]
 
-    total = parts[0]
+    totals = parts[0]
     for p in parts[1:]:
-        total = total.merge(p)
-    return total
+        totals = [t.merge(q) for t, q in zip(totals, p)]
+    return totals[0] if single else totals
 
 
 def _run_batch_star(args):

@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from noma_pep import (
     ChannelModel,
@@ -56,6 +57,7 @@ def _report(criterion, ok, detail):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {criterion}: {detail}")
 
 
+@pytest.mark.slow
 def test_criterion_1_analytic_vs_simulation():
     """Three-user analytic PEP in weighted mode tracks the live SIC
     simulation: relative difference <= 10% wherever PEP >= 1e-5, or
@@ -68,8 +70,8 @@ def test_criterion_1_analytic_vs_simulation():
     failures = []
     print()
     print("snr_db user  empirical      analytic       rel_diff  within")
-    for snr in SNR_GRID:
-        stats = simulate(cfg, snr, trials, seed=1001)
+    for snr, stats in zip(SNR_GRID, simulate(cfg, SNR_GRID, trials,
+                                             seed=1001)):
         model = ch.with_noise(cfg.noise_var_for_snr(snr))
         for l in (1, 2, 3):
             weights = sic_delta_weights(stats, l, QPSK, tx=tx)
@@ -130,6 +132,7 @@ def test_criterion_2_diversity_convergence():
         assert abs(results[l] - l) <= 0.25, results
 
 
+@pytest.mark.slow
 def test_criterion_3_two_user_power_sweep():
     """Two-user sweep at 30 dB, P_th = 1e-3, grid 1e-3, sigma_h_sq = 1:
     (a) the simulated user-2 error-rate minimum sits at alpha_1 = 0.778

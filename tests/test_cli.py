@@ -1,7 +1,10 @@
 import hashlib
 import json
+import platform
 
+import numpy as np
 import pytest
+import scipy
 
 import noma_pep.cli as cli
 import noma_pep.optimize as optimize
@@ -27,6 +30,18 @@ def test_pep_defaults_single_user(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["outputs"] == ["pep.csv"]
     assert manifest["tool_version"]
+
+
+def test_manifest_records_environment(tmp_path):
+    assert main(["pep", "--users", "1", "--alpha", "1.0", "--snr-db", "10",
+                 "--out", str(tmp_path)]) == 0
+    env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    assert env["scipy"] == scipy.__version__
+    for key in ("simd_baseline", "simd_enabled"):
+        assert isinstance(env[key], list)
+        assert all(isinstance(f, str) for f in env[key])
 
 
 def test_pep_three_user_snr_range(tmp_path):

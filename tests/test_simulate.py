@@ -359,6 +359,19 @@ REFERENCE_ALPHA = {1: (1.0,), 2: (0.8, 0.2), 3: (0.7, 0.2, 0.1),
                    4: (0.5, 0.3, 0.15, 0.05)}
 
 
+def _assert_same_stats(got, want):
+    for f in dataclasses.fields(SimStats):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype, f.name
+            np.testing.assert_array_equal(a, b, err_msg=f.name)
+        else:
+            assert a == b, f.name
+    assert [list(d) for d in got.delta_pattern_counts] == [
+        list(d) for d in want.delta_pattern_counts
+    ]
+
+
 @pytest.mark.parametrize("n", [1, 100_003])
 @pytest.mark.parametrize("mode", ["uniform_random", "fixed"])
 @pytest.mark.parametrize("L", [1, 2, 3, 4])
@@ -367,21 +380,51 @@ def test_blocked_batch_matches_reference_chain(L, mode, n):
     fixed = (2, 0, 3, 1)[:L] if mode == "fixed" else None
     cfg = make_cfg(REFERENCE_ALPHA[L], symbol_mode=mode, fixed_symbols=fixed)
     quadrant = sim._quadrant_table(cfg.constellation)
-    for snr_db in (0.0, 20.0, 40.0):
+    snrs = (0.0, 20.0, 40.0)
+    for snr_db in snrs:
         sigma_n_sq = cfg.noise_var_for_snr(snr_db)
         seed = 1000 * L + int(snr_db)
-        got = sim._run_batch(cfg, quadrant, snr_db, sigma_n_sq, n, seed)
+        (got,) = sim._run_batch(cfg, quadrant, [snr_db], n, seed)
         want = _reference_batch(cfg, snr_db, sigma_n_sq, n, seed)
-        for f in dataclasses.fields(SimStats):
-            a, b = getattr(got, f.name), getattr(want, f.name)
-            if isinstance(b, np.ndarray):
-                assert a.dtype == b.dtype, f.name
-                np.testing.assert_array_equal(a, b, err_msg=f.name)
-            else:
-                assert a == b, f.name
-        assert [list(d) for d in got.delta_pattern_counts] == [
-            list(d) for d in want.delta_pattern_counts
-        ]
+        _assert_same_stats(got, want)
+    # One call detects every SNR from the same draws; each point must
+    # equal a reference batch drawn afresh at that SNR and seed.
+    seed = 1000 * L + 99
+    shared = sim._run_batch(cfg, quadrant, snrs, n, seed)
+    assert len(shared) == len(snrs)
+    for snr_db, got in zip(snrs, shared):
+        sigma_n_sq = cfg.noise_var_for_snr(snr_db)
+        _assert_same_stats(got, _reference_batch(cfg, snr_db, sigma_n_sq, n,
+                                                 seed))
+
+
+@pytest.mark.parametrize("mode", ["uniform_random", "fixed"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_snr_list_equals_separate_calls(workers, mode):
+    # 25_001 trials in batches of 10_000 make three batches, the last one
+    # partial; 20 dB appears twice.
+    fixed = (1, 3, 0) if mode == "fixed" else None
+    cfg = make_cfg((0.7, 0.2, 0.1), symbol_mode=mode, fixed_symbols=fixed)
+    snrs = [20.0, 0.0, 35.0, 20.0]
+    got = simulate(cfg, snrs, 25_001, seed=17, workers=workers,
+                   batch_size=10_000)
+    assert isinstance(got, list) and len(got) == len(snrs)
+    for snr_db, stats in zip(snrs, got):
+        want = simulate(cfg, snr_db, 25_001, seed=17, batch_size=10_000)
+        _assert_same_stats(stats, want)
+
+
+@pytest.mark.parametrize("snr_db", [
+    math.nan, -math.inf, math.inf, [], [10.0, math.nan], (-math.inf,),
+])
+def test_simulate_rejects_bad_snr_before_drawing(snr_db, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("simulate drew a batch")
+
+    monkeypatch.setattr(sim, "_run_batch", no_draws)
+    cfg = make_cfg((0.8, 0.2))
+    with pytest.raises(ValueError, match="SNR"):
+        simulate(cfg, snr_db, 2_000, seed=1)
 
 
 def test_pattern_counting_memory_stays_bounded():
