@@ -22,8 +22,16 @@ has sigma_h_sq = 0.5 so that E[|h|^2] = 1 and the average SNR equals
 P / sigma_n^2.  The fig4 recipe pins sigma_h_sq = 1.0, which reproduces
 the reference two-user feasibility window at 30 dB.
 
+Settings: SUBCOMMANDS declares the settings each subcommand reads, with
+their defaults; the parser, the config-file check and the manifest's
+config are built from it.  Precedence is flag (--grid-step) > config key
+(grid_step = 0.01) > default, and a flag or key the subcommand does not
+read is a configuration error.  Every subcommand takes --config, --out
+and --workers (which only a simulation uses).
+
 Exit codes: 0 success, 2 configuration error (including non-finite
-flag values), 3 numerical failure, 4 infeasible optimization.
+flag values, unknown config keys, empty SNR ranges and --workers below
+1), 3 numerical failure, 4 infeasible optimization.
 """
 
 from __future__ import annotations
@@ -150,13 +158,16 @@ def parse_config_file(path: str) -> dict:
 
 
 def parse_snr_list(text: str) -> list[float]:
-    """Accept '0,5,10' or 'start:stop:step' (stop inclusive)."""
+    """Accept '0,5,10' or 'start:stop:step' (stop inclusive, at least one
+    point)."""
     if ":" in text:
         parts = [float(p) for p in text.split(":")]
         if len(parts) != 3 or not parts[2] > 0:
             raise ValueError(f"bad SNR range {text!r}, expected start:stop:step")
         start, stop, step = parts
         grid = [float(s) for s in np.arange(start, stop + step / 2, step)]
+        if not grid:
+            raise ValueError(f"SNR range {text!r} has no points")
     else:
         grid = [float(p) for p in text.split(",")]
     if not all(math.isfinite(s) for s in grid):
@@ -173,28 +184,6 @@ def parse_deltas(text: str) -> tuple[complex, ...]:
     return tuple(complex(p) for p in text.split(","))
 
 
-class _Resolver:
-    """Flag value if given, else config-file value, else default."""
-
-    def __init__(self, args):
-        self.args = args
-        self.file_cfg = (
-            parse_config_file(args.config) if getattr(args, "config", None) else {}
-        )
-        self.resolved: dict = {}
-
-    def get(self, key: str, default, cast):
-        flag = getattr(self.args, key, None)
-        if flag is not None:
-            value = flag if not isinstance(flag, str) else cast(flag)
-        elif key in self.file_cfg:
-            value = cast(self.file_cfg[key])
-        else:
-            value = default
-        self.resolved[key] = value
-        return value
-
-
 def _default_alpha(num_users: int) -> tuple[float, ...]:
     if num_users == 1:
         return (1.0,)
@@ -207,25 +196,18 @@ def _default_alpha(num_users: int) -> tuple[float, ...]:
     return tuple(w / w.sum())
 
 
-def _system(res: _Resolver, default_users=3, default_alpha=None,
-            default_sigma=0.5, symbol_mode="uniform_random"):
-    users = res.get("users", default_users, int)
-    alpha = res.get(
-        "alpha", default_alpha or _default_alpha(users), parse_alpha
-    )
+def _system(s: dict) -> SystemConfig:
+    users, alpha, power = s["users"], s["alpha"], s["power"]
     if len(alpha) != users:
         raise ValueError(f"--alpha has {len(alpha)} entries for {users} users")
-    power = res.get("power", 1.0, float)
-    sigma = res.get("sigma_h_sq", default_sigma, float)
-    channel = ChannelModel(num_users=users, sigma_h_sq=sigma, noise_var=1.0)
-    cfg = SystemConfig(
+    channel = ChannelModel(num_users=users, sigma_h_sq=s["sigma_h_sq"],
+                           noise_var=1.0)
+    return SystemConfig(
         alpha=tuple(alpha),
         P=power,
         channel=channel,
         constellation=qpsk_constellation(power),
-        symbol_mode=symbol_mode,
     )
-    return cfg
 
 
 def _analytic_pep(cfg, l, tx, rx, snr_db, sic_mode, weights=None,
@@ -242,26 +224,20 @@ def _analytic_pep(cfg, l, tx, rx, snr_db, sic_mode, weights=None,
 # ---------------------------------------------------------------- subcommands
 
 
-def cmd_pep(args, res: _Resolver, out: Path) -> list[str]:
-    cfg = _system(res)
-    snrs = res.get("snr_db", [10.0], parse_snr_list)
-    sic_mode = res.get("sic_mode", "perfect", str)
-    seed = res.get("seed", 1, int)
-    trials = res.get("trials", 200_000, int)
-    workers = res.get("workers", 1, int)
-    deltas = res.get("prior_deltas", None, parse_deltas)
-    if sic_mode == "pattern":
-        if deltas is None or len(deltas) < cfg.num_users - 1:
-            raise ValueError(
-                "pattern mode needs --prior-deltas with at least "
-                f"{cfg.num_users - 1} complex values"
-            )
+def cmd_pep(s: dict, out: Path) -> list[str]:
+    cfg = _system(s)
+    snrs, sic_mode, deltas = s["snr_db"], s["sic_mode"], s["prior_deltas"]
+    need = cfg.num_users - 1
+    if sic_mode == "pattern" and (deltas is None or len(deltas) < need):
+        raise ValueError(f"pattern mode needs --prior-deltas with at least "
+                         f"{need} complex values")
     m = cfg.constellation.size
     weights_by_snr = [None] * len(snrs)
     if sic_mode == "weighted":
         weights_by_snr = [
             sic_weight_tables(stats, cfg.constellation)
-            for stats in simulate(cfg, snrs, trials, seed, workers=workers)
+            for stats in simulate(cfg, snrs, s["trials"], s["seed"],
+                                  workers=s["workers"])
         ]
     rows = []
     for snr, weights in zip(snrs, weights_by_snr):
@@ -273,33 +249,20 @@ def cmd_pep(args, res: _Resolver, out: Path) -> list[str]:
                     pep = _analytic_pep(cfg, l, tx, rx, snr, sic_mode,
                                         weights, deltas)
                     rows.append([snr, l, tx, rx, pep, "quadrature"])
-    write_csv(
-        out / "pep.csv",
-        ["snr_db", "user", "tx", "rx", "pep", "method"],
-        rows,
-    )
+    write_csv(out / "pep.csv",
+              ["snr_db", "user", "tx", "rx", "pep", "method"], rows)
     return ["pep.csv"]
 
 
-def cmd_simulate(args, res: _Resolver, out: Path) -> list[str]:
-    cfg = _system(res)
-    snrs = res.get("snr_db", [10.0], parse_snr_list)
-    trials = res.get("trials", 1_000_000, int)
-    seed = res.get("seed", 1, int)
-    workers = res.get("workers", 1, int)
+def cmd_simulate(s: dict, out: Path) -> list[str]:
+    cfg = _system(s)
     bits = cfg.constellation.bits_per_symbol
-    rows = []
-    for stats in simulate(cfg, snrs, trials, seed, workers=workers):
-        for r in stats_rows(stats, bits):
-            rows.append(
-                [r["snr_db"], r["user"], r["metric"], r["value"],
-                 r["ci_half_width"], r["trials"]]
-            )
-    write_csv(
-        out / "simulate.csv",
-        ["snr_db", "user", "metric", "value", "ci_half_width", "trials"],
-        rows,
-    )
+    header = ["snr_db", "user", "metric", "value", "ci_half_width", "trials"]
+    rows = [[r[key] for key in header]
+            for stats in simulate(cfg, s["snr_db"], s["trials"], s["seed"],
+                                  workers=s["workers"])
+            for r in stats_rows(stats, bits)]
+    write_csv(out / "simulate.csv", header, rows)
     return ["simulate.csv"]
 
 
@@ -311,21 +274,16 @@ def _pair_averaged_curves(cfg, snrs, sic_mode="perfect"):
     for l in range(1, cfg.num_users + 1):
         points = []
         for snr in snrs:
-            pep = float(
-                np.mean(
-                    [_analytic_pep(cfg, l, a, b, snr, sic_mode) for a, b in pairs]
-                )
-            )
+            pep = float(np.mean([_analytic_pep(cfg, l, a, b, snr, sic_mode)
+                                 for a, b in pairs]))
             points.append(PepPoint(snr_db=snr, pep=pep, method="quadrature"))
         curves[l] = PepCurve(user=l, points=tuple(points))
     return curves
 
 
-def cmd_diversity(args, res: _Resolver, out: Path, name="diversity.csv",
-                  default_alpha=None) -> list[str]:
-    cfg = _system(res, default_alpha=default_alpha)
-    snrs = res.get("snr_db", list(FIG2_SNR_GRID), parse_snr_list)
-    curves = _pair_averaged_curves(cfg, snrs)
+def cmd_diversity(s: dict, out: Path, name="diversity.csv") -> list[str]:
+    cfg = _system(s)
+    curves = _pair_averaged_curves(cfg, s["snr_db"])
     rows = []
     for l, curve in curves.items():
         ratio = {e.snr_db: e.d_eff for e in effective_diversity(curve, "ratio_form")}
@@ -338,66 +296,47 @@ def cmd_diversity(args, res: _Resolver, out: Path, name="diversity.csv",
                 [p.snr_db, l, p.pep, ratio.get(p.snr_db, float("nan")),
                  fd.get(p.snr_db, float("nan"))]
             )
-    write_csv(
-        out / name,
-        ["snr_db", "user", "pep", "d_eff_ratio", "d_eff_finite_diff"],
-        rows,
-    )
+    write_csv(out / name,
+              ["snr_db", "user", "pep", "d_eff_ratio", "d_eff_finite_diff"],
+              rows)
     return [name]
 
 
-def cmd_bound(args, res: _Resolver, out: Path) -> list[str]:
-    cfg = _system(res)
-    snrs = res.get("snr_db", list(FIG2_SNR_GRID), parse_snr_list)
+def cmd_bound(s: dict, out: Path) -> list[str]:
+    cfg = _system(s)
     tx, rx = DESIGNATED_PAIR
     pts = cfg.constellation.points_array()
     delta_sq = abs(pts[tx] - pts[rx]) ** 2
     rows = []
-    for snr in snrs:
+    for snr in s["snr_db"]:
         # average instantaneous SNR E[|h|^2]/sigma_n^2 with
         # sigma_n^2 = P/10^(snr/10)
         gamma_bar = 2.0 * cfg.channel.sigma_h_sq * 10.0 ** (snr / 10.0) / cfg.P
         for l in range(1, cfg.num_users + 1):
             beta = float(np.sqrt(cfg.alpha[l - 1] * cfg.P)) * delta_sq
-            rows.append(
-                [snr, l, "rederived",
-                 pep_upper_bound(l, cfg.num_users, gamma_bar, beta, delta_sq)]
-            )
-            rows.append(
-                [snr, l, "verbatim",
-                 pep_upper_bound(l, cfg.num_users, gamma_bar, beta, delta_sq,
-                                 form="verbatim")]
-            )
-            rows.append(
-                [snr, l, "exact_average",
-                 chernoff_average(l, cfg.num_users, gamma_bar, beta, delta_sq)]
-            )
+            terms = (l, cfg.num_users, gamma_bar, beta, delta_sq)
+            rows += [
+                [snr, l, "rederived", pep_upper_bound(*terms)],
+                [snr, l, "verbatim", pep_upper_bound(*terms, form="verbatim")],
+                [snr, l, "exact_average", chernoff_average(*terms)],
+            ]
     write_csv(out / "bound.csv", ["snr_db", "user", "form", "value"], rows)
     return ["bound.csv"]
 
 
-def _optimize_common(res: _Resolver, out: Path, prefix: str,
-                     default_sigma=0.5):
-    cfg = _system(res, default_users=2, default_sigma=default_sigma)
-    snr = res.get("snr_db_single", 30.0, float)
-    p_th = res.get("pth", 1e-3, float)
-    grid_step = res.get("grid_step", 1e-3, float)
-    sic_mode = res.get("sic_mode", "weighted", str)
-    weights_trials = res.get("weights_trials", 1_000_000, int)
-    seed = res.get("seed", 20_000, int)
-    workers = res.get("workers", 1, int)
-    deltas = res.get("prior_deltas", None, parse_deltas)
+def cmd_optimize(s: dict, out: Path, prefix="optimize"):
+    cfg = _system(s)
     problem = OptimizationProblem(
         cfg=cfg,
-        snr_db=snr,
-        p_th=p_th,
-        grid_step=grid_step,
-        sic_mode=sic_mode,
-        prior_deltas=deltas,
-        weights_trials=weights_trials,
-        weights_seed=seed,
+        snr_db=s["snr_db"],
+        p_th=s["pth"],
+        grid_step=s["grid_step"],
+        sic_mode=s["sic_mode"],
+        prior_deltas=s["prior_deltas"],
+        weights_trials=s["weights_trials"],
+        weights_seed=s["seed"],
     )
-    result = solve(problem, workers=workers)
+    result = solve(problem, workers=s["workers"])
     L = cfg.num_users
     header = (
         [f"alpha_{i + 1}" for i in range(L)]
@@ -429,20 +368,13 @@ def _optimize_common(res: _Resolver, out: Path, prefix: str,
     return files, (EXIT_INFEASIBLE if result.infeasible else EXIT_OK)
 
 
-def cmd_optimize(args, res: _Resolver, out: Path):
-    return _optimize_common(res, out, "optimize")
-
-
-def cmd_fig2(args, res: _Resolver, out: Path) -> list[str]:
-    cfg = _system(res, default_users=3, default_alpha=FIG2_ALPHA)
-    snrs = res.get("snr_db", list(FIG2_SNR_GRID), parse_snr_list)
-    trials = res.get("trials", 1_000_000, int)
-    seed = res.get("seed", 7, int)
-    workers = res.get("workers", 1, int)
+def cmd_fig2(s: dict, out: Path) -> list[str]:
+    cfg = _system(s)
+    snrs = s["snr_db"]
     tx, rx = DESIGNATED_PAIR
     per_user_rows = {l: [] for l in range(1, cfg.num_users + 1)}
-    for snr, stats in zip(snrs, simulate(cfg, snrs, trials, seed,
-                                         workers=workers)):
+    for snr, stats in zip(snrs, simulate(cfg, snrs, s["trials"], s["seed"],
+                                         workers=s["workers"])):
         weights = sic_weight_tables(stats, cfg.constellation)
         for l in range(1, cfg.num_users + 1):
             analytic = _analytic_pep(cfg, l, tx, rx, snr, "weighted", weights)
@@ -454,18 +386,120 @@ def cmd_fig2(args, res: _Resolver, out: Path) -> list[str]:
     files = []
     for l, rows in per_user_rows.items():
         name = f"fig2_user{l}.csv"
-        write_csv(
-            out / name,
-            ["snr_db", "pep_analytic", "pep_simulated", "ci_half_width", "trials"],
-            rows,
-        )
+        write_csv(out / name, ["snr_db", "pep_analytic", "pep_simulated",
+                               "ci_half_width", "trials"], rows)
         files.append(name)
     return files
 
 
-def cmd_fig4(args, res: _Resolver, out: Path):
+# ------------------------------------------------------------------ settings
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One value a subcommand reads: flag --a-b, config-file key a_b.
+
+    default is the value itself or a function of the settings declared
+    before it; cast turns a config-file string, or a string flag, into
+    the value.  argparse types the flags whose cast is int or float.
+    """
+
+    default: object
+    cast: object = str
+    choices: tuple | None = None
+    help: str | None = None
+
+
+SIC_MODES = ("perfect", "pattern", "weighted")
+
+
+def _base(users=3, alpha=None, sigma_h_sq=0.5) -> dict:
+    """The system and the run settings, which every subcommand reads."""
+    return {
+        "users": Setting(users, int),
+        "alpha": Setting(alpha or (lambda s: _default_alpha(s["users"])),
+                         parse_alpha,
+                         help="comma-separated power coefficients"),
+        "power": Setting(1.0, float, help="total transmit power P"),
+        "sigma_h_sq": Setting(sigma_h_sq, float),
+        "out": Setting(".", help="output directory"),
+        "workers": Setting(1, int),
+    }
+
+
+def _snr_list(default) -> dict:
+    return {"snr_db": Setting(default, parse_snr_list,
+                              help="comma list or start:stop:step")}
+
+
+def _sic(mode) -> dict:
+    return {"sic_mode": Setting(mode, str, SIC_MODES),
+            "prior_deltas": Setting(
+                None, parse_deltas,
+                help="comma-separated complex residuals for pattern mode, "
+                     "e.g. '1.414+0j,0j'")}
+
+
+def _sim(trials, seed) -> dict:
+    return {"trials": Setting(trials, int), "seed": Setting(seed, int)}
+
+
+def _optimize(sigma_h_sq) -> dict:
+    return {**_base(users=2, sigma_h_sq=sigma_h_sq),
+            "snr_db": Setting(30.0, float), "pth": Setting(1e-3, float),
+            "grid_step": Setting(1e-3, float), **_sic("weighted"),
+            "weights_trials": Setting(1_000_000, int),
+            "seed": Setting(20_000, int)}
+
+
+# Subcommand -> (function, the settings it reads).  The parser, the
+# config-file check and the manifest's config all come from this table;
+# --config is the one flag that is not a setting.
+SUBCOMMANDS = {
+    "pep": (cmd_pep, {**_base(), **_snr_list((10.0,)), **_sic("perfect"),
+                      **_sim(200_000, 1)}),
+    "simulate": (cmd_simulate, {**_base(), **_snr_list((10.0,)),
+                                **_sim(1_000_000, 1)}),
+    "diversity": (cmd_diversity, {**_base(), **_snr_list(FIG2_SNR_GRID)}),
+    "bound": (cmd_bound, {**_base(), **_snr_list(FIG2_SNR_GRID)}),
+    "fig2": (cmd_fig2, {**_base(alpha=FIG2_ALPHA),
+                        **_snr_list(FIG2_SNR_GRID), **_sim(1_000_000, 7)}),
+    "fig3": (functools.partial(cmd_diversity, name="fig3_diversity.csv"),
+             {**_base(alpha=FIG2_ALPHA), **_snr_list(FIG2_SNR_GRID)}),
+    "optimize": (cmd_optimize, _optimize(sigma_h_sq=0.5)),
     # sigma_h_sq = 1.0 reproduces the reference feasibility window.
-    return _optimize_common(res, out, "fig4", default_sigma=1.0)
+    "fig4": (functools.partial(cmd_optimize, prefix="fig4"),
+             _optimize(sigma_h_sq=1.0)),
+}
+
+
+def _resolve(flags: argparse.Namespace) -> dict:
+    """Every setting of the subcommand: flag if given, else config file,
+    else default.  A config key the subcommand does not read is an error."""
+    table = SUBCOMMANDS[flags.command][1]
+    file_cfg = parse_config_file(flags.config) if flags.config else {}
+    for key in file_cfg:
+        if key not in table:
+            raise ValueError(
+                f"unknown config key {key!r} for {flags.command}")
+    values = {}
+    for key, setting in table.items():
+        raw = getattr(flags, key)
+        if raw is None:
+            raw = file_cfg.get(key)
+        if raw is None:
+            default = setting.default
+            value = default(values) if callable(default) else default
+        else:
+            value = setting.cast(raw) if isinstance(raw, str) else raw
+        if setting.choices and value not in setting.choices:
+            raise ValueError(f"{key} must be one of "
+                             f"{', '.join(setting.choices)}, got {value!r}")
+        values[key] = value
+    if values["workers"] < 1:
+        raise ValueError(
+            f"--workers must be at least 1, got {values['workers']}")
+    return values
 
 
 # -------------------------------------------------------------------- driver
@@ -479,64 +513,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name, (_, table) in SUBCOMMANDS.items():
+        p = sub.add_parser(name)
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--users", type=int)
-        p.add_argument("--alpha", help="comma-separated power coefficients")
-        p.add_argument("--power", type=float, help="total transmit power P")
-        p.add_argument("--sigma-h-sq", dest="sigma_h_sq", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--workers", type=int)
-        p.add_argument(
-            "--sic-mode", dest="sic_mode",
-            choices=["perfect", "pattern", "weighted"],
-        )
-        p.add_argument(
-            "--prior-deltas", dest="prior_deltas",
-            help="comma-separated complex residuals for pattern mode, "
-                 "e.g. '1.414+0j,0j'",
-        )
-
-    for name, fn in [
-        ("pep", cmd_pep),
-        ("simulate", cmd_simulate),
-        ("diversity", cmd_diversity),
-        ("bound", cmd_bound),
-        ("fig2", cmd_fig2),
-        ("fig3", functools.partial(cmd_diversity, name="fig3_diversity.csv",
-                                   default_alpha=FIG2_ALPHA)),
-    ]:
-        p = sub.add_parser(name)
-        add_common(p)
-        p.add_argument("--snr-db", dest="snr_db",
-                       help="comma list or start:stop:step")
-        p.set_defaults(func=fn)
-
-    for name, fn in [("optimize", cmd_optimize), ("fig4", cmd_fig4)]:
-        p = sub.add_parser(name)
-        add_common(p)
-        p.add_argument("--snr-db", dest="snr_db_single", type=float)
-        p.add_argument("--pth", type=float)
-        p.add_argument("--grid-step", dest="grid_step", type=float)
-        p.add_argument("--weights-trials", dest="weights_trials", type=int)
-        p.set_defaults(func=fn)
-
+        for key, setting in table.items():
+            p.add_argument(
+                "--" + key.replace("_", "-"), dest=key,
+                type=setting.cast if setting.cast in (int, float) else None,
+                choices=setting.choices, help=setting.help,
+            )
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    flags = build_parser().parse_args(argv)
     started = time.time()
     try:
-        res = _Resolver(args)
-        out = Path(res.get("out", ".", str))
+        settings = _resolve(flags)
+        out = Path(settings["out"])
         out.mkdir(parents=True, exist_ok=True)
-        result = args.func(args, res, out)
+        result = SUBCOMMANDS[flags.command][0](settings, out)
     except (ValueError, EnumerationCapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -550,8 +547,8 @@ def main(argv=None) -> int:
         files, code = result, EXIT_OK
     manifest = RunManifest(
         command_line=["noma-pep"] + argv,
-        config={k: _manifest_value(v) for k, v in sorted(res.resolved.items())},
-        seed=res.resolved.get("seed"),
+        config={k: _manifest_value(v) for k, v in sorted(settings.items())},
+        seed=settings.get("seed"),
         tool_version=__version__,
         outputs=files,
         duration_seconds=round(time.time() - started, 3),

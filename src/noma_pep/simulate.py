@@ -376,7 +376,8 @@ def simulate(
     trials are split into fixed batches and batch i is seeded seed+i, so
     the result is independent of the worker count.  Raises ValueError
     before any draw when an SNR is not finite, the sequence is empty, or
-    the alphabet cannot be sliced per axis (see _quadrant_table).
+    the alphabet cannot be sliced per axis (see _quadrant_table), and for
+    fewer than one trial, worker or batch row.
     """
     single = np.ndim(snr_db) == 0
     snrs = [snr_db] if single else list(snr_db)
@@ -388,6 +389,8 @@ def simulate(
         raise ValueError(f"need at least one trial, got {trials}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
+    if workers < 1:
+        raise ValueError(f"workers must be positive, got {workers}")
     quadrant = _quadrant_table(cfg.constellation)
     sizes = []
     left = trials

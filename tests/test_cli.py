@@ -1,6 +1,8 @@
 import hashlib
+import importlib
 import json
 import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,6 +131,94 @@ def test_unknown_flag_exits_2():
     assert exc.value.code == 2
 
 
+UNREAD_FLAGS = (
+    [(c, f) for c in ("simulate", "fig2")
+     for f in ("--sic-mode", "--prior-deltas")]
+    + [(c, f) for c in ("diversity", "fig3", "bound")
+       for f in ("--seed", "--trials", "--sic-mode", "--prior-deltas")]
+    + [("optimize", "--trials"), ("fig4", "--trials")]
+)
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+def test_flag_the_subcommand_does_not_read_exits_2(tmp_path, command, flag):
+    value = "perfect" if flag == "--sic-mode" else "1"
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, value, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command, key", [("pep", "sigma_hsq"),
+                                          ("diversity", "trials")])
+def test_unknown_config_key_exits_2(tmp_path, capsys, command, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"users = 2\n{key} = 3\n")
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"error: unknown config key '{key}' for {command}" in (
+        capsys.readouterr().err
+    )
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_config_value_outside_choices_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sic_mode = perfekt\n")
+    rc = main(["pep", "--users", "1", "--alpha", "1.0", "--config", str(cfg),
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "sic_mode" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_optimize_reads_snr_db_from_config(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("snr_db = 10\n")
+    args = ["optimize", "--users", "2", "--sic-mode", "perfect",
+            "--grid-step", "0.01"]
+    rc_file = main(args + ["--config", str(cfg),
+                           "--out", str(tmp_path / "file")])
+    rc_flag = main(args + ["--snr-db", "10", "--out", str(tmp_path / "flag")])
+    assert rc_file == rc_flag
+    assert (tmp_path / "file" / "optimize_sweep.csv").read_bytes() == (
+        tmp_path / "flag" / "optimize_sweep.csv"
+    ).read_bytes()
+    config = json.loads((tmp_path / "file" / "manifest.json").read_text())
+    assert config["config"]["snr_db"] == "10"
+
+
+@pytest.mark.parametrize("command", ["pep", "bound", "diversity", "simulate",
+                                     "fig2"])
+def test_empty_snr_range_exits_2(tmp_path, capsys, command):
+    rc = main([command, "--users", "2", "--snr-db", "10:0:5",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["simulate", "diversity"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exits_2(tmp_path, capsys, command, workers):
+    rc = main([command, "--users", "2", "--snr-db", "10", "--workers",
+               workers, "--out", str(tmp_path)]
+              + (["--trials", "2000"] if command == "simulate" else []))
+    assert rc == 2
+    assert "workers" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_benchmark_workloads_parse(monkeypatch):
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    run = importlib.import_module("run")
+    parser = cli.build_parser()
+    for name, workload in run.WORKLOADS.items():
+        flags = parser.parse_args(workload.argv(1))
+        assert flags.command == workload.argv(1)[0], name
+
+
 def test_invalid_alpha_exits_2(tmp_path, capsys):
     rc = main(["pep", "--users", "2", "--alpha", "0.7,0.2",
                "--out", str(tmp_path)])
@@ -171,7 +261,9 @@ def test_non_finite_power_exits_3(tmp_path, capsys, command, csv_name):
                                          ("--sigma-h-sq", "nan"),
                                          ("--snr-db", "nan")])
 def test_non_finite_flag_exits_2(tmp_path, capsys, command, flag, value):
-    args = [command, "--users", "2", "--trials", "2000", "--out", str(tmp_path)]
+    args = [command, "--users", "2", "--out", str(tmp_path)]
+    if command in ("simulate", "pep"):
+        args += ["--trials", "2000"]
     if flag != "--snr-db":
         args += ["--snr-db", "10"]
     rc = main(args + [flag, value])
@@ -253,8 +345,7 @@ def test_fig2_recipe_small(tmp_path):
 
 def test_rerun_reproduces_csv_bytes(tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    args = ["fig4", "--grid-step", "0.01", "--sic-mode", "perfect",
-            "--trials", "100000"]
+    args = ["fig4", "--grid-step", "0.01", "--sic-mode", "perfect"]
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     for name in ("fig4_sweep.csv", "fig4_summary.csv"):

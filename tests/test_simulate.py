@@ -427,6 +427,17 @@ def test_simulate_rejects_bad_snr_before_drawing(snr_db, monkeypatch):
         simulate(cfg, snr_db, 2_000, seed=1)
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_simulate_rejects_workers_below_one_before_drawing(workers,
+                                                           monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("simulate drew a batch")
+
+    monkeypatch.setattr(sim, "_run_batch", no_draws)
+    with pytest.raises(ValueError, match="workers"):
+        simulate(make_cfg((0.8, 0.2)), 10.0, 2_000, seed=1, workers=workers)
+
+
 def test_pattern_counting_memory_stays_bounded():
     # Six users give 4^11 possible pattern codes; counting them with a
     # dense table would take 32 MB for any number of trials.
