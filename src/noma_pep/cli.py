@@ -26,8 +26,10 @@ Settings: SUBCOMMANDS declares the settings each subcommand reads, with
 their defaults; the parser, the config-file check and the manifest's
 config are built from it.  Precedence is flag (--grid-step) > config key
 (grid_step = 0.01) > default, and a flag or key the subcommand does not
-read is a configuration error.  Every subcommand takes --config, --out
-and --workers (which only a simulation uses).
+read is a configuration error.  Flags are spelled out in full: the
+parsers reject abbreviations, so a saved command line keeps its meaning
+when a later flag shares its prefix.  Every subcommand takes --config,
+--out and --workers (which only a simulation uses).
 
 Exit codes: 0 success, 2 configuration error (including non-finite
 flag values, unknown config keys, empty SNR ranges and --workers below
@@ -508,13 +510,14 @@ def _resolve(flags: argparse.Namespace) -> dict:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="noma-pep",
+        allow_abbrev=False,
         description="Pairwise error probability analysis for downlink NOMA "
                     "with imperfect SIC",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, table) in SUBCOMMANDS.items():
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", help="flat key = value config file")
         for key, setting in table.items():
             p.add_argument(

@@ -44,8 +44,9 @@ class OptimizationProblem:
     prior_deltas   pattern-mode SIC residuals, at least L-1 of them; user
                    l uses the first l-1
     weights_trials simulated trials per grid point in weighted mode
-    weights_seed   weighted-mode simulation seed; solve seeds grid point k
-                   with weights_seed + k
+    weights_seed   weighted-mode simulation seed; every grid point is
+                   simulated from it, so the grid points share their
+                   draws (common random numbers)
     """
 
     cfg: SystemConfig
@@ -142,21 +143,31 @@ def union_bound_ber(
     return union_bound_from_pep(lookup, constellation)
 
 
-def _per_user_bounds_and_peps(
-    problem: OptimizationProblem, alpha, seed: int, workers: int = 1
-):
+def _weight_stats(problem: OptimizationProblem, grid, workers: int = 1):
+    """Simulated counters of every allocation in grid, for weighted mode.
+
+    One simulate call at problem.weights_seed covers the whole grid, so
+    every point detects the same draws; other modes need none (None per
+    point).
+    """
+    if problem.sic_mode != "weighted":
+        return [None] * len(grid)
+    return simulate(
+        [replace(problem.cfg, alpha=tuple(a)) for a in grid],
+        problem.snr_db, problem.weights_trials, problem.weights_seed,
+        workers=workers,
+    )
+
+
+def _per_user_bounds_and_peps(problem: OptimizationProblem, alpha, stats):
     """Union bound and worst-pair PEP for every user at one grid point.
 
-    Weighted mode estimates the SIC residual weight tables at this point
-    from a simulation seeded with seed, run on `workers` processes.
+    Weighted mode takes the SIC residual weight tables from stats, the
+    point's simulated counters (see _weight_stats).
     """
     cfg = problem.cfg
     weights = None
-    if problem.sic_mode == "weighted":
-        point = replace(cfg, alpha=tuple(alpha))
-        stats = simulate(
-            point, problem.snr_db, problem.weights_trials, seed, workers=workers
-        )
+    if stats is not None:
         weights = sic_weight_tables(stats, cfg.constellation)
     L = cfg.num_users
     model = cfg.channel.with_noise(cfg.P / 10.0 ** (problem.snr_db / 10.0))
@@ -190,10 +201,12 @@ def objective_psi(problem: OptimizationProblem, alpha):
     """User-averaged union-bound BER at one power allocation.
 
     Weighted mode estimates the residual weights from a simulation seeded
-    with problem.weights_seed.
+    with problem.weights_seed, so the value equals solve's sweep entry
+    at the same allocation.
     """
     a = _validate_alpha(problem, alpha)
-    bounds, _ = _per_user_bounds_and_peps(problem, a, problem.weights_seed)
+    (stats,) = _weight_stats(problem, [a])
+    bounds, _ = _per_user_bounds_and_peps(problem, a, stats)
     return float(np.mean(bounds))
 
 
@@ -254,17 +267,16 @@ def solve(problem: OptimizationProblem, workers: int = 1) -> OptimizationResult:
     A grid point is feasible when every user's worst-pair PEP is at most
     p_th.  Ties on the objective prefer larger alpha_1, then larger
     following coefficients.  With no feasible point the full sweep is
-    still returned with infeasible=True.  Weighted mode runs each grid
-    point's simulation on `workers` processes; the result does not
-    depend on the worker count.
+    still returned with infeasible=True.  Weighted mode simulates every
+    grid point in one call at weights_seed (common random numbers, so the
+    points' errors are correlated), spread over `workers` processes; the
+    result does not depend on the worker count.
     """
     L = problem.cfg.num_users
     grid = _descending_grid(L, problem.grid_step)
     entries = []
-    for idx, alpha in enumerate(grid):
-        bounds, worst = _per_user_bounds_and_peps(
-            problem, alpha, problem.weights_seed + idx, workers
-        )
+    for alpha, stats in zip(grid, _weight_stats(problem, grid, workers)):
+        bounds, worst = _per_user_bounds_and_peps(problem, alpha, stats)
         psi = float(np.mean(bounds))
         feasible = all(p <= problem.p_th for p in worst)
         entries.append(

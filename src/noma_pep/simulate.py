@@ -7,21 +7,23 @@ decision errors propagate; there is no genie correction.
 
 A batch draws all of its random numbers first, then detects in row
 blocks of BLOCK_ROWS trials, so the temporaries of the detector stay
-small whatever the batch size.  The draws do not depend on the SNR: the
-noise is drawn as standard normals and scaled per block, so one batch
-serves every SNR point of a call (common random numbers) and only the
-detection runs once per point.  Each SIC stage decides by the signs of
-the real and imaginary parts of the derotated residual, which is the
-minimum-distance decision for alphabets with one point per quadrant,
-mirrored across both axes (QPSK); simulate and sic_detect reject any
-other alphabet.  Only the user's own stage computes the full distance
-metrics, which the pairwise counters need.
+small whatever the batch size.  The draws depend neither on the SNR nor
+on the power allocation: the noise is drawn as standard normals and
+scaled per block, and the superposition is built per allocation from
+the drawn symbols.  So one batch serves every SNR point and every
+allocation (alpha, P) of a call (common random numbers), and only the
+superposition and the detection run per point.  Each SIC stage decides
+by the signs of the real and imaginary parts of the derotated residual,
+which is the minimum-distance decision for alphabets with one point per
+quadrant, mirrored across both axes (QPSK); simulate and sic_detect
+reject any other alphabet.  Only the user's own stage computes the full
+distance metrics, which the pairwise counters need.
 
 Counters are plain integers so that merging partial runs is exact
 component-wise addition: a run split into batches gives byte-identical
 results for any worker count, because batch i always draws from seed+i,
-and an SNR point gives the same counters alone or in a list.
-Residual patterns are counted over the codes that occur, so their
+and an SNR point or an allocation gives the same counters alone or in a
+list.  Residual patterns are counted over the codes that occur, so their
 memory grows with the number of trials, not with the M^(2L) code space.
 """
 
@@ -261,23 +263,35 @@ def _sic_stages(cfg: SystemConfig, quadrant, residual, h, u: int):
     return decisions, _decision_metrics(residual, coeff[u] * h, pts)
 
 
-def _run_batch(
-    cfg: SystemConfig, quadrant, snr_dbs, n: int, seed: int
-) -> list[SimStats]:
-    """Counters of one batch of n trials at each SNR of snr_dbs, in order.
+def _superposition(cfg: SystemConfig, tx_idx) -> np.ndarray:
+    """superposed_signal of every trial, built in blocks of BLOCK_ROWS rows
+    so that its (n, L) complex temporary stays small."""
+    s = np.empty(tx_idx.shape[0], dtype=np.complex128)
+    for start in range(0, s.size, BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        s[rows] = superposed_signal(cfg, tx_idx[rows])
+    return s
 
-    The batch is drawn once and every SNR point detects the same gains,
-    symbols and standard-normal noise, scaled to its own noise level.
+
+def _run_batch(points, quadrant, n: int, seed: int) -> list[SimStats]:
+    """Counters of one batch of n trials at each (config, SNR) point, in order.
+
+    The configs of points differ at most in alpha and P, so the batch is
+    drawn once and every point detects the same gains, symbols and
+    standard-normal noise, with its config's superposition and its own
+    noise level.
     """
+    cfg = points[0][0]
     rng = np.random.default_rng(seed)
     L = cfg.num_users
     m = cfg.constellation.size
     std_h = math.sqrt(cfg.channel.sigma_h_sq)
 
     # Draw order is fixed (gains, symbols, noise) so a batch is a pure
-    # function of (cfg, n, seed).  rng.normal(scale=s) returns s times
-    # the standard normal it draws, so scaling z below is bitwise equal
-    # to drawing the noise at each SNR's scale.
+    # function of (channel, constellation, symbols, n, seed).
+    # rng.normal(scale=s) returns s times the standard normal it draws,
+    # so scaling z below is bitwise equal to drawing the noise at each
+    # SNR's scale.
     h = np.empty((n, L), dtype=np.complex128)
     h.real = rng.normal(scale=std_h, size=(n, L))
     h.imag = rng.normal(scale=std_h, size=(n, L))
@@ -289,14 +303,29 @@ def _run_batch(
         ).copy()
     else:
         tx_idx = rng.integers(0, m, size=(n, L))
-    s = superposed_signal(cfg, tx_idx)
     z = np.empty((n, L), dtype=np.complex128)
     z.real = rng.standard_normal(size=(n, L))
     z.imag = rng.standard_normal(size=(n, L))
-    return [
-        _detect_batch(cfg, quadrant, snr_db, h, tx_idx, s, z)
-        for snr_db in snr_dbs
-    ]
+    stats, built = [], None
+    for c, snr_db in points:
+        if c != built:
+            s, built = _superposition(c, tx_idx), c
+        stats.append(_detect_batch(c, quadrant, snr_db, h, tx_idx, s, z))
+    return stats
+
+
+def _first_argmin(metrics):
+    """np.argmin(metrics, axis=0) as a running minimum over the rows.
+
+    A later row wins only when strictly smaller, so ties go to the first
+    index, as in np.argmin; the metrics are finite.
+    """
+    low = metrics[0]
+    best = np.zeros(metrics.shape[1], dtype=np.int64)
+    for j in range(1, metrics.shape[0]):
+        best = np.where(metrics[j] < low, j, best)
+        low = np.minimum(low, metrics[j])
+    return best
 
 
 def _detect_batch(cfg, quadrant, snr_db, h, tx_idx, s, z) -> SimStats:
@@ -320,7 +349,7 @@ def _detect_batch(cfg, quadrant, snr_db, h, tx_idx, s, z) -> SimStats:
             )
             txu = tx_idx[rows, u]
             sent = metrics[txu, np.arange(txu.size)]
-            key = (txu * m + np.argmin(metrics, axis=0)) << m
+            key = (txu * m + _first_argmin(metrics)) << m
             for b in range(m):
                 key += (metrics[b] <= sent) << b
             events[u] += np.bincount(key, minlength=(m * m) << m)
@@ -357,13 +386,13 @@ def _detect_batch(cfg, quadrant, snr_db, h, tx_idx, s, z) -> SimStats:
 
 
 def simulate(
-    cfg: SystemConfig,
+    cfg: SystemConfig | Sequence[SystemConfig],
     snr_db: float | Sequence[float],
     trials: int,
     seed: int,
     workers: int = 1,
     batch_size: int = DEFAULT_BATCH_SIZE,
-) -> SimStats | list[SimStats]:
+) -> SimStats | list:
     """Run `trials` superposition/SIC trials at one SNR or at each of several.
 
     With a single snr_db, returns its SimStats.  With a sequence, returns
@@ -372,15 +401,28 @@ def simulate(
     share every batch's draws (common random numbers), so the batch is
     drawn once and only the detection runs per point.
 
+    cfg may also be a sequence of configurations that differ only in
+    alpha and P; the call then returns one result (a SimStats, or a list
+    of them for an SNR sequence) per configuration, in order, each equal
+    to a separate call.  The configurations share the draws too: only
+    the superposition and the detection run per configuration.
+
     Deterministic for fixed (cfg, snr_db, trials, seed, batch_size):
     trials are split into fixed batches and batch i is seeded seed+i, so
-    the result is independent of the worker count.  Raises ValueError
-    before any draw when an SNR is not finite, the sequence is empty, or
-    the alphabet cannot be sliced per axis (see _quadrant_table), and for
-    fewer than one trial, worker or batch row.
+    the result is independent of the worker count.  Several batches are
+    spread over `workers` processes; a single batch with several
+    (configuration, SNR) points spreads the points instead, each process
+    drawing the same batch.  Raises ValueError before any draw when an
+    SNR is not finite, a sequence is empty, the configurations differ in
+    more than alpha and P, or the alphabet cannot be sliced per axis (see
+    _quadrant_table), and for fewer than one trial, worker or batch row.
     """
+    many = not isinstance(cfg, SystemConfig)
+    cfgs = list(cfg) if many else [cfg]
     single = np.ndim(snr_db) == 0
     snrs = [snr_db] if single else list(snr_db)
+    if not cfgs:
+        raise ValueError("need at least one configuration")
     if not snrs:
         raise ValueError("need at least one SNR point")
     if not all(math.isfinite(s) for s in snrs):
@@ -391,24 +433,44 @@ def simulate(
         raise ValueError(f"batch_size must be positive, got {batch_size}")
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
-    quadrant = _quadrant_table(cfg.constellation)
+    drawn = [(c.channel, c.constellation, c.symbol_mode, c.fixed_symbols)
+             for c in cfgs]
+    if any(d != drawn[0] for d in drawn):
+        raise ValueError(
+            "configurations of one call may differ only in alpha and P")
+    quadrant = _quadrant_table(cfgs[0].constellation)
     sizes = []
     left = trials
     while left > 0:
         sizes.append(min(batch_size, left))
         left -= batch_size
-    args = [(cfg, quadrant, snrs, nb, seed + i) for i, nb in enumerate(sizes)]
 
+    # With several batches each task is one batch at every point.  A
+    # single batch is split into at most `workers` contiguous chunks of
+    # points; every chunk redraws the same batch, so the split does not
+    # change the counters.
+    points = [(c, s) for c in cfgs for s in snrs]
+    parts = min(workers, len(points)) if len(sizes) == 1 else 1
+    chunks = [points[k * len(points) // parts:(k + 1) * len(points) // parts]
+              for k in range(parts)]
+    args = [(chunk, quadrant, nb, seed + i)
+            for i, nb in enumerate(sizes) for chunk in chunks]
     if workers > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_batch_star, args))
+        with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
+            results = list(pool.map(_run_batch_star, args))
     else:
-        parts = [_run_batch(*a) for a in args]
+        results = [_run_batch(*a) for a in args]
 
-    totals = parts[0]
-    for p in parts[1:]:
-        totals = [t.merge(q) for t, q in zip(totals, p)]
-    return totals[0] if single else totals
+    if parts > 1:  # the chunks of the one batch, back in point order
+        results = [[p for chunk in results for p in chunk]]
+    totals = results[0]
+    for batch in results[1:]:
+        totals = [t.merge(q) for t, q in zip(totals, batch)]
+    n_snr = len(snrs)
+    per_cfg = [totals[i:i + n_snr] for i in range(0, len(totals), n_snr)]
+    if single:
+        per_cfg = [r[0] for r in per_cfg]
+    return per_cfg if many else per_cfg[0]
 
 
 def _run_batch_star(args):

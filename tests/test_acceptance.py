@@ -146,13 +146,12 @@ def test_criterion_3_two_user_power_sweep():
 
     # (a) location of the user-2 error-rate minimum.  Fig-4-style live
     # simulation; a quadratic fit over the valley suppresses shot noise.
+    # One call draws each batch once for every allocation.
     grid_a = np.arange(0.70, 0.881, 0.02)
-    bers = []
-    for a1 in grid_a:
-        cfg_a = SystemConfig(alpha=(round(a1, 6), round(1 - a1, 6)), P=1.0,
-                             channel=ch, constellation=QPSK)
-        stats = simulate(cfg_a, snr, 10_000_000, seed=3001)
-        bers.append(bit_error_rate(stats, 2, QPSK.bits_per_symbol))
+    cfgs_a = [SystemConfig(alpha=(round(a1, 6), round(1 - a1, 6)), P=1.0,
+                           channel=ch, constellation=QPSK) for a1 in grid_a]
+    bers = [bit_error_rate(stats, 2, QPSK.bits_per_symbol)
+            for stats in simulate(cfgs_a, snr, 10_000_000, seed=3001)]
     coeffs = np.polyfit(grid_a, np.array(bers), 2)
     argmin_a = float(-coeffs[1] / (2 * coeffs[0]))
     pass_a = coeffs[0] > 0 and abs(argmin_a - 0.778) <= 0.02

@@ -101,7 +101,8 @@ def test_workers_reach_weighted_pep_and_fig4(tmp_path, monkeypatch):
         assert main(args + ["--workers", str(w), "--out", str(out)]) == 0
         config = json.loads((out / "manifest.json").read_text())["config"]
         assert config["workers"] == w
-    assert seen == [1] * 49 + [2] * 49
+    # One simulate call covers the whole grid.
+    assert seen == [1, 2]
     for name in ("fig4_sweep.csv", "fig4_summary.csv"):
         assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes()
 
@@ -130,6 +131,17 @@ def test_unknown_flag_exits_2():
         main(["pep", "--frobnicate", "1"])
     assert exc.value.code == 2
 
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--sic-mode", "perfect", "--grid", "0.01"],
+    ["simulate", "--trial", "1000"],
+])
+def test_abbreviated_flag_exits_2(argv, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
 
 UNREAD_FLAGS = (
     [(c, f) for c in ("simulate", "fig2")

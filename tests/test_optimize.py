@@ -145,6 +145,17 @@ def test_solve_deterministic_weighted():
     assert [e.psi for e in r1.sweep] == [e.psi for e in r2.sweep]
 
 
+
+def test_weighted_objective_equals_every_sweep_entry():
+    # The grid points share the draws of weights_seed, so the objective
+    # at any grid allocation reproduces its sweep entry exactly.
+    problem = make_problem(sic_mode="weighted", weights_trials=100_000,
+                           weights_seed=7)
+    result = solve(problem)
+    assert len(result.sweep) == 49
+    for e in result.sweep:
+        assert objective_psi(problem, e.alpha) == e.psi, e.alpha
+
 def test_solve_user1_pep_monotone_in_alpha1():
     problem = make_problem(p_th=0.999, snr_db=20.0)
     result = solve(problem)

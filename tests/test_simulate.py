@@ -384,18 +384,28 @@ def test_blocked_batch_matches_reference_chain(L, mode, n):
     for snr_db in snrs:
         sigma_n_sq = cfg.noise_var_for_snr(snr_db)
         seed = 1000 * L + int(snr_db)
-        (got,) = sim._run_batch(cfg, quadrant, [snr_db], n, seed)
+        (got,) = sim._run_batch([(cfg, snr_db)], quadrant, n, seed)
         want = _reference_batch(cfg, snr_db, sigma_n_sq, n, seed)
         _assert_same_stats(got, want)
     # One call detects every SNR from the same draws; each point must
     # equal a reference batch drawn afresh at that SNR and seed.
     seed = 1000 * L + 99
-    shared = sim._run_batch(cfg, quadrant, snrs, n, seed)
+    shared = sim._run_batch([(cfg, s) for s in snrs], quadrant, n, seed)
     assert len(shared) == len(snrs)
     for snr_db, got in zip(snrs, shared):
         sigma_n_sq = cfg.noise_var_for_snr(snr_db)
         _assert_same_stats(got, _reference_batch(cfg, snr_db, sigma_n_sq, n,
                                                  seed))
+
+
+def test_first_argmin_matches_argmin_with_ties():
+    # Quantized metrics make exact ties common, including ties of the
+    # minimum across two, three or all four rows.
+    rng = np.random.default_rng(4)
+    metrics = rng.integers(0, 3, size=(4, 10_000)).astype(float)
+    metrics[:, :4] = [[1.0, 0.0, 2.0, 0.0]] * 4
+    np.testing.assert_array_equal(sim._first_argmin(metrics),
+                                  np.argmin(metrics, axis=0))
 
 
 @pytest.mark.parametrize("mode", ["uniform_random", "fixed"])
@@ -412,6 +422,69 @@ def test_snr_list_equals_separate_calls(workers, mode):
     for snr_db, stats in zip(snrs, got):
         want = simulate(cfg, snr_db, 25_001, seed=17, batch_size=10_000)
         _assert_same_stats(stats, want)
+
+
+@pytest.mark.parametrize("snr_db", [20.0, [20.0, 0.0, 35.0]])
+@pytest.mark.parametrize("trials,batch_size", [(25_001, 10_000),
+                                               (25_001, 1_000_000)])
+@pytest.mark.parametrize("mode", ["uniform_random", "fixed"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_config_list_equals_separate_calls(workers, mode, trials, batch_size,
+                                           snr_db):
+    # Three batches (the last one partial) or one batch; the allocations
+    # differ in alpha and P and one of them appears twice.
+    fixed = (1, 3, 0) if mode == "fixed" else None
+    base = make_cfg((0.7, 0.2, 0.1), symbol_mode=mode, fixed_symbols=fixed)
+    cfgs = [base, dataclasses.replace(base, alpha=(0.6, 0.3, 0.1)),
+            dataclasses.replace(base, P=2.5), base]
+    got = simulate(cfgs, snr_db, trials, seed=17, workers=workers,
+                   batch_size=batch_size)
+    assert isinstance(got, list) and len(got) == len(cfgs)
+    for cfg, result in zip(cfgs, got):
+        want = simulate(cfg, snr_db, trials, seed=17, batch_size=batch_size)
+        if isinstance(snr_db, list):
+            assert isinstance(result, list) and len(result) == len(snr_db)
+            for stats, expected in zip(result, want):
+                _assert_same_stats(stats, expected)
+        else:
+            _assert_same_stats(result, want)
+
+
+def test_one_batch_spreads_points_over_workers(monkeypatch):
+    pools = []
+
+    class RecordingPool(sim.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+    cfg = make_cfg((0.8, 0.2))
+    cfgs = [cfg, dataclasses.replace(cfg, alpha=(0.9, 0.1))]
+    simulate(cfgs, [5.0, 15.0], 2_000, seed=3, workers=2)
+    assert pools == [2]
+    # A single point has nothing to spread: no pool starts.
+    simulate(cfg, 5.0, 2_000, seed=3, workers=2)
+    assert pools == [2]
+
+
+@pytest.mark.parametrize("change", [
+    {"channel": ChannelModel(num_users=2, sigma_h_sq=1.0)},
+    {"constellation": qpsk_constellation(2.0)},
+    {"symbol_mode": "fixed", "fixed_symbols": (0, 1)},
+])
+def test_config_list_rejects_other_differences_before_drawing(change,
+                                                              monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("simulate drew a batch")
+
+    monkeypatch.setattr(sim, "_run_batch", no_draws)
+    cfg = make_cfg((0.8, 0.2))
+    other = dataclasses.replace(cfg, alpha=(0.9, 0.1), **change)
+    with pytest.raises(ValueError, match="only in alpha and P"):
+        simulate([cfg, other], 10.0, 2_000, seed=1)
+    with pytest.raises(ValueError, match="configuration"):
+        simulate([], 10.0, 2_000, seed=1)
 
 
 @pytest.mark.parametrize("snr_db", [
