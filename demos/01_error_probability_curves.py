@@ -11,10 +11,10 @@ import math
 from noma_pep import (
     ChannelModel,
     SystemConfig,
-    average_pep,
     empirical_pep,
-    pep_user1_closed,
     pep_quadrature,
+    pep_table,
+    pep_user1_closed,
     qpsk_constellation,
     sic_weight_tables,
     simulate,
@@ -40,12 +40,10 @@ print("Per-user PEP, weighted SIC-residual mode vs simulation")
 print("snr_db  user  analytic      simulated     ci")
 snrs = [10.0, 20.0, 30.0]
 for snr, stats in zip(snrs, simulate(cfg, snrs, 1_000_000, seed=11)):
-    model = channel.with_noise(cfg.noise_var_for_snr(snr))
-    weights = sic_weight_tables(stats, QPSK)
+    table = pep_table(cfg, snr, "weighted",
+                      weights=sic_weight_tables(stats, QPSK))
     for user in (1, 2, 3):
-        analytic = average_pep(user, 3, TX, RX, ALPHA, 1.0, model, QPSK,
-                               sic_mode="weighted",
-                               delta_weights=weights[(user, TX)])
+        analytic = table[user - 1, TX, RX]
         est = empirical_pep(stats, user, TX, RX)
         print(f"{snr:6.0f}  {user:4d}  {analytic:.6e}  {est.pep:.6e}"
               f"  +/-{est.ci_half_width:.1e}")

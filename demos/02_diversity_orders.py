@@ -12,9 +12,10 @@ from noma_pep import (
     ChannelModel,
     PepCurve,
     PepPoint,
-    average_pep,
+    SystemConfig,
     chernoff_average,
     effective_diversity,
+    pep_table,
     pep_upper_bound,
     qpsk_constellation,
 )
@@ -22,19 +23,18 @@ from noma_pep import (
 ALPHA = (0.7, 0.2, 0.1)
 QPSK = qpsk_constellation(1.0)
 SNRS = [20.0, 25.0, 30.0, 35.0, 40.0]
-PAIRS = [(a, b) for a in range(4) for b in range(4) if a != b]
 
 channel = ChannelModel(num_users=3, sigma_h_sq=0.5)
+cfg = SystemConfig(alpha=ALPHA, P=1.0, channel=channel, constellation=QPSK)
+
+# pair-averaged PEP, one row per SNR and one column per user
+OFF_DIAGONAL = ~np.eye(QPSK.size, dtype=bool)
+PEPS = np.array([pep_table(cfg, snr)[:, OFF_DIAGONAL].mean(axis=1)
+                 for snr in SNRS])
 
 print("Finite-difference and ratio-form effective diversity")
 for user in (1, 2, 3):
-    peps = []
-    for snr in SNRS:
-        model = channel.with_noise(10 ** (-snr / 10))
-        peps.append(float(np.mean([
-            average_pep(user, 3, a, b, ALPHA, 1.0, model, QPSK)
-            for a, b in PAIRS
-        ])))
+    peps = PEPS[:, user - 1].tolist()
     curve = PepCurve(user=user, points=tuple(
         PepPoint(s, p, "quadrature") for s, p in zip(SNRS, peps)))
     fd = effective_diversity(curve, "finite_difference")

@@ -36,6 +36,7 @@ from .optimize import (
     OptimizationProblem,
     OptimizationResult,
     objective_psi,
+    pep_table,
     solve,
     union_bound_ber,
     union_bound_from_pep,

@@ -15,7 +15,8 @@ line, the resolved configuration, the seed, the output list and the
 environment (library versions and the SIMD features numpy enabled),
 which is enough to reproduce the CSV bodies byte-identically.  A
 resolved list of 100 or more entries is recorded as its length and the
-sha256 of its JSON form.
+sha256 of its JSON form.  A run whose SIC mode is not weighted simulates
+nothing, so its manifest leaves the simulation settings out (seed null).
 
 Conventions: snr_db means 10*log10(P / sigma_n^2); the default channel
 has sigma_h_sq = 0.5 so that E[|h|^2] = 1 and the average SNR equals
@@ -41,6 +42,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -55,14 +57,10 @@ from . import __version__
 from .asymptotic import chernoff_average, effective_diversity, pep_upper_bound
 from .channel import ChannelModel
 from .constellation import qpsk_constellation
-from .optimize import OptimizationProblem, solve
-from .pep import (
-    EnumerationCapError,
-    NumericalError,
-    PepCurve,
-    PepPoint,
-    average_pep,
-)
+from .optimize import OptimizationProblem, pep_table, solve
+from .pep import EnumerationCapError, NumericalError, PepCurve, PepPoint
+# unused here, but the benchmark tracer wraps and restores cli.average_pep
+from .pep import average_pep  # noqa: F401
 from .simulate import (
     SystemConfig,
     empirical_pep,
@@ -212,28 +210,13 @@ def _system(s: dict) -> SystemConfig:
     )
 
 
-def _analytic_pep(cfg, l, tx, rx, snr_db, sic_mode, weights=None,
-                  prior_deltas=None):
-    model = cfg.channel.with_noise(cfg.noise_var_for_snr(snr_db))
-    dw = weights[(l, tx)] if weights else None
-    pd = prior_deltas[: l - 1] if prior_deltas is not None else None
-    return average_pep(
-        l, cfg.num_users, tx, rx, cfg.alpha, cfg.P, model, cfg.constellation,
-        sic_mode=sic_mode, delta_weights=dw, prior_deltas=pd,
-    )
-
-
 # ---------------------------------------------------------------- subcommands
 
 
 def cmd_pep(s: dict, out: Path) -> list[str]:
     cfg = _system(s)
-    snrs, sic_mode, deltas = s["snr_db"], s["sic_mode"], s["prior_deltas"]
-    need = cfg.num_users - 1
-    if sic_mode == "pattern" and (deltas is None or len(deltas) < need):
-        raise ValueError(f"pattern mode needs --prior-deltas with at least "
-                         f"{need} complex values")
-    m = cfg.constellation.size
+    snrs, sic_mode = s["snr_db"], s["sic_mode"]
+    pairs = list(itertools.permutations(range(cfg.constellation.size), 2))
     weights_by_snr = [None] * len(snrs)
     if sic_mode == "weighted":
         weights_by_snr = [
@@ -243,14 +226,9 @@ def cmd_pep(s: dict, out: Path) -> list[str]:
         ]
     rows = []
     for snr, weights in zip(snrs, weights_by_snr):
-        for l in range(1, cfg.num_users + 1):
-            for tx in range(m):
-                for rx in range(m):
-                    if tx == rx:
-                        continue
-                    pep = _analytic_pep(cfg, l, tx, rx, snr, sic_mode,
-                                        weights, deltas)
-                    rows.append([snr, l, tx, rx, pep, "quadrature"])
+        table = pep_table(cfg, snr, sic_mode, s["prior_deltas"], weights)
+        rows += [[snr, l, tx, rx, float(table[l - 1, tx, rx]), "quadrature"]
+                 for l in range(1, cfg.num_users + 1) for tx, rx in pairs]
     write_csv(out / "pep.csv",
               ["snr_db", "user", "tx", "rx", "pep", "method"], rows)
     return ["pep.csv"]
@@ -268,26 +246,18 @@ def cmd_simulate(s: dict, out: Path) -> list[str]:
     return ["simulate.csv"]
 
 
-def _pair_averaged_curves(cfg, snrs, sic_mode="perfect"):
-    """Per-user analytic PEP averaged over all ordered symbol pairs."""
-    m = cfg.constellation.size
-    pairs = [(a, b) for a in range(m) for b in range(m) if a != b]
-    curves = {}
-    for l in range(1, cfg.num_users + 1):
-        points = []
-        for snr in snrs:
-            pep = float(np.mean([_analytic_pep(cfg, l, a, b, snr, sic_mode)
-                                 for a, b in pairs]))
-            points.append(PepPoint(snr_db=snr, pep=pep, method="quadrature"))
-        curves[l] = PepCurve(user=l, points=tuple(points))
-    return curves
-
-
 def cmd_diversity(s: dict, out: Path, name="diversity.csv") -> list[str]:
     cfg = _system(s)
-    curves = _pair_averaged_curves(cfg, s["snr_db"])
+    snrs = s["snr_db"]
+    # per user, the PEP averaged over all ordered symbol pairs
+    off_diagonal = ~np.eye(cfg.constellation.size, dtype=bool)
+    averaged = np.array([pep_table(cfg, snr)[:, off_diagonal].mean(axis=1)
+                         for snr in snrs])
     rows = []
-    for l, curve in curves.items():
+    for l in range(1, cfg.num_users + 1):
+        curve = PepCurve(user=l, points=tuple(
+            PepPoint(snr_db=snr, pep=float(p), method="quadrature")
+            for snr, p in zip(snrs, averaged[:, l - 1])))
         ratio = {e.snr_db: e.d_eff for e in effective_diversity(curve, "ratio_form")}
         fd = {
             e.snr_db: e.d_eff
@@ -377,12 +347,12 @@ def cmd_fig2(s: dict, out: Path) -> list[str]:
     per_user_rows = {l: [] for l in range(1, cfg.num_users + 1)}
     for snr, stats in zip(snrs, simulate(cfg, snrs, s["trials"], s["seed"],
                                          workers=s["workers"])):
-        weights = sic_weight_tables(stats, cfg.constellation)
+        table = pep_table(cfg, snr, "weighted",
+                          weights=sic_weight_tables(stats, cfg.constellation))
         for l in range(1, cfg.num_users + 1):
-            analytic = _analytic_pep(cfg, l, tx, rx, snr, "weighted", weights)
             emp = empirical_pep(stats, l, tx, rx)
             per_user_rows[l].append(
-                [snr, analytic, emp.pep, emp.ci_half_width,
+                [snr, float(table[l - 1, tx, rx]), emp.pep, emp.ci_half_width,
                  emp.conditioning_trials]
             )
     files = []
@@ -413,6 +383,7 @@ class Setting:
 
 
 SIC_MODES = ("perfect", "pattern", "weighted")
+SIM_KEYS = ("trials", "weights_trials", "seed")  # read only by a simulation
 
 
 def _base(users=3, alpha=None, sigma_h_sq=0.5) -> dict:
@@ -548,6 +519,8 @@ def main(argv=None) -> int:
         files, code = result
     else:
         files, code = result, EXIT_OK
+    if settings.get("sic_mode", "weighted") != "weighted":
+        settings = {k: v for k, v in settings.items() if k not in SIM_KEYS}
     manifest = RunManifest(
         command_line=["noma-pep"] + argv,
         config={k: _manifest_value(v) for k, v in sorted(settings.items())},

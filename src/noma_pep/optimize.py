@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import permutations
 
 import numpy as np
 
@@ -21,6 +22,7 @@ __all__ = [
     "OptimizationProblem",
     "OptimizationResult",
     "SweepEntry",
+    "pep_table",
     "union_bound_from_pep",
     "union_bound_ber",
     "objective_psi",
@@ -97,6 +99,37 @@ class OptimizationResult:
         return tuple(e for e in self.sweep if e.feasible)
 
 
+def pep_table(cfg: SystemConfig, snr_db: float, sic_mode: str = "perfect",
+              prior_deltas=None, weights=None) -> np.ndarray:
+    """PEP of every user and ordered symbol pair at one SNR.
+
+    Entry [l-1, tx, rx] is average_pep of user l's (tx, rx) pair with the
+    noise of cfg.noise_var_for_snr(snr_db); the diagonal is 0.  Pattern
+    mode takes at least L-1 prior_deltas, of which user l uses the first
+    l-1.  Weighted mode takes weights, the sic_weight_tables mapping
+    keyed by (l, tx).
+    """
+    L, m = cfg.num_users, cfg.constellation.size
+    if sic_mode == "pattern" and (
+        prior_deltas is None or len(prior_deltas) < L - 1
+    ):
+        raise ValueError(
+            f"pattern mode needs prior_deltas with at least {L - 1} "
+            "complex values"
+        )
+    model = cfg.channel.with_noise(cfg.noise_var_for_snr(snr_db))
+    table = np.zeros((L, m, m))
+    for l in range(1, L + 1):
+        pd = prior_deltas[: l - 1] if prior_deltas is not None else None
+        for tx, rx in permutations(range(m), 2):
+            table[l - 1, tx, rx] = average_pep(
+                l, L, tx, rx, cfg.alpha, cfg.P, model, cfg.constellation,
+                sic_mode=sic_mode, prior_deltas=pd,
+                delta_weights=weights[(l, tx)] if weights is not None else None,
+            )
+    return table
+
+
 def union_bound_from_pep(pep_lookup, constellation: Constellation) -> float:
     """Bit-weighted pairwise-error sum expressed per transmitted bit.
 
@@ -165,36 +198,17 @@ def _per_user_bounds_and_peps(problem: OptimizationProblem, alpha, stats):
     Weighted mode takes the SIC residual weight tables from stats, the
     point's simulated counters (see _weight_stats).
     """
-    cfg = problem.cfg
+    cfg = replace(problem.cfg, alpha=tuple(alpha))
     weights = None
     if stats is not None:
         weights = sic_weight_tables(stats, cfg.constellation)
-    L = cfg.num_users
-    model = cfg.channel.with_noise(cfg.P / 10.0 ** (problem.snr_db / 10.0))
-    m = cfg.constellation.size
-    bounds, worst = [], []
-    for l in range(1, L + 1):
-        pd = (
-            problem.prior_deltas[: l - 1]
-            if problem.prior_deltas is not None
-            else None
-        )
-        peps = {
-            (tx, rx): average_pep(
-                l, L, tx, rx, alpha, cfg.P, model, cfg.constellation,
-                sic_mode=problem.sic_mode,
-                prior_deltas=pd,
-                delta_weights=weights[(l, tx)] if weights is not None else None,
-            )
-            for tx in range(m)
-            for rx in range(m)
-            if tx != rx
-        }
-        bounds.append(
-            union_bound_from_pep(lambda tx, rx: peps[(tx, rx)], cfg.constellation)
-        )
-        worst.append(max(peps.values()))
-    return bounds, worst
+    table = pep_table(cfg, problem.snr_db, problem.sic_mode,
+                      problem.prior_deltas, weights)
+    bounds = [
+        union_bound_from_pep(lambda tx, rx: peps[tx, rx], cfg.constellation)
+        for peps in table
+    ]
+    return bounds, [float(peps.max()) for peps in table]
 
 
 def objective_psi(problem: OptimizationProblem, alpha):
@@ -202,25 +216,13 @@ def objective_psi(problem: OptimizationProblem, alpha):
 
     Weighted mode estimates the residual weights from a simulation seeded
     with problem.weights_seed, so the value equals solve's sweep entry
-    at the same allocation.
+    at the same allocation.  Every mode checks alpha as a SystemConfig
+    does (ValueError) before any simulation or quadrature.
     """
-    a = _validate_alpha(problem, alpha)
+    a = tuple(float(x) for x in alpha)
     (stats,) = _weight_stats(problem, [a])
     bounds, _ = _per_user_bounds_and_peps(problem, a, stats)
     return float(np.mean(bounds))
-
-
-def _validate_alpha(problem: OptimizationProblem, alpha):
-    a = tuple(float(x) for x in alpha)
-    if len(a) != problem.cfg.num_users:
-        raise ValueError(
-            f"expected {problem.cfg.num_users} coefficients, got {len(a)}"
-        )
-    if abs(sum(a) - 1.0) > 1e-9:
-        raise ValueError(f"coefficients must sum to 1, got {sum(a)!r}")
-    if any(x <= 0 for x in a):
-        raise ValueError("coefficients must be positive")
-    return a
 
 
 def _descending_grid(L: int, step: float):

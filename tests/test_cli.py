@@ -46,6 +46,32 @@ def test_manifest_records_environment(tmp_path):
         assert all(isinstance(f, str) for f in env[key])
 
 
+PERFECT_PEP = ["pep", "--users", "2", "--alpha", "0.8,0.2", "--snr-db", "10",
+               "--trials", "100000", "--seed", "4"]
+
+
+@pytest.mark.parametrize("argv", [
+    PERFECT_PEP,
+    ["optimize", "--sic-mode", "perfect", "--grid-step", "0.01",
+     "--pth", "0.1", "--weights-trials", "5", "--seed", "4"],
+], ids=["pep", "optimize"])
+def test_manifest_leaves_out_unused_simulation_settings(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["seed"] is None
+    assert not {"trials", "weights_trials", "seed"} & set(manifest["config"])
+    assert manifest["config"]["sic_mode"] == "perfect"
+
+
+def test_manifest_keeps_simulation_settings_of_weighted_runs(tmp_path):
+    argv = PERFECT_PEP + ["--sic-mode", "weighted", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["seed"] == 4
+    assert manifest["config"]["trials"] == 100_000
+    assert manifest["config"]["seed"] == 4
+
+
 def test_pep_three_user_snr_range(tmp_path):
     rc = main(["pep", "--snr-db", "0:10:5", "--out", str(tmp_path)])
     assert rc == 0
@@ -249,7 +275,7 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise NumericalError("quadrature failed")
 
-    monkeypatch.setattr(cli, "average_pep", boom)
+    monkeypatch.setattr(optimize, "average_pep", boom)
     rc = main(["pep", "--users", "1", "--alpha", "1.0", "--snr-db", "10",
                "--out", str(tmp_path)])
     assert rc == 3

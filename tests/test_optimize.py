@@ -1,14 +1,21 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import noma_pep.optimize as optimize
 from noma_pep import (
     ChannelModel,
     OptimizationProblem,
     SystemConfig,
+    average_pep,
     objective_psi,
+    pep_table,
     qpsk_constellation,
+    sic_weight_tables,
+    simulate,
     solve,
     union_bound_ber,
     union_bound_from_pep,
@@ -81,6 +88,11 @@ def test_objective_validates_alpha():
         objective_psi(problem, (0.8, 0.1))
     with pytest.raises(ValueError):
         objective_psi(problem, (0.8, 0.2, 0.0))
+    # every mode rejects an allocation that is not strictly descending
+    for mode, deltas in (("perfect", None), ("pattern", (0j,))):
+        problem = make_problem(sic_mode=mode, prior_deltas=deltas)
+        with pytest.raises(ValueError, match="descending"):
+            objective_psi(problem, (0.2, 0.8))
 
 
 def test_problem_validation():
@@ -172,3 +184,74 @@ def test_feasible_set_survives_grid_refinement():
     for entry in coarse.feasible_set:
         assert any(abs(f - entry.alpha[0]) <= 0.005 + 1e-12
                    for f in fine_feasible)
+
+
+# ------------------------------------------------------------ pep_table
+
+
+def make_cfg(alpha):
+    ch = ChannelModel(num_users=len(alpha), sigma_h_sq=0.5)
+    return SystemConfig(alpha=alpha, P=1.0, channel=ch, constellation=QPSK)
+
+
+@pytest.mark.parametrize("alpha", [(0.8, 0.2), (0.7, 0.2, 0.1)])
+@pytest.mark.parametrize("mode", ["perfect", "pattern", "weighted"])
+def test_pep_table_equals_per_pair_average_pep(alpha, mode):
+    cfg, L, snr_db = make_cfg(alpha), len(alpha), 15.0
+    # one more delta than needed: user l reads the first l-1
+    deltas = (1.414213 + 0j, 0j, 2j)[: L] if mode == "pattern" else None
+    weights = None
+    if mode == "weighted":
+        weights = sic_weight_tables(simulate(cfg, snr_db, 100_000, seed=3),
+                                    QPSK)
+    table = pep_table(cfg, snr_db, mode, deltas, weights)
+    assert table.shape == (L, 4, 4)
+    model = cfg.channel.with_noise(cfg.noise_var_for_snr(snr_db))
+    for l in range(1, L + 1):
+        for tx in range(4):
+            assert table[l - 1, tx, tx] == 0.0
+            for rx in range(4):
+                if rx == tx:
+                    continue
+                expected = average_pep(
+                    l, L, tx, rx, alpha, 1.0, model, QPSK, sic_mode=mode,
+                    prior_deltas=None if deltas is None else deltas[: l - 1],
+                    delta_weights=None if weights is None else weights[l, tx],
+                )
+                assert table[l - 1, tx, rx] == expected, (l, tx, rx)
+
+
+@pytest.mark.parametrize("deltas", [None, (0j,)])
+def test_pep_table_needs_l_minus_1_pattern_deltas(deltas):
+    with pytest.raises(ValueError, match="at least 2"):
+        pep_table(make_cfg((0.7, 0.2, 0.1)), 10.0, "pattern", deltas)
+
+
+def test_pep_table_calls_average_pep_once_per_user_and_pair(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[:4])
+        return average_pep(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "average_pep", counting)
+    pep_table(make_cfg((0.7, 0.2, 0.1)), 10.0)
+    assert len(calls) == 3 * 4 * 3
+    assert len(set(calls)) == len(calls)
+
+
+def test_only_pep_table_averages_hypotheses():
+    # Every analytic caller gets its PEPs from pep_table; union_bound_ber
+    # stays a direct per-pair reference for the tests.
+    package = Path(optimize.__file__).parent
+    callers = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "average_pep" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None),
+                ):
+                    callers.add(f"{path.stem}.{getattr(top, 'name', '')}")
+    assert callers == {"optimize.pep_table", "optimize.union_bound_ber"}
