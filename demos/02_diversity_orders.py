@@ -10,8 +10,6 @@ import numpy as np
 
 from noma_pep import (
     ChannelModel,
-    PepCurve,
-    PepPoint,
     SystemConfig,
     chernoff_average,
     effective_diversity,
@@ -34,16 +32,15 @@ PEPS = np.array([pep_table(cfg, snr)[:, OFF_DIAGONAL].mean(axis=1)
 
 print("Finite-difference and ratio-form effective diversity")
 for user in (1, 2, 3):
-    peps = PEPS[:, user - 1].tolist()
-    curve = PepCurve(user=user, points=tuple(
-        PepPoint(s, p, "quadrature") for s, p in zip(SNRS, peps)))
-    fd = effective_diversity(curve, "finite_difference")
-    ratio = effective_diversity(curve, "ratio_form")
+    peps = PEPS[:, user - 1]
+    fd = effective_diversity(SNRS, peps, "finite_difference")
+    ratio = effective_diversity(SNRS, peps, "ratio_form")
     print(f"user {user}: pep(40dB) = {peps[-1]:.3e}")
+    # the first finite difference is undefined (NaN) and not printed
     print(f"  finite difference: "
-          + "  ".join(f"{e.snr_db:.0f}dB:{e.d_eff:.3f}" for e in fd))
+          + "  ".join(f"{s:.0f}dB:{d:.3f}" for s, d in zip(SNRS[1:], fd[1:])))
     print(f"  ratio form:        "
-          + "  ".join(f"{e.snr_db:.0f}dB:{e.d_eff:.3f}" for e in ratio))
+          + "  ".join(f"{s:.0f}dB:{d:.3f}" for s, d in zip(SNRS, ratio)))
 
 print()
 print("High-SNR bound vs exact exponential average (user 3, beta from")

@@ -14,7 +14,6 @@ Building blocks:
 __version__ = "0.1.0"
 
 from .asymptotic import (
-    DiversityEstimate,
     chernoff_average,
     chernoff_conditional,
     effective_diversity,
@@ -22,7 +21,6 @@ from .asymptotic import (
 )
 from .channel import (
     ChannelModel,
-    OrderedGains,
     ordered_magnitude_pdf,
     ordered_snr_pdf,
     sample_ordered_channels,
@@ -45,8 +43,6 @@ from .pep import (
     EnumerationCapError,
     ErrorHypothesis,
     NumericalError,
-    PepCurve,
-    PepPoint,
     average_pep,
     beta_factor,
     closed_form_consistency_report,

@@ -11,32 +11,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .pep import PepCurve
-
 __all__ = [
-    "DiversityEstimate",
     "chernoff_conditional",
     "chernoff_average",
     "pep_upper_bound",
     "effective_diversity",
 ]
-
-
-@dataclass(frozen=True)
-class DiversityEstimate:
-    """Effective diversity (log-log slope) at one SNR point."""
-
-    snr_db: float
-    d_eff: float
-    method: str  # "ratio_form" or "finite_difference"
-
-    def __post_init__(self):
-        if not math.isfinite(self.d_eff):
-            raise ValueError(f"d_eff must be finite, got {self.d_eff}")
 
 
 def chernoff_conditional(gamma: float, beta: float, delta_abs_sq: float):
@@ -135,42 +118,53 @@ def pep_upper_bound(
 
 
 def effective_diversity(
-    curve: PepCurve, method: str = "finite_difference"
-) -> list[DiversityEstimate]:
-    """Effective diversity estimates along a PEP curve.
+    snr_db, pep, method: str = "finite_difference"
+) -> np.ndarray:
+    """Effective diversity estimates along a PEP curve, one per grid point.
 
     ratio_form         -log(pep) / log(gamma_bar) at each point, with
                        gamma_bar the linear-scale average SNR
     finite_difference  -dlog(pep)/dlog(gamma_bar) between consecutive
-                       points, reported at the right endpoint
+                       positive-PEP points, reported at the right one
 
-    Points with pep = 0 (or gamma_bar = 1, where the ratio form is
-    undefined) are skipped with a warning.
+    An entry is NaN where the estimate is undefined: the first point of
+    a finite difference, a point with pep = 0, and the gamma_bar = 1
+    point of the ratio form; the latter two warn.  Raises ValueError for
+    a grid that is not strictly increasing, a pep outside [0, 1], fewer
+    than two positive-PEP points, or an estimate that is not finite.
     """
     if method not in ("ratio_form", "finite_difference"):
         raise ValueError(f"unknown method {method!r}")
-    snr = curve.snr_db()
-    pep = curve.pep()
+    snr = np.asarray(snr_db, dtype=float)
+    pep = np.asarray(pep, dtype=float)
+    if snr.ndim != 1 or snr.shape != pep.shape:
+        raise ValueError("snr_db and pep must be 1-D arrays of equal length")
+    if not np.all(np.diff(snr) > 0):
+        raise ValueError("snr grid must be strictly increasing")
+    probability = (pep >= 0.0) & (pep <= 1.0)
+    if not np.all(probability):
+        raise ValueError(f"pep must be a probability, got {pep[~probability][0]}")
     keep = pep > 0
     if np.any(~keep):
         warnings.warn(
             f"skipping {int(np.sum(~keep))} zero-PEP point(s) in diversity estimate"
         )
-    snr, pep = snr[keep], pep[keep]
-    if snr.size < 2:
+    if np.sum(keep) < 2:
         raise ValueError("need at least two positive-PEP points")
-    gbar = 10.0 ** (snr / 10.0)
-    log_g = np.log(gbar)
-    log_p = np.log(pep)
-    out = []
-    if method == "ratio_form":
-        for s, lg, lp in zip(snr, log_g, log_p):
-            if lg == 0.0:
+    at = np.flatnonzero(keep)
+    log_g = np.log(10.0 ** (snr[keep] / 10.0))
+    log_p = np.log(pep[keep])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if method == "ratio_form":
+            unit = log_g == 0.0
+            if np.any(unit):
                 warnings.warn("skipping gamma_bar = 1 point in ratio-form estimate")
-                continue
-            out.append(DiversityEstimate(float(s), float(-lp / lg), "ratio_form"))
-    else:
-        slopes = -np.diff(log_p) / np.diff(log_g)
-        for s, d in zip(snr[1:], slopes):
-            out.append(DiversityEstimate(float(s), float(d), "finite_difference"))
+            at, d_eff = at[~unit], -log_p[~unit] / log_g[~unit]
+        else:
+            at, d_eff = at[1:], -np.diff(log_p) / np.diff(log_g)
+    if not np.all(np.isfinite(d_eff)):
+        bad = d_eff[~np.isfinite(d_eff)][0]
+        raise ValueError(f"d_eff must be finite, got {bad}")
+    out = np.full(pep.size, np.nan)
+    out[at] = d_eff
     return out

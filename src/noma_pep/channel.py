@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "ChannelModel",
-    "OrderedGains",
     "ordered_magnitude_pdf",
     "ordered_snr_pdf",
     "sample_ordered_channels",
@@ -49,22 +48,6 @@ class ChannelModel:
 
     def with_noise(self, noise_var: float) -> "ChannelModel":
         return replace(self, noise_var=noise_var)
-
-
-@dataclass(frozen=True)
-class OrderedGains:
-    """Magnitudes of one channel realization, sorted ascending.
-
-    gains[l-1] belongs to user l (1-based).
-    """
-
-    gains: tuple[float, ...]
-
-    def __post_init__(self):
-        if any(b < a for a, b in zip(self.gains, self.gains[1:])):
-            raise ValueError("gains must be sorted ascending")
-        if any(g < 0 for g in self.gains):
-            raise ValueError("gains must be non-negative")
 
 
 def _check_user(l: int, L: int):
@@ -121,21 +104,16 @@ def ordered_snr_pdf(l: int, L: int, gamma_bar: float, gamma) -> np.ndarray | flo
 
 
 def sample_ordered_channels(
-    model: ChannelModel, seed: int, size: int | None = None
-) -> OrderedGains | np.ndarray:
+    model: ChannelModel, seed: int, size: int = 1
+) -> np.ndarray:
     """Draw channel magnitudes for all L users, sorted ascending.
 
     Each gain is complex circular Gaussian with per-complex variance
-    2*sigma_h_sq.  Deterministic for a fixed seed.  With size=None one
-    realization is returned as :class:`OrderedGains`; with an integer size
-    an (size, L) array of magnitudes is returned, each row ascending.
+    2*sigma_h_sq.  Deterministic for a fixed seed.  Returns an (size, L)
+    array of magnitudes, each row ascending; column l-1 belongs to user l.
     """
     rng = np.random.default_rng(seed)
-    n = 1 if size is None else int(size)
-    L = model.num_users
+    shape = (int(size), model.num_users)
     std = math.sqrt(model.sigma_h_sq)  # per real dimension
-    h = rng.normal(scale=std, size=(n, L)) + 1j * rng.normal(scale=std, size=(n, L))
-    mags = np.sort(np.abs(h), axis=1)
-    if size is None:
-        return OrderedGains(gains=tuple(float(g) for g in mags[0]))
-    return mags
+    h = rng.normal(scale=std, size=shape) + 1j * rng.normal(scale=std, size=shape)
+    return np.sort(np.abs(h), axis=1)

@@ -58,7 +58,7 @@ from .asymptotic import chernoff_average, effective_diversity, pep_upper_bound
 from .channel import ChannelModel
 from .constellation import qpsk_constellation
 from .optimize import OptimizationProblem, pep_table, solve
-from .pep import EnumerationCapError, NumericalError, PepCurve, PepPoint
+from .pep import EnumerationCapError, NumericalError
 # unused here, but the benchmark tracer wraps and restores cli.average_pep
 from .pep import average_pep  # noqa: F401
 from .simulate import (
@@ -206,7 +206,8 @@ def _system(s: dict) -> SystemConfig:
         alpha=tuple(alpha),
         P=power,
         channel=channel,
-        constellation=qpsk_constellation(power),
+        # unit-energy symbols: P alone scales the transmit power
+        constellation=qpsk_constellation(1.0),
     )
 
 
@@ -255,19 +256,10 @@ def cmd_diversity(s: dict, out: Path, name="diversity.csv") -> list[str]:
                          for snr in snrs])
     rows = []
     for l in range(1, cfg.num_users + 1):
-        curve = PepCurve(user=l, points=tuple(
-            PepPoint(snr_db=snr, pep=float(p), method="quadrature")
-            for snr, p in zip(snrs, averaged[:, l - 1])))
-        ratio = {e.snr_db: e.d_eff for e in effective_diversity(curve, "ratio_form")}
-        fd = {
-            e.snr_db: e.d_eff
-            for e in effective_diversity(curve, "finite_difference")
-        }
-        for p in curve.points:
-            rows.append(
-                [p.snr_db, l, p.pep, ratio.get(p.snr_db, float("nan")),
-                 fd.get(p.snr_db, float("nan"))]
-            )
+        pep = averaged[:, l - 1]
+        ratio = effective_diversity(snrs, pep, "ratio_form")
+        fd = effective_diversity(snrs, pep, "finite_difference")
+        rows += [[snr, l, p, r, d] for snr, p, r, d in zip(snrs, pep, ratio, fd)]
     write_csv(out / name,
               ["snr_db", "user", "pep", "d_eff_ratio", "d_eff_finite_diff"],
               rows)

@@ -30,6 +30,17 @@ __all__ = [
 ]
 
 
+def _check_prior_deltas(cfg: SystemConfig, sic_mode: str, prior_deltas):
+    L = cfg.num_users
+    if sic_mode == "pattern" and (
+        prior_deltas is None or len(prior_deltas) < L - 1
+    ):
+        raise ValueError(
+            f"pattern mode needs prior_deltas with at least {L - 1} "
+            "complex values"
+        )
+
+
 @dataclass(frozen=True)
 class OptimizationProblem:
     """Power-allocation search setup.
@@ -69,14 +80,7 @@ class OptimizationProblem:
             raise ValueError(
                 f"grid_step must lie in (0, 0.01], got {self.grid_step}"
             )
-        L = self.cfg.num_users
-        if self.sic_mode == "pattern" and (
-            self.prior_deltas is None or len(self.prior_deltas) < L - 1
-        ):
-            raise ValueError(
-                f"pattern mode needs prior_deltas with at least {L - 1} "
-                "complex values"
-            )
+        _check_prior_deltas(self.cfg, self.sic_mode, self.prior_deltas)
 
 
 @dataclass(frozen=True)
@@ -109,14 +113,8 @@ def pep_table(cfg: SystemConfig, snr_db: float, sic_mode: str = "perfect",
     l-1.  Weighted mode takes weights, the sic_weight_tables mapping
     keyed by (l, tx).
     """
+    _check_prior_deltas(cfg, sic_mode, prior_deltas)
     L, m = cfg.num_users, cfg.constellation.size
-    if sic_mode == "pattern" and (
-        prior_deltas is None or len(prior_deltas) < L - 1
-    ):
-        raise ValueError(
-            f"pattern mode needs prior_deltas with at least {L - 1} "
-            "complex values"
-        )
     model = cfg.channel.with_noise(cfg.noise_var_for_snr(snr_db))
     table = np.zeros((L, m, m))
     for l in range(1, L + 1):
@@ -130,20 +128,18 @@ def pep_table(cfg: SystemConfig, snr_db: float, sic_mode: str = "perfect",
     return table
 
 
-def union_bound_from_pep(pep_lookup, constellation: Constellation) -> float:
+def union_bound_from_pep(peps, constellation: Constellation) -> float:
     """Bit-weighted pairwise-error sum expressed per transmitted bit.
 
-    (1/M) * sum_tx sum_{rx != tx} q(tx, rx) * pep_lookup(tx, rx)
-    divided by bits per symbol.  With a constant pep p this contracts to
-    2p for Gray QPSK.
+    (1/M) * sum_tx sum_{rx != tx} q(tx, rx) * peps[tx, rx] divided by
+    bits per symbol, summed tx-major; peps is an (M, M) array whose
+    diagonal is ignored.  With a constant pep p this contracts to 2p for
+    Gray QPSK.
     """
     m = constellation.size
     total = 0.0
-    for tx in range(m):
-        for rx in range(m):
-            if rx == tx:
-                continue
-            total += bit_errors(constellation, tx, rx) * pep_lookup(tx, rx)
+    for tx, rx in permutations(range(m), 2):
+        total += bit_errors(constellation, tx, rx) * peps[tx, rx]
     return total / (m * constellation.bits_per_symbol)
 
 
@@ -165,15 +161,14 @@ def union_bound_ber(
     """
     a = tuple(float(x) for x in alpha)
     noisy = model.with_noise(P / 10.0 ** (snr_db / 10.0))
-    L = noisy.num_users
-
-    def lookup(tx, rx):
-        return average_pep(
-            l, L, tx, rx, a, P, noisy, constellation,
+    m = constellation.size
+    peps = np.zeros((m, m))
+    for tx, rx in permutations(range(m), 2):
+        peps[tx, rx] = average_pep(
+            l, noisy.num_users, tx, rx, a, P, noisy, constellation,
             sic_mode=sic_mode, prior_deltas=prior_deltas,
         )
-
-    return union_bound_from_pep(lookup, constellation)
+    return union_bound_from_pep(peps, constellation)
 
 
 def _weight_stats(problem: OptimizationProblem, grid, workers: int = 1):
@@ -204,10 +199,7 @@ def _per_user_bounds_and_peps(problem: OptimizationProblem, alpha, stats):
         weights = sic_weight_tables(stats, cfg.constellation)
     table = pep_table(cfg, problem.snr_db, problem.sic_mode,
                       problem.prior_deltas, weights)
-    bounds = [
-        union_bound_from_pep(lambda tx, rx: peps[tx, rx], cfg.constellation)
-        for peps in table
-    ]
+    bounds = [union_bound_from_pep(peps, cfg.constellation) for peps in table]
     return bounds, [float(peps.max()) for peps in table]
 
 

@@ -37,8 +37,6 @@ from .constellation import Constellation
 
 __all__ = [
     "ErrorHypothesis",
-    "PepPoint",
-    "PepCurve",
     "NumericalError",
     "EnumerationCapError",
     "q_function",
@@ -114,42 +112,6 @@ class ErrorHypothesis:
     @property
     def delta(self) -> complex:
         return self.tx_symbol - self.detected_symbol
-
-
-@dataclass(frozen=True)
-class PepPoint:
-    """One PEP value on an SNR grid, tagged with how it was obtained."""
-
-    snr_db: float
-    pep: float
-    method: str
-
-    _METHODS = ("closed_form", "quadrature", "chernoff_bound", "simulated")
-
-    def __post_init__(self):
-        if not 0.0 <= self.pep <= 1.0:
-            raise ValueError(f"pep must be a probability, got {self.pep}")
-        if self.method not in self._METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-
-
-@dataclass(frozen=True)
-class PepCurve:
-    """PEP values of one user over an increasing SNR grid."""
-
-    user: int
-    points: tuple[PepPoint, ...]
-
-    def __post_init__(self):
-        snrs = [p.snr_db for p in self.points]
-        if any(b <= a for a, b in zip(snrs, snrs[1:])):
-            raise ValueError("snr grid must be strictly increasing")
-
-    def snr_db(self) -> np.ndarray:
-        return np.array([p.snr_db for p in self.points])
-
-    def pep(self) -> np.ndarray:
-        return np.array([p.pep for p in self.points])
 
 
 def _total_users(h: ErrorHypothesis) -> int:

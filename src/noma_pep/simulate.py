@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,17 +67,14 @@ class SystemConfig:
                    summing to 1 (user 1 = weakest channel, most power)
     P              total transmit power
     channel        fading model; channel.num_users must equal len(alpha)
-    constellation  shared symbol alphabet
-    symbol_mode    "uniform_random" or "fixed"
-    fixed_symbols  symbol indices per user when symbol_mode == "fixed"
+    constellation  shared symbol alphabet; every user draws its symbols
+                   uniformly from it
     """
 
     alpha: tuple[float, ...]
     P: float
     channel: ChannelModel
     constellation: Constellation
-    symbol_mode: str = "uniform_random"
-    fixed_symbols: tuple[int, ...] | None = None
 
     def __post_init__(self):
         a = np.asarray(self.alpha, dtype=float)
@@ -95,14 +92,6 @@ class SystemConfig:
             )
         if not 0 < self.P < math.inf:
             raise ValueError(f"total power must be finite and positive, got {self.P}")
-        if self.symbol_mode not in ("uniform_random", "fixed"):
-            raise ValueError(f"unknown symbol_mode {self.symbol_mode!r}")
-        if self.symbol_mode == "fixed":
-            if self.fixed_symbols is None or len(self.fixed_symbols) != a.size:
-                raise ValueError("fixed mode needs one symbol index per user")
-            m = self.constellation.size
-            if any(not 0 <= i < m for i in self.fixed_symbols):
-                raise ValueError("fixed symbol index out of range")
 
     @property
     def num_users(self) -> int:
@@ -124,59 +113,64 @@ class SimStats:
                               symbol a in the binary metric comparison at
                               user u+1 (b != a; not mutually exclusive
                               across b, so rows do not sum to trials)
+    bit_errors[u]             bit errors of user u+1's detected symbols
     delta_pattern_counts[u]   map from an encoded (own symbol, SIC stage
                               decisions) key at user u+1 to its count;
                               keyed by the user's own transmitted symbol
                               because SIC error directions correlate
                               with it through the uncancelled own signal
+
+    The user count, alphabet size, transmit counts and symbol errors are
+    exact integer sums of detected_counts.
     """
 
-    num_users: int
-    m: int
     snr_db: float
     trials: int
-    tx_counts: np.ndarray
     detected_counts: np.ndarray
     pairwise_counts: np.ndarray
     bit_errors: np.ndarray
-    symbol_errors: np.ndarray
-    delta_pattern_counts: list[dict[int, int]] = field(default_factory=list)
+    delta_pattern_counts: list[dict[int, int]]
 
-    @staticmethod
-    def zeros(num_users: int, m: int, snr_db: float) -> "SimStats":
-        return SimStats(
-            num_users=num_users,
-            m=m,
-            snr_db=snr_db,
-            trials=0,
-            tx_counts=np.zeros((num_users, m), dtype=np.int64),
-            detected_counts=np.zeros((num_users, m, m), dtype=np.int64),
-            pairwise_counts=np.zeros((num_users, m, m), dtype=np.int64),
-            bit_errors=np.zeros(num_users, dtype=np.int64),
-            symbol_errors=np.zeros(num_users, dtype=np.int64),
-            delta_pattern_counts=[{} for _ in range(num_users)],
-        )
+    @property
+    def num_users(self) -> int:
+        return self.detected_counts.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.detected_counts.shape[1]
+
+    @property
+    def tx_counts(self) -> np.ndarray:
+        """tx_counts[u, a]: trials where user u+1 sent symbol a."""
+        return self.detected_counts.sum(axis=2)
+
+    @property
+    def symbol_errors(self) -> np.ndarray:
+        """symbol_errors[u]: trials where user u+1 detected a wrong symbol."""
+        d = self.detected_counts
+        return d.sum(axis=(1, 2)) - np.trace(d, axis1=1, axis2=2)
 
     def merge(self, other: "SimStats") -> "SimStats":
-        if (self.num_users, self.m, self.snr_db) != (
-            other.num_users,
-            other.m,
+        if (self.detected_counts.shape, self.snr_db) != (
+            other.detected_counts.shape,
             other.snr_db,
         ):
             raise ValueError("cannot merge stats from different configurations")
-        merged = SimStats.zeros(self.num_users, self.m, self.snr_db)
-        merged.trials = self.trials + other.trials
-        merged.tx_counts = self.tx_counts + other.tx_counts
-        merged.detected_counts = self.detected_counts + other.detected_counts
-        merged.pairwise_counts = self.pairwise_counts + other.pairwise_counts
-        merged.bit_errors = self.bit_errors + other.bit_errors
-        merged.symbol_errors = self.symbol_errors + other.symbol_errors
-        for u in range(self.num_users):
-            d = dict(self.delta_pattern_counts[u])
-            for code, cnt in other.delta_pattern_counts[u].items():
+        patterns = []
+        for mine, theirs in zip(self.delta_pattern_counts,
+                                other.delta_pattern_counts):
+            d = dict(mine)
+            for code, cnt in theirs.items():
                 d[code] = d.get(code, 0) + cnt
-            merged.delta_pattern_counts[u] = d
-        return merged
+            patterns.append(d)
+        return SimStats(
+            snr_db=self.snr_db,
+            trials=self.trials + other.trials,
+            detected_counts=self.detected_counts + other.detected_counts,
+            pairwise_counts=self.pairwise_counts + other.pairwise_counts,
+            bit_errors=self.bit_errors + other.bit_errors,
+            delta_pattern_counts=patterns,
+        )
 
 
 @dataclass(frozen=True)
@@ -288,7 +282,7 @@ def _run_batch(points, quadrant, n: int, seed: int) -> list[SimStats]:
     std_h = math.sqrt(cfg.channel.sigma_h_sq)
 
     # Draw order is fixed (gains, symbols, noise) so a batch is a pure
-    # function of (channel, constellation, symbols, n, seed).
+    # function of (channel, constellation, n, seed).
     # rng.normal(scale=s) returns s times the standard normal it draws,
     # so scaling z below is bitwise equal to drawing the noise at each
     # SNR's scale.
@@ -297,12 +291,7 @@ def _run_batch(points, quadrant, n: int, seed: int) -> list[SimStats]:
     h.imag = rng.normal(scale=std_h, size=(n, L))
     order = np.argsort(h.real**2 + h.imag**2, axis=1, kind="stable")
     h = np.take_along_axis(h, order, axis=1)
-    if cfg.symbol_mode == "fixed":
-        tx_idx = np.broadcast_to(
-            np.asarray(cfg.fixed_symbols, dtype=np.int64), (n, L)
-        ).copy()
-    else:
-        tx_idx = rng.integers(0, m, size=(n, L))
+    tx_idx = rng.integers(0, m, size=(n, L))
     z = np.empty((n, L), dtype=np.complex128)
     z.real = rng.standard_normal(size=(n, L))
     z.imag = rng.standard_normal(size=(n, L))
@@ -372,15 +361,11 @@ def _detect_batch(cfg, quadrant, snr_db, h, tx_idx, s, z) -> SimStats:
     # The sent symbol always scores no worse than itself; b = a is no event.
     pairwise[:, np.arange(m), np.arange(m)] = 0
     return SimStats(
-        num_users=L,
-        m=m,
         snr_db=snr_db,
         trials=n,
-        tx_counts=detected.sum(axis=2),
         detected_counts=detected,
         pairwise_counts=pairwise,
         bit_errors=(detected * cfg.constellation._bit_diff).sum(axis=(1, 2)),
-        symbol_errors=n - np.trace(detected, axis1=1, axis2=2),
         delta_pattern_counts=patterns,
     )
 
@@ -433,8 +418,7 @@ def simulate(
         raise ValueError(f"batch_size must be positive, got {batch_size}")
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
-    drawn = [(c.channel, c.constellation, c.symbol_mode, c.fixed_symbols)
-             for c in cfgs]
+    drawn = [(c.channel, c.constellation) for c in cfgs]
     if any(d != drawn[0] for d in drawn):
         raise ValueError(
             "configurations of one call may differ only in alpha and P")

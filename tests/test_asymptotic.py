@@ -7,9 +7,6 @@ from scipy.integrate import quad
 
 from noma_pep import (
     ChannelModel,
-    DiversityEstimate,
-    PepCurve,
-    PepPoint,
     average_pep,
     chernoff_average,
     chernoff_conditional,
@@ -146,67 +143,76 @@ def test_upper_bound_vanishes_at_infinite_snr():
 def test_effective_diversity_exact_power_law():
     snrs = [10.0, 15.0, 20.0, 25.0]
     peps = [10 ** (-s / 10) for s in snrs]  # PEP = 1/gbar
-    curve = PepCurve(
-        user=1,
-        points=tuple(PepPoint(s, p, "closed_form") for s, p in zip(snrs, peps)),
-    )
-    for est in effective_diversity(curve, "finite_difference"):
-        assert abs(est.d_eff - 1.0) < 1e-12
-    for est in effective_diversity(curve, "ratio_form"):
-        assert abs(est.d_eff - 1.0) < 1e-12
+    fd = effective_diversity(snrs, peps, "finite_difference")
+    assert fd.shape == (4,) and math.isnan(fd[0])
+    assert np.all(np.abs(fd[1:] - 1.0) < 1e-12)
+    ratio = effective_diversity(snrs, peps, "ratio_form")
+    assert np.all(np.abs(ratio - 1.0) < 1e-12)
 
 
 def test_effective_diversity_power_law_with_constant():
     snrs = [20.0, 40.0, 60.0, 80.0, 100.0]
     c0 = 2.0
     peps = [c0 * (10 ** (-3 * s / 10)) for s in snrs]
-    curve = PepCurve(
-        user=1,
-        points=tuple(PepPoint(s, p, "closed_form") for s, p in zip(snrs, peps)),
-    )
-    fd = effective_diversity(curve, "finite_difference")
-    for est in fd:
-        assert abs(est.d_eff - 3.0) < 1e-12
-    ratio = effective_diversity(curve, "ratio_form")
+    fd = effective_diversity(snrs, peps, "finite_difference")
+    assert np.all(np.abs(fd[1:] - 3.0) < 1e-12)
+    ratio = effective_diversity(snrs, peps, "ratio_form")
     # converges to 3 from below as gbar grows
-    vals = [est.d_eff for est in ratio]
-    assert all(b > a for a, b in zip(vals, vals[1:]))
-    assert abs(vals[-1] - 3.0) < 0.05
+    assert np.all(np.diff(ratio) > 0)
+    assert abs(ratio[-1] - 3.0) < 0.05
 
 
 def test_effective_diversity_skips_zero_pep():
-    curve = PepCurve(
-        user=1,
-        points=(
-            PepPoint(10.0, 1e-2, "simulated"),
-            PepPoint(20.0, 0.0, "simulated"),
-            PepPoint(30.0, 1e-4, "simulated"),
-        ),
-    )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        est = effective_diversity(curve, "finite_difference")
-    assert len(est) == 1
+        est = effective_diversity([10.0, 20.0, 30.0], [1e-2, 0.0, 1e-4],
+                                  "finite_difference")
+    # the difference spans the zero point and is reported at 30 dB
+    assert np.isnan(est[:2]).all()
+    assert abs(est[2] - 1.0) < 1e-12
     assert any("zero-PEP" in str(w.message) for w in caught)
 
 
+def test_effective_diversity_zero_pep_between_positive_points():
+    snrs = [10.0, 20.0, 30.0, 40.0]
+    peps = [1e-1, 1e-3, 0.0, 1e-7]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fd = effective_diversity(snrs, peps, "finite_difference")
+        ratio = effective_diversity(snrs, peps, "ratio_form")
+    assert sum("zero-PEP" in str(w.message) for w in caught) == 2
+    assert math.isnan(fd[0]) and math.isnan(fd[2])
+    assert abs(fd[1] - 2.0) < 1e-12
+    assert abs(fd[3] - 2.0) < 1e-12  # 20 -> 40 dB, across the gap
+    assert math.isnan(ratio[2])
+    assert np.all(np.abs(ratio[[0, 1, 3]] - [1.0, 1.5, 1.75]) < 1e-12)
+
+
+def test_effective_diversity_gamma_bar_one_reads_nan():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ratio = effective_diversity([0.0, 10.0], [0.5, 1e-2], "ratio_form")
+    assert math.isnan(ratio[0]) and abs(ratio[1] - 2.0) < 1e-12
+    assert any("gamma_bar = 1" in str(w.message) for w in caught)
+
+
 def test_effective_diversity_validation():
-    curve = PepCurve(user=1, points=(PepPoint(10.0, 1e-2, "simulated"),))
-    with pytest.raises(ValueError):
-        effective_diversity(curve)
-    with pytest.raises(ValueError):
-        effective_diversity(
-            PepCurve(
-                user=1,
-                points=(
-                    PepPoint(10.0, 1e-2, "simulated"),
-                    PepPoint(20.0, 1e-3, "simulated"),
-                ),
-            ),
-            method="slope",
-        )
-    with pytest.raises(ValueError):
-        DiversityEstimate(10.0, float("nan"), "ratio_form")
+    with pytest.raises(ValueError, match="two positive-PEP"):
+        effective_diversity([10.0], [1e-2])
+    with pytest.raises(ValueError, match="two positive-PEP"), \
+            pytest.warns(UserWarning, match="zero-PEP"):
+        effective_diversity([10.0, 20.0], [1e-2, 0.0])
+    with pytest.raises(ValueError, match="unknown method"):
+        effective_diversity([10.0, 20.0], [1e-2, 1e-3], method="slope")
+    for snrs in ([20.0, 10.0], [10.0, 10.0]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            effective_diversity(snrs, [1e-2, 1e-3])
+    for bad in (-1e-3, 1.5, math.nan):
+        with pytest.raises(ValueError, match="probability"):
+            effective_diversity([10.0, 20.0], [1e-2, bad])
+    # both points sit at gamma_bar = 1 in double precision: 0/0 slope
+    with pytest.raises(ValueError, match="d_eff must be finite"):
+        effective_diversity([0.0, 1e-300], [0.3, 0.3])
 
 
 def test_noma_curve_diversity_monotone():
@@ -228,12 +234,6 @@ def test_noma_curve_diversity_monotone():
                     for a, b in pairs
                 ]))
             )
-        curve = PepCurve(
-            user=l,
-            points=tuple(
-                PepPoint(s, p, "quadrature") for s, p in zip(snrs, peps)
-            ),
-        )
-        fd = [e.d_eff for e in effective_diversity(curve, "finite_difference")]
+        fd = effective_diversity(snrs, peps, "finite_difference")[1:]
         assert all(b >= a - 1e-9 for a, b in zip(fd, fd[1:]))
         assert abs(fd[-1] - l) < 0.25

@@ -354,6 +354,34 @@ def test_fig3_is_diversity_with_fig2_defaults(tmp_path):
     ).read_bytes()
 
 
+@pytest.mark.filterwarnings("ignore:skipping gamma_bar")
+@pytest.mark.parametrize("snr_db, message", [
+    ("10,5", "strictly increasing"),
+    ("10,10", "strictly increasing"),
+    ("10", "two positive-PEP"),
+    ("0,1e-300", "d_eff must be finite"),  # both points at gamma_bar = 1
+])
+def test_diversity_bad_grid_exits_2(tmp_path, capsys, snr_db, message):
+    rc = main(["diversity", "--users", "2", "--snr-db", snr_db,
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "diversity.csv").exists()
+
+
+def test_power_does_not_move_fixed_snr_pep(tmp_path):
+    # Symbols have unit energy and --power scales them once, so at a
+    # fixed snr_db = 10 log10(P / sigma_n^2) the PEP does not depend on P.
+    for power in ("1", "4"):
+        assert main(["pep", "--users", "2", "--power", power, "--snr-db",
+                     "0,10,20", "--out", str(tmp_path / power)]) == 0
+    _, ref = read_csv(tmp_path / "1" / "pep.csv")
+    _, got = read_csv(tmp_path / "4" / "pep.csv")
+    assert [r[:4] for r in got] == [r[:4] for r in ref]
+    np.testing.assert_allclose([float(r[4]) for r in got],
+                               [float(r[4]) for r in ref], rtol=1e-12)
+
+
 def test_manifest_records_long_lists_by_hash(tmp_path):
     rc = main(["pep", "--users", "1", "--alpha", "1.0", "--snr-db", "0:99:1",
                "--out", str(tmp_path)])

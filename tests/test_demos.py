@@ -1,17 +1,23 @@
-"""The demo scripts import only public names of the package.
+"""The demo scripts run and import only public names of the package.
 
-No test runs the demos, so each one is parsed, not executed, and every
-name it imports from noma_pep must be exported in noma_pep.__all__.
+Each demo runs to completion in a fresh interpreter with src/ on the
+path, so a demo that calls the library with an outdated signature fails
+here; every name it imports from noma_pep must also be exported in
+noma_pep.__all__.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import noma_pep
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_found():
@@ -29,3 +35,11 @@ def test_demo_imports_are_public(path):
     ]
     assert imported
     assert sorted(set(imported) - set(noma_pep.__all__)) == []
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(path, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, str(path)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -36,7 +36,7 @@ def make_problem(alpha=(0.8, 0.2), snr_db=30.0, p_th=1e-3, grid_step=0.01,
 
 def test_constant_pep_contracts_to_2p():
     p = 0.0123
-    bound = union_bound_from_pep(lambda tx, rx: p, QPSK)
+    bound = union_bound_from_pep(np.full((4, 4), p), QPSK)
     assert abs(bound - 2 * p) < 1e-15
 
 

@@ -30,10 +30,10 @@ QPSK = qpsk_constellation(1.0)
 sim = importlib.import_module("noma_pep.simulate")
 
 
-def make_cfg(alpha, sigma_h_sq=0.5, **kw):
+def make_cfg(alpha, sigma_h_sq=0.5):
     ch = ChannelModel(num_users=len(alpha), sigma_h_sq=sigma_h_sq)
     return SystemConfig(alpha=tuple(alpha), P=1.0, channel=ch,
-                        constellation=QPSK, **kw)
+                        constellation=QPSK)
 
 
 class TestConfigValidation:
@@ -56,12 +56,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SystemConfig(alpha=(0.8, 0.2), P=1.0, channel=ch,
                          constellation=QPSK)
-
-    def test_fixed_mode_needs_symbols(self):
-        with pytest.raises(ValueError):
-            make_cfg((0.8, 0.2), symbol_mode="fixed")
-        with pytest.raises(ValueError):
-            make_cfg((0.8, 0.2), symbol_mode="fixed", fixed_symbols=(0, 9))
 
     def test_validation_happens_before_trials(self):
         cfg = make_cfg((0.8, 0.2))
@@ -288,7 +282,8 @@ def _reference_batch(cfg, snr_db, sigma_n_sq, n, seed):
 
     Sorts gains by |h|, decides every SIC stage by the minimum of the full
     distance metric row, and counts pairwise events one hypothesis at a
-    time.
+    time.  Returns the SimStats plus its own per-symbol transmit counts
+    and symbol error counts, which SimStats derives from detected_counts.
     """
     rng = np.random.default_rng(seed)
     L = cfg.num_users
@@ -308,19 +303,22 @@ def _reference_batch(cfg, snr_db, sigma_n_sq, n, seed):
         scale=std_h, size=(n, L)
     )
     h = np.take_along_axis(h, np.argsort(np.abs(h), axis=1, kind="stable"), axis=1)
-    if cfg.symbol_mode == "fixed":
-        tx_idx = np.broadcast_to(
-            np.asarray(cfg.fixed_symbols, dtype=np.int64), (n, L)
-        ).copy()
-    else:
-        tx_idx = rng.integers(0, m, size=(n, L))
+    tx_idx = rng.integers(0, m, size=(n, L))
     noise = rng.normal(scale=std_n, size=(n, L)) + 1j * rng.normal(
         scale=std_n, size=(n, L)
     )
     s = pts[tx_idx] @ coeff
 
-    stats = SimStats.zeros(L, m, snr_db)
-    stats.trials = n
+    tx_counts = np.zeros((L, m), dtype=np.int64)
+    symbol_errors = np.zeros(L, dtype=np.int64)
+    stats = SimStats(
+        snr_db=snr_db,
+        trials=n,
+        detected_counts=np.zeros((L, m, m), dtype=np.int64),
+        pairwise_counts=np.zeros((L, m, m), dtype=np.int64),
+        bit_errors=np.zeros(L, dtype=np.int64),
+        delta_pattern_counts=[{} for _ in range(L)],
+    )
     rows = np.arange(n)
     for u in range(L):
         hu = h[:, u]
@@ -333,11 +331,11 @@ def _reference_batch(cfg, snr_db, sigma_n_sq, n, seed):
         metrics = metrics_of(residual, coeff[u] * hu)
         du = np.argmin(metrics, axis=1)
         txu = tx_idx[:, u]
-        stats.tx_counts[u] = np.bincount(txu, minlength=m)
+        tx_counts[u] = np.bincount(txu, minlength=m)
         stats.detected_counts[u] = np.bincount(
             txu * m + du, minlength=m * m
         ).reshape(m, m)
-        stats.symbol_errors[u] = int(np.sum(du != txu))
+        symbol_errors[u] = int(np.sum(du != txu))
         stats.bit_errors[u] = int(cfg.constellation._bit_diff[txu, du].sum())
         m_true = metrics[rows, txu]
         for b in range(m):
@@ -352,7 +350,7 @@ def _reference_batch(cfg, snr_db, sigma_n_sq, n, seed):
         stats.delta_pattern_counts[u] = {
             int(c): int(counts[c]) for c in np.nonzero(counts)[0]
         }
-    return stats
+    return stats, tx_counts, symbol_errors
 
 
 REFERENCE_ALPHA = {1: (1.0,), 2: (0.8, 0.2), 3: (0.7, 0.2, 0.1),
@@ -372,30 +370,37 @@ def _assert_same_stats(got, want):
     ]
 
 
+def _assert_matches_reference(got, cfg, snr_db, n, seed):
+    want, tx_counts, symbol_errors = _reference_batch(
+        cfg, snr_db, cfg.noise_var_for_snr(snr_db), n, seed)
+    _assert_same_stats(got, want)
+    for name, counts in (("tx_counts", tx_counts),
+                         ("symbol_errors", symbol_errors)):
+        a = getattr(got, name)
+        assert a.dtype == counts.dtype, name
+        np.testing.assert_array_equal(a, counts, err_msg=name)
+
+
+# Every trial draws its symbols uniformly; the "mode" id names that.
 @pytest.mark.parametrize("n", [1, 100_003])
-@pytest.mark.parametrize("mode", ["uniform_random", "fixed"])
+@pytest.mark.parametrize("mode", ["uniform_random"])
 @pytest.mark.parametrize("L", [1, 2, 3, 4])
 def test_blocked_batch_matches_reference_chain(L, mode, n):
     # 100_003 rows span two detector blocks, the second one partial.
-    fixed = (2, 0, 3, 1)[:L] if mode == "fixed" else None
-    cfg = make_cfg(REFERENCE_ALPHA[L], symbol_mode=mode, fixed_symbols=fixed)
+    cfg = make_cfg(REFERENCE_ALPHA[L])
     quadrant = sim._quadrant_table(cfg.constellation)
     snrs = (0.0, 20.0, 40.0)
     for snr_db in snrs:
-        sigma_n_sq = cfg.noise_var_for_snr(snr_db)
         seed = 1000 * L + int(snr_db)
         (got,) = sim._run_batch([(cfg, snr_db)], quadrant, n, seed)
-        want = _reference_batch(cfg, snr_db, sigma_n_sq, n, seed)
-        _assert_same_stats(got, want)
+        _assert_matches_reference(got, cfg, snr_db, n, seed)
     # One call detects every SNR from the same draws; each point must
     # equal a reference batch drawn afresh at that SNR and seed.
     seed = 1000 * L + 99
     shared = sim._run_batch([(cfg, s) for s in snrs], quadrant, n, seed)
     assert len(shared) == len(snrs)
     for snr_db, got in zip(snrs, shared):
-        sigma_n_sq = cfg.noise_var_for_snr(snr_db)
-        _assert_same_stats(got, _reference_batch(cfg, snr_db, sigma_n_sq, n,
-                                                 seed))
+        _assert_matches_reference(got, cfg, snr_db, n, seed)
 
 
 def test_first_argmin_matches_argmin_with_ties():
@@ -408,13 +413,12 @@ def test_first_argmin_matches_argmin_with_ties():
                                   np.argmin(metrics, axis=0))
 
 
-@pytest.mark.parametrize("mode", ["uniform_random", "fixed"])
+@pytest.mark.parametrize("mode", ["uniform_random"])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_snr_list_equals_separate_calls(workers, mode):
     # 25_001 trials in batches of 10_000 make three batches, the last one
     # partial; 20 dB appears twice.
-    fixed = (1, 3, 0) if mode == "fixed" else None
-    cfg = make_cfg((0.7, 0.2, 0.1), symbol_mode=mode, fixed_symbols=fixed)
+    cfg = make_cfg((0.7, 0.2, 0.1))
     snrs = [20.0, 0.0, 35.0, 20.0]
     got = simulate(cfg, snrs, 25_001, seed=17, workers=workers,
                    batch_size=10_000)
@@ -427,14 +431,13 @@ def test_snr_list_equals_separate_calls(workers, mode):
 @pytest.mark.parametrize("snr_db", [20.0, [20.0, 0.0, 35.0]])
 @pytest.mark.parametrize("trials,batch_size", [(25_001, 10_000),
                                                (25_001, 1_000_000)])
-@pytest.mark.parametrize("mode", ["uniform_random", "fixed"])
+@pytest.mark.parametrize("mode", ["uniform_random"])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_config_list_equals_separate_calls(workers, mode, trials, batch_size,
                                            snr_db):
     # Three batches (the last one partial) or one batch; the allocations
     # differ in alpha and P and one of them appears twice.
-    fixed = (1, 3, 0) if mode == "fixed" else None
-    base = make_cfg((0.7, 0.2, 0.1), symbol_mode=mode, fixed_symbols=fixed)
+    base = make_cfg((0.7, 0.2, 0.1))
     cfgs = [base, dataclasses.replace(base, alpha=(0.6, 0.3, 0.1)),
             dataclasses.replace(base, P=2.5), base]
     got = simulate(cfgs, snr_db, trials, seed=17, workers=workers,
@@ -471,7 +474,6 @@ def test_one_batch_spreads_points_over_workers(monkeypatch):
 @pytest.mark.parametrize("change", [
     {"channel": ChannelModel(num_users=2, sigma_h_sq=1.0)},
     {"constellation": qpsk_constellation(2.0)},
-    {"symbol_mode": "fixed", "fixed_symbols": (0, 1)},
 ])
 def test_config_list_rejects_other_differences_before_drawing(change,
                                                               monkeypatch):
