@@ -40,8 +40,7 @@ print("Per-user PEP, weighted SIC-residual mode vs simulation")
 print("snr_db  user  analytic      simulated     ci")
 snrs = [10.0, 20.0, 30.0]
 for snr, stats in zip(snrs, simulate(cfg, snrs, 1_000_000, seed=11)):
-    table = pep_table(cfg, snr, "weighted",
-                      weights=sic_weight_tables(stats, QPSK))
+    table = pep_table(cfg, snr, sic_weight_tables(stats, QPSK))
     for user in (1, 2, 3):
         analytic = table[user - 1, TX, RX]
         est = empirical_pep(stats, user, TX, RX)

@@ -35,6 +35,7 @@ from .optimize import (
     OptimizationResult,
     objective_psi,
     pep_table,
+    residual_tables,
     solve,
     union_bound_ber,
     union_bound_from_pep,

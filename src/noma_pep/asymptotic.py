@@ -10,7 +10,6 @@ order.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -129,7 +128,7 @@ def effective_diversity(
 
     An entry is NaN where the estimate is undefined: the first point of
     a finite difference, a point with pep = 0, and the gamma_bar = 1
-    point of the ratio form; the latter two warn.  Raises ValueError for
+    point of the ratio form; nothing is warned.  Raises ValueError for
     a grid that is not strictly increasing, a pep outside [0, 1], fewer
     than two positive-PEP points, or an estimate that is not finite.
     """
@@ -145,10 +144,6 @@ def effective_diversity(
     if not np.all(probability):
         raise ValueError(f"pep must be a probability, got {pep[~probability][0]}")
     keep = pep > 0
-    if np.any(~keep):
-        warnings.warn(
-            f"skipping {int(np.sum(~keep))} zero-PEP point(s) in diversity estimate"
-        )
     if np.sum(keep) < 2:
         raise ValueError("need at least two positive-PEP points")
     at = np.flatnonzero(keep)
@@ -157,8 +152,6 @@ def effective_diversity(
     with np.errstate(divide="ignore", invalid="ignore"):
         if method == "ratio_form":
             unit = log_g == 0.0
-            if np.any(unit):
-                warnings.warn("skipping gamma_bar = 1 point in ratio-form estimate")
             at, d_eff = at[~unit], -log_p[~unit] / log_g[~unit]
         else:
             at, d_eff = at[1:], -np.diff(log_p) / np.diff(log_g)

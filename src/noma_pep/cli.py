@@ -47,7 +47,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +57,7 @@ from . import __version__
 from .asymptotic import chernoff_average, effective_diversity, pep_upper_bound
 from .channel import ChannelModel
 from .constellation import qpsk_constellation
-from .optimize import OptimizationProblem, pep_table, solve
+from .optimize import OptimizationProblem, pep_table, residual_tables, solve
 from .pep import EnumerationCapError, NumericalError
 # unused here, but the benchmark tracer wraps and restores cli.average_pep
 from .pep import average_pep  # noqa: F401
@@ -78,19 +78,6 @@ FIG2_ALPHA = (0.7, 0.2, 0.1)
 FIG2_SNR_GRID = tuple(float(s) for s in range(0, 45, 5))
 DESIGNATED_PAIR = (0, 1)  # adjacent Gray pair used for per-user curves
 LONG_LIST = 100  # resolved lists this long enter the manifest as length + sha256
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce a run's CSV bodies byte-exactly."""
-
-    command_line: list[str]
-    config: dict
-    seed: int | None
-    tool_version: str
-    outputs: list[str]
-    duration_seconds: float
-    environment: dict
 
 
 def _run_environment() -> dict:
@@ -218,16 +205,14 @@ def cmd_pep(s: dict, out: Path) -> list[str]:
     cfg = _system(s)
     snrs, sic_mode = s["snr_db"], s["sic_mode"]
     pairs = list(itertools.permutations(range(cfg.constellation.size), 2))
-    weights_by_snr = [None] * len(snrs)
+    stats_by_snr = [None] * len(snrs)
     if sic_mode == "weighted":
-        weights_by_snr = [
-            sic_weight_tables(stats, cfg.constellation)
-            for stats in simulate(cfg, snrs, s["trials"], s["seed"],
-                                  workers=s["workers"])
-        ]
+        stats_by_snr = simulate(cfg, snrs, s["trials"], s["seed"],
+                                workers=s["workers"])
     rows = []
-    for snr, weights in zip(snrs, weights_by_snr):
-        table = pep_table(cfg, snr, sic_mode, s["prior_deltas"], weights)
+    for snr, stats in zip(snrs, stats_by_snr):
+        table = pep_table(cfg, snr, residual_tables(
+            cfg, sic_mode, s["prior_deltas"], stats))
         rows += [[snr, l, tx, rx, float(table[l - 1, tx, rx]), "quadrature"]
                  for l in range(1, cfg.num_users + 1) for tx, rx in pairs]
     write_csv(out / "pep.csv",
@@ -339,8 +324,7 @@ def cmd_fig2(s: dict, out: Path) -> list[str]:
     per_user_rows = {l: [] for l in range(1, cfg.num_users + 1)}
     for snr, stats in zip(snrs, simulate(cfg, snrs, s["trials"], s["seed"],
                                          workers=s["workers"])):
-        table = pep_table(cfg, snr, "weighted",
-                          weights=sic_weight_tables(stats, cfg.constellation))
+        table = pep_table(cfg, snr, sic_weight_tables(stats, cfg.constellation))
         for l in range(1, cfg.num_users + 1):
             emp = empirical_pep(stats, l, tx, rx)
             per_user_rows[l].append(
@@ -513,17 +497,18 @@ def main(argv=None) -> int:
         files, code = result, EXIT_OK
     if settings.get("sic_mode", "weighted") != "weighted":
         settings = {k: v for k, v in settings.items() if k not in SIM_KEYS}
-    manifest = RunManifest(
-        command_line=["noma-pep"] + argv,
-        config={k: _manifest_value(v) for k, v in sorted(settings.items())},
-        seed=settings.get("seed"),
-        tool_version=__version__,
-        outputs=files,
-        duration_seconds=round(time.time() - started, 3),
-        environment=_run_environment(),
-    )
+    # everything needed to reproduce the CSV bodies byte-exactly
+    manifest = {
+        "command_line": ["noma-pep"] + argv,
+        "config": {k: _manifest_value(v) for k, v in sorted(settings.items())},
+        "seed": settings.get("seed"),
+        "tool_version": __version__,
+        "outputs": files,
+        "duration_seconds": round(time.time() - started, 3),
+        "environment": _run_environment(),
+    }
     (out / "manifest.json").write_text(
-        json.dumps(asdict(manifest), indent=2, default=str)
+        json.dumps(manifest, indent=2, default=str)
     )
     if code == EXIT_INFEASIBLE:
         print("no feasible power allocation for the given threshold",

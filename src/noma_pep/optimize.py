@@ -4,6 +4,11 @@ The per-user union bound sums bit-weighted pairwise error probabilities
 over all ordered symbol pairs.  The power search walks a descending
 simplex grid, keeps the points where every user's worst-pair PEP meets
 the threshold, and returns the feasible minimizer of the averaged bound.
+
+pep_table is the one hypothesis-averaging path of the CLI, the search
+and the demos; it takes the SIC residual tables that residual_tables
+builds, the only place where the SIC modes (perfect, pattern, weighted)
+differ.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ __all__ = [
     "OptimizationResult",
     "SweepEntry",
     "pep_table",
+    "residual_tables",
     "union_bound_from_pep",
     "union_bound_ber",
     "objective_psi",
@@ -30,15 +36,34 @@ __all__ = [
 ]
 
 
-def _check_prior_deltas(cfg: SystemConfig, sic_mode: str, prior_deltas):
-    L = cfg.num_users
-    if sic_mode == "pattern" and (
-        prior_deltas is None or len(prior_deltas) < L - 1
-    ):
-        raise ValueError(
-            f"pattern mode needs prior_deltas with at least {L - 1} "
-            "complex values"
-        )
+def residual_tables(cfg: SystemConfig, sic_mode: str, prior_deltas=None,
+                    stats=None):
+    """SIC residual tables of every user and transmitted symbol.
+
+    The one place where the SIC modes differ.  Returns None for perfect
+    SIC, else a mapping from (l, tx) to the residual table average_pep
+    takes for user l's pairs that transmit tx:
+
+      perfect   None: every residual is zero
+      pattern   {first l-1 prior_deltas: 1.0}; needs at least L-1 deltas
+      weighted  sic_weight_tables of stats, a simulation's counters
+    """
+    L, m = cfg.num_users, cfg.constellation.size
+    if sic_mode == "perfect":
+        return None
+    if sic_mode == "pattern":
+        if prior_deltas is None or len(prior_deltas) < L - 1:
+            raise ValueError(
+                f"pattern mode needs prior_deltas with at least {L - 1} "
+                "complex values"
+            )
+        return {(l, tx): {tuple(prior_deltas[:l - 1]): 1.0}
+                for l in range(1, L + 1) for tx in range(m)}
+    if sic_mode == "weighted":
+        if stats is None:
+            raise ValueError("weighted mode needs a simulation's stats")
+        return sic_weight_tables(stats, cfg.constellation)
+    raise ValueError(f"unknown sic_mode {sic_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -80,7 +105,8 @@ class OptimizationProblem:
             raise ValueError(
                 f"grid_step must lie in (0, 0.01], got {self.grid_step}"
             )
-        _check_prior_deltas(self.cfg, self.sic_mode, self.prior_deltas)
+        if self.sic_mode != "weighted":  # weighted tables need a simulation
+            residual_tables(self.cfg, self.sic_mode, self.prior_deltas)
 
 
 @dataclass(frozen=True)
@@ -103,27 +129,22 @@ class OptimizationResult:
         return tuple(e for e in self.sweep if e.feasible)
 
 
-def pep_table(cfg: SystemConfig, snr_db: float, sic_mode: str = "perfect",
-              prior_deltas=None, weights=None) -> np.ndarray:
+def pep_table(cfg: SystemConfig, snr_db: float, residuals=None) -> np.ndarray:
     """PEP of every user and ordered symbol pair at one SNR.
 
     Entry [l-1, tx, rx] is average_pep of user l's (tx, rx) pair with the
-    noise of cfg.noise_var_for_snr(snr_db); the diagonal is 0.  Pattern
-    mode takes at least L-1 prior_deltas, of which user l uses the first
-    l-1.  Weighted mode takes weights, the sic_weight_tables mapping
-    keyed by (l, tx).
+    noise of cfg.noise_var_for_snr(snr_db); the diagonal is 0.  residuals
+    maps (l, tx) to the residual table of user l's pairs that transmit
+    tx (see residual_tables); None is perfect SIC.
     """
-    _check_prior_deltas(cfg, sic_mode, prior_deltas)
     L, m = cfg.num_users, cfg.constellation.size
     model = cfg.channel.with_noise(cfg.noise_var_for_snr(snr_db))
     table = np.zeros((L, m, m))
     for l in range(1, L + 1):
-        pd = prior_deltas[: l - 1] if prior_deltas is not None else None
         for tx, rx in permutations(range(m), 2):
             table[l - 1, tx, rx] = average_pep(
                 l, L, tx, rx, cfg.alpha, cfg.P, model, cfg.constellation,
-                sic_mode=sic_mode, prior_deltas=pd,
-                delta_weights=weights[(l, tx)] if weights is not None else None,
+                None if residuals is None else residuals[l, tx],
             )
     return table
 
@@ -150,14 +171,13 @@ def union_bound_ber(
     snr_db: float,
     model,
     constellation: Constellation,
-    sic_mode: str = "perfect",
-    prior_deltas=None,
+    residuals=None,
 ) -> float:
     """Union bound on user l's bit error rate at the given SNR.
 
-    sic_mode is "perfect" or "pattern" (with user l's l-1 prior_deltas);
-    weighted-mode bounds need one residual table per transmitted symbol
-    and are computed by objective_psi and solve.
+    residuals is user l's one residual table for every pair (None is
+    perfect SIC); bounds with a table per transmitted symbol are
+    computed by objective_psi and solve.
     """
     a = tuple(float(x) for x in alpha)
     noisy = model.with_noise(P / 10.0 ** (snr_db / 10.0))
@@ -165,8 +185,7 @@ def union_bound_ber(
     peps = np.zeros((m, m))
     for tx, rx in permutations(range(m), 2):
         peps[tx, rx] = average_pep(
-            l, noisy.num_users, tx, rx, a, P, noisy, constellation,
-            sic_mode=sic_mode, prior_deltas=prior_deltas,
+            l, noisy.num_users, tx, rx, a, P, noisy, constellation, residuals,
         )
     return union_bound_from_pep(peps, constellation)
 
@@ -194,11 +213,8 @@ def _per_user_bounds_and_peps(problem: OptimizationProblem, alpha, stats):
     point's simulated counters (see _weight_stats).
     """
     cfg = replace(problem.cfg, alpha=tuple(alpha))
-    weights = None
-    if stats is not None:
-        weights = sic_weight_tables(stats, cfg.constellation)
-    table = pep_table(cfg, problem.snr_db, problem.sic_mode,
-                      problem.prior_deltas, weights)
+    table = pep_table(cfg, problem.snr_db, residual_tables(
+        cfg, problem.sic_mode, problem.prior_deltas, stats))
     bounds = [union_bound_from_pep(peps, cfg.constellation) for peps in table]
     return bounds, [float(peps.max()) for peps in table]
 

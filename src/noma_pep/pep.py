@@ -22,6 +22,11 @@ its relative error stays below 1e-13 for L <= 10 and PEP values down to
 printed closed forms are kept verbatim and compared against it (see
 closed_form_consistency_report), because their constant prefactors are
 not mutually consistent.
+
+Hypothesis averaging (average_pep) takes the stronger users' imperfect
+SIC as one residual table: residual patterns x_k - x_hat_k of users
+1..l-1 mapped to their probabilities, None being perfect SIC.  How a
+table is obtained is left to the caller (see optimize.residual_tables).
 """
 
 from __future__ import annotations
@@ -260,33 +265,6 @@ def pep_quadrature(
     return _pep_kernel(l, L, float(beta) / float(upsilon), model.sigma_h_sq)
 
 
-def _normalize_sic(l: int, sic_mode, prior_deltas, delta_weights):
-    """Return a list of (weight, prior_delta_tuple) pairs for user l."""
-    if sic_mode == "perfect":
-        return [(1.0, tuple(0j for _ in range(l - 1)))]
-    if sic_mode == "pattern":
-        if prior_deltas is None or len(prior_deltas) != l - 1:
-            raise ValueError(
-                f"pattern mode needs {l - 1} prior deltas for user {l}"
-            )
-        return [(1.0, tuple(complex(d) for d in prior_deltas))]
-    if sic_mode == "weighted":
-        if not delta_weights:
-            raise ValueError("weighted mode needs a non-empty delta weight table")
-        items = []
-        for pattern, w in delta_weights.items():
-            if len(pattern) != l - 1:
-                raise ValueError(
-                    f"weight table pattern length {len(pattern)} != {l - 1}"
-                )
-            items.append((float(w), tuple(complex(d) for d in pattern)))
-        total = sum(w for w, _ in items)
-        if not math.isclose(total, 1.0, abs_tol=1e-9):
-            raise ValueError(f"delta weights must sum to 1, got {total}")
-        return items
-    raise ValueError(f"unknown sic_mode {sic_mode!r}")
-
-
 def average_pep(
     l: int,
     L: int,
@@ -296,21 +274,16 @@ def average_pep(
     P: float,
     model: ChannelModel,
     constellation: Constellation,
-    sic_mode: str = "perfect",
-    prior_deltas=None,
-    delta_weights=None,
+    residuals=None,
 ) -> float:
     """Pairwise error probability of user l averaged over hypotheses.
 
     Averages the PEP of the (tx, rx) symbol-index pair uniformly over all
-    M^(L-l) weaker-user symbol tuples, one pep_quadrature call per tuple
-    and residual pattern.
-    Stronger-user residuals follow sic_mode:
-
-      perfect   all prior deltas zero
-      pattern   caller-supplied prior_deltas (length l-1)
-      weighted  mixture over patterns with delta_weights, a mapping from
-                tuples of complex deltas to probabilities (sum to 1)
+    M^(L-l) weaker-user symbol tuples and over the stronger users' SIC
+    residuals, one pep_quadrature call per tuple and residual pattern.
+    residuals maps a tuple of l-1 complex residuals x_k - x_hat_k to its
+    probability (the weights sum to 1); None means perfect SIC, the
+    all-zero pattern with weight 1.
     """
     if tx == rx:
         raise ValueError("tx and rx indices coincide; not a pairwise error event")
@@ -327,7 +300,16 @@ def average_pep(
             f"{n_tuples} interferer tuples exceed the enumeration cap "
             f"({ENUMERATION_CAP}); use the Monte Carlo simulator instead"
         )
-    sic_patterns = _normalize_sic(l, sic_mode, prior_deltas, delta_weights)
+    if residuals is None:  # perfect SIC
+        residuals = {(0j,) * (l - 1): 1.0}
+    if not residuals:
+        raise ValueError("the residual table must not be empty")
+    if any(len(pattern) != l - 1 for pattern in residuals):
+        raise ValueError(
+            f"residual patterns of user {l} must have length {l - 1}")
+    weight_sum = sum(residuals.values())
+    if not math.isclose(weight_sum, 1.0, abs_tol=1e-9):
+        raise ValueError(f"residual weights must sum to 1, got {weight_sum}")
     dlt = complex(pts[tx] - pts[rx])
     ups = upsilon_factor(dlt, model.noise_var)
     amp = np.sqrt(a * P)
@@ -341,14 +323,14 @@ def average_pep(
         interf = (interf[:, None] + amp[n] * proj).ravel()
     own = amp[l - 1] * abs(dlt) ** 2
     total = 0.0
-    for w, deltas in sic_patterns:
+    for deltas, w in residuals.items():
         residual = 2.0 * (
             dlt * sum(amp[q] * d.conjugate() for q, d in enumerate(deltas))
         ).real
         acc = 0.0
         for beta in (own + residual + interf).tolist():
             acc += pep_quadrature(l, L, beta, ups, model)
-        total += w * acc
+        total += float(w) * acc
     return total / n_tuples
 
 

@@ -12,12 +12,13 @@ on the power allocation: the noise is drawn as standard normals and
 scaled per block, and the superposition is built per allocation from
 the drawn symbols.  So one batch serves every SNR point and every
 allocation (alpha, P) of a call (common random numbers), and only the
-superposition and the detection run per point.  Each SIC stage decides
-by the signs of the real and imaginary parts of the derotated residual,
-which is the minimum-distance decision for alphabets with one point per
-quadrant, mirrored across both axes (QPSK); simulate and sic_detect
-reject any other alphabet.  Only the user's own stage computes the full
-distance metrics, which the pairwise counters need.
+superposition and the detection run per point.  Every SIC stage, the
+user's own included, decides by the signs of the real and imaginary
+parts of the derotated residual, which is the minimum-distance decision
+for alphabets with one point per quadrant, mirrored across both axes
+(QPSK); simulate and sic_detect reject any other alphabet.  The own
+stage also computes the full distance metrics, which only the pairwise
+counters read.
 
 Counters are plain integers so that merging partial runs is exact
 component-wise addition: a run split into batches gives byte-identical
@@ -67,8 +68,9 @@ class SystemConfig:
                    summing to 1 (user 1 = weakest channel, most power)
     P              total transmit power
     channel        fading model; channel.num_users must equal len(alpha)
-    constellation  shared symbol alphabet; every user draws its symbols
-                   uniformly from it
+    constellation  shared symbol alphabet of unit average power, so that
+                   P alone sets the transmit power; every user draws its
+                   symbols uniformly from it
     """
 
     alpha: tuple[float, ...]
@@ -92,6 +94,11 @@ class SystemConfig:
             )
         if not 0 < self.P < math.inf:
             raise ValueError(f"total power must be finite and positive, got {self.P}")
+        if abs(self.constellation.avg_power - 1.0) > 1e-12:
+            raise ValueError(
+                "constellation must have unit average power, got "
+                f"{self.constellation.avg_power!r}; P scales the symbols"
+            )
 
     @property
     def num_users(self) -> int:
@@ -194,17 +201,16 @@ def superposed_signal(cfg: SystemConfig, symbol_indices: np.ndarray) -> np.ndarr
     return pts[np.asarray(symbol_indices)] @ coeff
 
 
-def _decision_metrics(residual, scale, pts):
+def _decision_metrics(w, gain, pts):
     """Squared distances |residual - scale * point|^2 up to a common term.
 
-    Row j holds hypothesis j, shape (M, n), so every row is one pass over
-    the samples.  Dropping |residual|^2 leaves the ordering and all
-    pairwise metric differences unchanged.
+    Takes w = residual * conj(scale) and gain = |scale|^2.  Row j holds
+    hypothesis j, shape (M, n), so every row is one pass over the
+    samples.  Dropping |residual|^2 leaves all pairwise metric
+    differences unchanged.
     """
-    w = residual * np.conj(scale)
-    gain = np.abs(scale) ** 2
     energy = np.abs(pts) ** 2
-    metrics = np.empty((pts.size, residual.size))
+    metrics = np.empty((pts.size, w.size))
     for j in range(pts.size):
         metrics[j] = -2.0 * np.real(w * np.conj(pts[j])) + gain * energy[j]
     return metrics
@@ -239,22 +245,24 @@ def _quadrant_table(constellation: Constellation) -> np.ndarray:
 def _sic_stages(cfg: SystemConfig, quadrant, residual, h, u: int):
     """Sequential SIC chain of user u+1 over its received samples.
 
-    Detects users 1..u in power order, each by the quadrant (table from
+    Detects users 1..u+1 in power order, each by the quadrant (table from
     _quadrant_table) of the residual derotated by its power-scaled gain,
-    and subtracts each decision before the next stage.  A component that
-    is exactly zero counts as non-negative.  Returns the stage decisions,
-    shape (n, u), and user u+1's own decision metrics, shape (M, n).
+    and subtracts each decision before the next stage; the last stage is
+    user u+1's own decision.  A component that is exactly zero counts as
+    non-negative.  Returns the stage decisions, shape (n, u+1), and user
+    u+1's own decision metrics, shape (M, n), which only the pairwise
+    counters read.
     """
     pts = cfg.constellation.points_array()
     coeff = np.sqrt(np.asarray(cfg.alpha) * cfg.P)
-    decisions = np.empty((residual.size, u), dtype=np.int64)
-    for k in range(u):
+    decisions = np.empty((residual.size, u + 1), dtype=np.int64)
+    for k in range(u + 1):
         scale = coeff[k] * h
         w = residual * np.conj(scale)
-        dk = quadrant[2 * (w.real < 0) + (w.imag < 0)]
-        residual = residual - scale * pts[dk]
-        decisions[:, k] = dk
-    return decisions, _decision_metrics(residual, coeff[u] * h, pts)
+        decisions[:, k] = quadrant[2 * (w.real < 0) + (w.imag < 0)]
+        if k < u:
+            residual = residual - scale * pts[decisions[:, k]]
+    return decisions, _decision_metrics(w, np.abs(scale) ** 2, pts)
 
 
 def _superposition(cfg: SystemConfig, tx_idx) -> np.ndarray:
@@ -303,20 +311,6 @@ def _run_batch(points, quadrant, n: int, seed: int) -> list[SimStats]:
     return stats
 
 
-def _first_argmin(metrics):
-    """np.argmin(metrics, axis=0) as a running minimum over the rows.
-
-    A later row wins only when strictly smaller, so ties go to the first
-    index, as in np.argmin; the metrics are finite.
-    """
-    low = metrics[0]
-    best = np.zeros(metrics.shape[1], dtype=np.int64)
-    for j in range(1, metrics.shape[0]):
-        best = np.where(metrics[j] < low, j, best)
-        low = np.minimum(low, metrics[j])
-    return best
-
-
 def _detect_batch(cfg, quadrant, snr_db, h, tx_idx, s, z) -> SimStats:
     """Run every user's SIC chain over a drawn batch at one SNR."""
     n, L = h.shape
@@ -338,7 +332,7 @@ def _detect_batch(cfg, quadrant, snr_db, h, tx_idx, s, z) -> SimStats:
             )
             txu = tx_idx[rows, u]
             sent = metrics[txu, np.arange(txu.size)]
-            key = (txu * m + _first_argmin(metrics)) << m
+            key = (txu * m + det[:, u]) << m
             for b in range(m):
                 key += (metrics[b] <= sent) << b
             events[u] += np.bincount(key, minlength=(m * m) << m)
@@ -466,20 +460,26 @@ def sic_detect(r: complex, h: complex, cfg: SystemConfig, l: int):
 
     Runs the simulator's SIC chain on the single sample: users 1..l-1 in
     power order, each decision subtracted before the next stage, then
-    user l's own symbol.  Returns the pair
+    user l's own symbol, every stage sliced per axis.  Returns the pair
     (detected_index, prior_decision_indices).  Raises ValueError when the
     alphabet cannot be sliced per axis.
     """
     if not 1 <= l <= cfg.num_users:
         raise ValueError(f"user index {l} out of range 1..{cfg.num_users}")
-    priors, metrics = _sic_stages(
+    decisions, _ = _sic_stages(
         cfg,
         _quadrant_table(cfg.constellation),
         np.array([complex(r)]),
         np.array([complex(h)]),
         l - 1,
     )
-    return int(np.argmin(metrics[:, 0])), tuple(priors[0].tolist())
+    *priors, own = decisions[0].tolist()
+    return own, tuple(priors)
+
+
+def _wald_half_width(p: float, n: int) -> float:
+    """95% Wald half-width of a proportion p observed over n trials."""
+    return 1.959963984540054 * math.sqrt(max(p * (1 - p), 0.0) / n)
 
 
 def empirical_pep(stats: SimStats, l: int, tx: int, rx: int) -> PepEstimate:
@@ -501,13 +501,9 @@ def empirical_pep(stats: SimStats, l: int, tx: int, rx: int) -> PepEstimate:
         raise ValueError(f"no trials with symbol {tx} transmitted by user {l}")
     k = int(stats.pairwise_counts[u, tx, rx])
     p = k / n
-    if k == 0:
-        half = 3.0 / n
-    else:
-        half = 1.959963984540054 * math.sqrt(p * (1.0 - p) / n)
     return PepEstimate(
         pep=p,
-        ci_half_width=half,
+        ci_half_width=3.0 / n if k == 0 else _wald_half_width(p, n),
         error_events=k,
         conditioning_trials=n,
         low_confidence=k < 100,
@@ -597,49 +593,22 @@ def stats_rows(stats: SimStats, bits_per_symbol: int) -> list[dict]:
     Columns: snr_db, user, metric, value, ci_half_width, trials.  Metrics
     are ber, ser and pep_{tx}to{rx} for every ordered symbol pair.
     """
+    keys = ("snr_db", "user", "metric", "value", "ci_half_width", "trials")
+    symbol_errors = stats.symbol_errors
     rows = []
     for u in range(stats.num_users):
         l = u + 1
-        nbits = stats.trials * bits_per_symbol
-        ber = int(stats.bit_errors[u]) / nbits
-        ber_half = 1.959963984540054 * math.sqrt(max(ber * (1 - ber), 0.0) / nbits)
-        rows.append(
-            {
-                "snr_db": stats.snr_db,
-                "user": l,
-                "metric": "ber",
-                "value": ber,
-                "ci_half_width": ber_half,
-                "trials": stats.trials,
-            }
-        )
-        ser = int(stats.symbol_errors[u]) / stats.trials
-        ser_half = 1.959963984540054 * math.sqrt(
-            max(ser * (1 - ser), 0.0) / stats.trials
-        )
-        rows.append(
-            {
-                "snr_db": stats.snr_db,
-                "user": l,
-                "metric": "ser",
-                "value": ser,
-                "ci_half_width": ser_half,
-                "trials": stats.trials,
-            }
-        )
+        for metric, errors, n in (
+            ("ber", stats.bit_errors[u], stats.trials * bits_per_symbol),
+            ("ser", symbol_errors[u], stats.trials),
+        ):
+            p = int(errors) / n
+            rows.append((l, metric, p, _wald_half_width(p, n), stats.trials))
         for a in range(stats.m):
             for b in range(stats.m):
                 if a == b or stats.tx_counts[u, a] == 0:
                     continue
                 est = empirical_pep(stats, l, a, b)
-                rows.append(
-                    {
-                        "snr_db": stats.snr_db,
-                        "user": l,
-                        "metric": f"pep_{a}to{b}",
-                        "value": est.pep,
-                        "ci_half_width": est.ci_half_width,
-                        "trials": est.conditioning_trials,
-                    }
-                )
-    return rows
+                rows.append((l, f"pep_{a}to{b}", est.pep, est.ci_half_width,
+                             est.conditioning_trials))
+    return [dict(zip(keys, (stats.snr_db,) + row)) for row in rows]

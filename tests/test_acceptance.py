@@ -74,7 +74,7 @@ def test_criterion_1_analytic_vs_simulation():
         for l in (1, 2, 3):
             weights = sic_delta_weights(stats, l, QPSK, tx=tx)
             analytic = average_pep(l, 3, tx, rx, ALPHA3, 1.0, model, QPSK,
-                                   sic_mode="weighted", delta_weights=weights)
+                                   residuals=weights)
             est = empirical_pep(stats, l, tx, rx)
             rel = abs(analytic - est.pep) / est.pep if est.pep > 0 else math.inf
             within_rel = est.pep >= 1e-5 and rel <= 0.10

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import platform
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -354,7 +355,6 @@ def test_fig3_is_diversity_with_fig2_defaults(tmp_path):
     ).read_bytes()
 
 
-@pytest.mark.filterwarnings("ignore:skipping gamma_bar")
 @pytest.mark.parametrize("snr_db, message", [
     ("10,5", "strictly increasing"),
     ("10,10", "strictly increasing"),
@@ -367,6 +367,17 @@ def test_diversity_bad_grid_exits_2(tmp_path, capsys, snr_db, message):
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "diversity.csv").exists()
+
+
+def test_default_diversity_run_warns_nothing(tmp_path):
+    # The default grid starts at 0 dB, whose ratio-form cell is NaN; the
+    # CSV reports it and stderr stays free of library warnings.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["diversity", "--users", "2", "--out", str(tmp_path)])
+    assert rc == 0
+    _, rows = read_csv(tmp_path / "diversity.csv")
+    assert rows[0][3] == "nan"
 
 
 def test_power_does_not_move_fixed_snr_pep(tmp_path):

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import math
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from noma_pep import (
     objective_psi,
     pep_table,
     qpsk_constellation,
+    residual_tables,
     sic_weight_tables,
     simulate,
     solve,
@@ -200,11 +202,11 @@ def test_pep_table_equals_per_pair_average_pep(alpha, mode):
     cfg, L, snr_db = make_cfg(alpha), len(alpha), 15.0
     # one more delta than needed: user l reads the first l-1
     deltas = (1.414213 + 0j, 0j, 2j)[: L] if mode == "pattern" else None
-    weights = None
+    stats = weights = None
     if mode == "weighted":
-        weights = sic_weight_tables(simulate(cfg, snr_db, 100_000, seed=3),
-                                    QPSK)
-    table = pep_table(cfg, snr_db, mode, deltas, weights)
+        stats = simulate(cfg, snr_db, 100_000, seed=3)
+        weights = sic_weight_tables(stats, QPSK)
+    table = pep_table(cfg, snr_db, residual_tables(cfg, mode, deltas, stats))
     assert table.shape == (L, 4, 4)
     model = cfg.channel.with_noise(cfg.noise_var_for_snr(snr_db))
     for l in range(1, L + 1):
@@ -213,18 +215,38 @@ def test_pep_table_equals_per_pair_average_pep(alpha, mode):
             for rx in range(4):
                 if rx == tx:
                     continue
-                expected = average_pep(
-                    l, L, tx, rx, alpha, 1.0, model, QPSK, sic_mode=mode,
-                    prior_deltas=None if deltas is None else deltas[: l - 1],
-                    delta_weights=None if weights is None else weights[l, tx],
-                )
+                residuals = None
+                if mode == "pattern":
+                    residuals = {deltas[: l - 1]: 1.0}
+                elif mode == "weighted":
+                    residuals = weights[l, tx]
+                expected = average_pep(l, L, tx, rx, alpha, 1.0, model, QPSK,
+                                       residuals)
                 assert table[l - 1, tx, rx] == expected, (l, tx, rx)
 
 
 @pytest.mark.parametrize("deltas", [None, (0j,)])
 def test_pep_table_needs_l_minus_1_pattern_deltas(deltas):
     with pytest.raises(ValueError, match="at least 2"):
-        pep_table(make_cfg((0.7, 0.2, 0.1)), 10.0, "pattern", deltas)
+        residual_tables(make_cfg((0.7, 0.2, 0.1)), "pattern", deltas)
+
+
+def test_residual_tables_of_each_mode():
+    cfg = make_cfg((0.7, 0.2, 0.1))
+    assert residual_tables(cfg, "perfect") is None
+    tables = residual_tables(cfg, "pattern", (1j, 2j, 3j))
+    assert sorted(tables) == [(l, tx) for l in (1, 2, 3) for tx in range(4)]
+    for (l, tx), table in tables.items():
+        assert table == {(1j, 2j)[: l - 1]: 1.0}
+    stats = simulate(cfg, 10.0, 100_000, seed=3)
+    assert residual_tables(cfg, "weighted", stats=stats) == \
+        sic_weight_tables(stats, QPSK)
+    with pytest.raises(ValueError, match="stats"):
+        residual_tables(cfg, "weighted")
+    with pytest.raises(ValueError, match="unknown sic_mode"):
+        residual_tables(cfg, "genie")
+    with pytest.raises(ValueError, match="unknown sic_mode"):
+        make_problem(sic_mode="genie")
 
 
 def test_pep_table_calls_average_pep_once_per_user_and_pair(monkeypatch):
@@ -255,3 +277,21 @@ def test_only_pep_table_averages_hypotheses():
                 ):
                     callers.add(f"{path.stem}.{getattr(top, 'name', '')}")
     assert callers == {"optimize.pep_table", "optimize.union_bound_ber"}
+
+
+def test_sic_modes_are_named_only_by_optimize_and_cli():
+    # residual_tables is the one place where the SIC modes differ: every
+    # hypothesis-averaging entry takes one residuals argument.
+    package = Path(optimize.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name in ("optimize.py", "cli.py"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        named = {node.value for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant)
+                 and node.value in ("perfect", "pattern", "weighted")}
+        assert not named, (path.name, named)
+    for fn in (average_pep, pep_table, union_bound_ber):
+        params = inspect.signature(fn).parameters
+        assert "residuals" in params, fn.__name__
+        assert not {"sic_mode", "prior_deltas", "delta_weights"} & set(params)

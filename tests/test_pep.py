@@ -311,15 +311,14 @@ def test_average_pep_enumeration_cap(monkeypatch):
 def test_average_pep_weighted_validation():
     c = qpsk_constellation(1.0)
     model = ChannelModel(num_users=2, sigma_h_sq=0.5, noise_var=1e-2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty"):
+        average_pep(2, 2, 0, 1, (0.8, 0.2), 1.0, model, c, residuals={})
+    with pytest.raises(ValueError, match="sum to 1"):
         average_pep(2, 2, 0, 1, (0.8, 0.2), 1.0, model, c,
-                    sic_mode="weighted", delta_weights={})
-    with pytest.raises(ValueError):
+                    residuals={(0j,): 0.5})
+    with pytest.raises(ValueError, match="length 1"):
         average_pep(2, 2, 0, 1, (0.8, 0.2), 1.0, model, c,
-                    sic_mode="weighted", delta_weights={(0j,): 0.5})
-    with pytest.raises(ValueError):
-        average_pep(2, 2, 0, 1, (0.8, 0.2), 1.0, model, c,
-                    sic_mode="pattern", prior_deltas=())
+                    residuals={(): 1.0})
 
 
 def test_weighted_mode_mixes_linearly():
@@ -329,11 +328,9 @@ def test_weighted_mode_mixes_linearly():
     d = complex(c.points[0] - c.points[1])
     p_perfect = average_pep(2, 2, 0, 1, alpha, 1.0, model, c)
     p_pattern = average_pep(2, 2, 0, 1, alpha, 1.0, model, c,
-                            sic_mode="pattern", prior_deltas=(d,))
-    mixed = average_pep(
-        2, 2, 0, 1, alpha, 1.0, model, c, sic_mode="weighted",
-        delta_weights={(0j,): 0.75, (d,): 0.25},
-    )
+                            residuals={(d,): 1.0})
+    mixed = average_pep(2, 2, 0, 1, alpha, 1.0, model, c,
+                        residuals={(0j,): 0.75, (d,): 0.25})
     assert abs(mixed - (0.75 * p_perfect + 0.25 * p_pattern)) < 1e-12
 
 
@@ -463,23 +460,22 @@ def test_average_pep_matches_per_tuple_loop(L, mode):
         model = ChannelModel(num_users=L, sigma_h_sq=0.5,
                              noise_var=10 ** (-snr_db / 10))
         for l in range(1, L + 1):
-            kwargs = {"sic_mode": mode}
             if mode == "perfect":
+                table = None
                 patterns = [(1.0, (0j,) * (l - 1))]
             elif mode == "pattern":
                 deltas = tuple(diffs[i] for i in rng.integers(1, 13, l - 1))
+                table = {deltas: 1.0}
                 patterns = [(1.0, deltas)]
-                kwargs["prior_deltas"] = deltas
             else:
                 table = {}
                 for _ in range(4):
                     key = tuple(diffs[i] for i in rng.integers(0, 13, l - 1))
                     table[key] = table.get(key, 0.0) + 0.25
                 patterns = list((w, k) for k, w in table.items())
-                kwargs["delta_weights"] = table
             for tx, rx in ((0, 1), (0, 2), (3, 1)):
                 old = _looped_average_pep(l, L, tx, rx, alpha, 1.0, model, c,
                                           patterns)
-                new = average_pep(l, L, tx, rx, alpha, 1.0, model, c, **kwargs)
+                new = average_pep(l, L, tx, rx, alpha, 1.0, model, c, table)
                 worst = max(worst, abs(new - old) / old)
     assert worst < 1e-13, worst

@@ -57,6 +57,13 @@ class TestConfigValidation:
             SystemConfig(alpha=(0.8, 0.2), P=1.0, channel=ch,
                          constellation=QPSK)
 
+    def test_constellation_must_have_unit_energy(self):
+        # P alone scales the symbols; a 4x alphabet would scale them twice
+        ch = ChannelModel(num_users=1, sigma_h_sq=0.5)
+        with pytest.raises(ValueError, match="unit average power"):
+            SystemConfig(alpha=(1.0,), P=1.0, channel=ch,
+                         constellation=qpsk_constellation(4.0))
+
     def test_validation_happens_before_trials(self):
         cfg = make_cfg((0.8, 0.2))
         with pytest.raises(ValueError):
@@ -228,7 +235,7 @@ def test_weighted_average_pep_tracks_simulation():
     for l in (2, 3):
         w = sic_delta_weights(stats, l, QPSK, tx=0)
         analytic = average_pep(l, 3, 0, 1, cfg.alpha, 1.0, model, QPSK,
-                               sic_mode="weighted", delta_weights=w)
+                               residuals=w)
         est = empirical_pep(stats, l, 0, 1)
         assert abs(analytic - est.pep) / est.pep < 0.10
 
@@ -403,16 +410,6 @@ def test_blocked_batch_matches_reference_chain(L, mode, n):
         _assert_matches_reference(got, cfg, snr_db, n, seed)
 
 
-def test_first_argmin_matches_argmin_with_ties():
-    # Quantized metrics make exact ties common, including ties of the
-    # minimum across two, three or all four rows.
-    rng = np.random.default_rng(4)
-    metrics = rng.integers(0, 3, size=(4, 10_000)).astype(float)
-    metrics[:, :4] = [[1.0, 0.0, 2.0, 0.0]] * 4
-    np.testing.assert_array_equal(sim._first_argmin(metrics),
-                                  np.argmin(metrics, axis=0))
-
-
 @pytest.mark.parametrize("mode", ["uniform_random"])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_snr_list_equals_separate_calls(workers, mode):
@@ -473,7 +470,9 @@ def test_one_batch_spreads_points_over_workers(monkeypatch):
 
 @pytest.mark.parametrize("change", [
     {"channel": ChannelModel(num_users=2, sigma_h_sq=1.0)},
-    {"constellation": qpsk_constellation(2.0)},
+    # unit energy, but other bit labels
+    {"constellation": dataclasses.replace(
+        QPSK, bit_labels=("00", "01", "10", "11"))},
 ])
 def test_config_list_rejects_other_differences_before_drawing(change,
                                                               monkeypatch):
@@ -530,10 +529,11 @@ def test_pattern_counting_memory_stays_bounded():
 
 
 def _alphabet(points):
-    points = tuple(complex(p) for p in points)
-    power = float(np.mean(np.abs(np.asarray(points)) ** 2))
-    return Constellation(points=points, bit_labels=("00", "01", "11", "10"),
-                         avg_power=power)
+    """The points scaled to unit average power, as SystemConfig requires."""
+    pts = np.asarray(points, dtype=complex)
+    pts /= math.sqrt(np.mean(np.abs(pts) ** 2))
+    return Constellation(points=tuple(complex(p) for p in pts),
+                         bit_labels=("00", "01", "11", "10"), avg_power=1.0)
 
 
 @pytest.mark.parametrize("points", [
