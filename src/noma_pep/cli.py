@@ -33,8 +33,9 @@ when a later flag shares its prefix.  Every subcommand takes --config,
 --out and --workers (which only a simulation uses).
 
 Exit codes: 0 success, 2 configuration error (including non-finite
-flag values, unknown config keys, empty SNR ranges and --workers below
-1), 3 numerical failure, 4 infeasible optimization.
+flag values, unknown config keys, empty SNR ranges, --workers below 1
+and --prior-deltas outside pattern mode), 3 numerical failure, 4
+infeasible optimization.
 """
 
 from __future__ import annotations
@@ -448,6 +449,10 @@ def _resolve(flags: argparse.Namespace) -> dict:
     if values["workers"] < 1:
         raise ValueError(
             f"--workers must be at least 1, got {values['workers']}")
+    if values.get("prior_deltas") is not None \
+            and values["sic_mode"] != "pattern":
+        raise ValueError("--prior-deltas is read only in pattern mode, "
+                         f"not with --sic-mode {values['sic_mode']}")
     return values
 
 

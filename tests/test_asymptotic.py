@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -138,6 +139,48 @@ def test_upper_bound_slope_approaches_order():
 
 def test_upper_bound_vanishes_at_infinite_snr():
     assert pep_upper_bound(2, 3, 1e12, 1.0, 2.0) < 1e-9
+
+
+def _mp_chernoff_average(l, L, x):
+    """The partial-fraction form A_l sum_j C(l-1,j) (-1)^j / (z_j + x),
+    with x = gamma_bar*b, at a precision that absorbs its cancellation."""
+    with mpmath.workdps(150):
+        total = sum(mpmath.binomial(l - 1, j) * (-1) ** j
+                    / (j + L - l + 1 + mpmath.mpf(x)) for j in range(l))
+        return l * mpmath.binomial(L, l) * total
+
+
+def _mp_upper_bound(l, L, x):
+    """The linearized bound integrated term by term: for each density term
+    int_0^inf (1 - t)^z e^(-x t) dt = sum_k C(z,k) (-1)^k k! / x^(k+1)."""
+    with mpmath.workdps(150):
+        x = mpmath.mpf(x)
+        total = 0
+        for j in range(l):
+            z = j + L - l + 1
+            total += mpmath.binomial(l - 1, j) * (-1) ** j * sum(
+                mpmath.binomial(z, k) * (-1) ** k * mpmath.factorial(k)
+                / x ** (k + 1) for k in range(z + 1))
+        return l * mpmath.binomial(L, l) * total
+
+
+@pytest.mark.parametrize("L", range(1, 11))
+def test_bounds_positive_and_accurate_up_to_100_db(L):
+    # b = beta^2/(4 dsq) = 1/8 exactly; the alternating sums cancel about
+    # (gamma_bar*b)^(l-1), which once drove both bounds negative.
+    beta, dsq = 1.0, 2.0
+    for snr in range(0, 101, 10):
+        gbar = 10.0 ** (snr / 10)
+        x = mpmath.mpf(gbar) / 8
+        for l in range(1, L + 1):
+            exact = _mp_chernoff_average(l, L, x)
+            got = chernoff_average(l, L, gbar, beta, dsq)
+            assert got > 0 and abs(got - exact) <= 1e-12 * exact, (l, snr)
+            if gbar / 8 < 10:  # outside the linearization's validity region
+                continue
+            exact = _mp_upper_bound(l, L, x)
+            got = pep_upper_bound(l, L, gbar, beta, dsq)
+            assert got > 0 and abs(got - exact) <= 1e-12 * exact, (l, snr)
 
 
 def test_effective_diversity_exact_power_law():

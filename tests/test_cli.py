@@ -1,7 +1,10 @@
 import hashlib
 import importlib
 import json
+import os
 import platform
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -450,3 +453,42 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["pep", "--users", "2", "--sic-mode", "perfect", "--snr-db", "10"],
+    ["optimize", "--grid-step", "0.01"],
+    ["fig4", "--grid-step", "0.01", "--sic-mode", "perfect"],
+], ids=["pep", "optimize", "fig4"])
+def test_prior_deltas_outside_pattern_mode_exits_2(tmp_path, monkeypatch,
+                                                   capsys, argv):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulate called")
+
+    monkeypatch.setattr(cli, "simulate", no_simulation)
+    monkeypatch.setattr(optimize, "simulate", no_simulation)
+    rc = main(argv + ["--prior-deltas", "5j", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "--prior-deltas is read only in pattern mode" in (
+        capsys.readouterr().err)
+    assert not list(tmp_path.iterdir())
+
+
+def test_high_snr_bounds_stay_positive(tmp_path):
+    assert main(["bound", "--users", "6", "--snr-db", "40,60,80",
+                 "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "bound.csv")
+    assert len(rows) == 3 * 6 * 3
+    assert all(float(r[3]) > 0 for r in rows), [r for r in rows
+                                                if float(r[3]) <= 0]
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys, noma_pep, noma_pep.cli; "
+            "print('scipy.special' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -426,6 +426,37 @@ def test_average_pep_non_finite_power_raises():
         average_pep(1, 2, 0, 1, (0.8, 0.2), math.nan, model, c)
 
 
+# ------------------------------------------------- per-process kernel memo
+
+
+def test_kernel_memo_returns_the_cold_value():
+    c = qpsk_constellation(1.0)
+    model = ChannelModel(num_users=3, sigma_h_sq=0.5, noise_var=1e-2)
+    args = (1, 3, 0, 1, (0.7, 0.2, 0.1), 1.0, model, c)
+    pep_mod._pep_kernel.cache_clear()
+    cold = average_pep(*args)
+    misses = pep_mod._pep_kernel.cache_info().misses
+    warm = average_pep(*args)
+    info = pep_mod._pep_kernel.cache_info()
+    assert warm == cold
+    assert info.hits > 0 and info.misses == misses
+
+
+@pytest.mark.parametrize("ratio, sigma_h_sq", [(math.nan, 0.5), (math.inf, 0.5),
+                                               (-math.inf, 0.5),
+                                               (0.5, math.nan)])
+def test_kernel_memo_stores_no_failure(ratio, sigma_h_sq):
+    pep_mod._pep_kernel.cache_clear()
+    for _ in range(2):
+        with pytest.raises(NumericalError):
+            pep_mod._pep_kernel(1, 2, ratio, sigma_h_sq)
+    assert pep_mod._pep_kernel.cache_info().currsize == 0
+
+
+def test_kernel_memo_bound():
+    assert pep_mod._pep_kernel.cache_info().maxsize == 1 << 16
+
+
 # ------------------------------- hypothesis averaging against the old loop
 
 
