@@ -65,6 +65,7 @@ from .pep import average_pep  # noqa: F401
 from .simulate import (
     SystemConfig,
     empirical_pep,
+    linear_snr,
     sic_weight_tables,
     simulate,
     stats_rows,
@@ -261,7 +262,8 @@ def cmd_bound(s: dict, out: Path) -> list[str]:
     for snr in s["snr_db"]:
         # average instantaneous SNR E[|h|^2]/sigma_n^2 with
         # sigma_n^2 = P/10^(snr/10)
-        gamma_bar = 2.0 * cfg.channel.sigma_h_sq * 10.0 ** (snr / 10.0) / cfg.P
+        gamma_bar = (2.0 * cfg.channel.sigma_h_sq * linear_snr(snr, cfg.P)
+                     / cfg.P)
         for l in range(1, cfg.num_users + 1):
             beta = float(np.sqrt(cfg.alpha[l - 1] * cfg.P)) * delta_sq
             terms = (l, cfg.num_users, gamma_bar, beta, delta_sq)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .constellation import Constellation, bit_errors
 from .pep import average_pep
-from .simulate import SystemConfig, sic_weight_tables, simulate
+from .simulate import SystemConfig, linear_snr, sic_weight_tables, simulate
 
 __all__ = [
     "OptimizationProblem",
@@ -180,7 +180,7 @@ def union_bound_ber(
     computed by objective_psi and solve.
     """
     a = tuple(float(x) for x in alpha)
-    noisy = model.with_noise(P / 10.0 ** (snr_db / 10.0))
+    noisy = model.with_noise(P / linear_snr(snr_db, P))
     m = constellation.size
     peps = np.zeros((m, m))
     for tx, rx in permutations(range(m), 2):

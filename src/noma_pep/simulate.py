@@ -5,20 +5,24 @@ passes the sum through each user's ordered Rayleigh channel plus AWGN, and
 runs the sequential minimum-distance SIC receiver at every user.  SIC
 decision errors propagate; there is no genie correction.
 
-A batch draws all of its random numbers first, then detects in row
-blocks of BLOCK_ROWS trials, so the temporaries of the detector stay
-small whatever the batch size.  The draws depend neither on the SNR nor
-on the power allocation: the noise is drawn as standard normals and
-scaled per block, and the superposition is built per allocation from
-the drawn symbols.  So one batch serves every SNR point and every
-allocation (alpha, P) of a call (common random numbers), and only the
-superposition and the detection run per point.  Every SIC stage, the
-user's own included, decides by the signs of the real and imaginary
-parts of the derotated residual, which is the minimum-distance decision
-for alphabets with one point per quadrant, mirrored across both axes
-(QPSK); simulate and sic_detect reject any other alphabet.  The own
-stage also computes the full distance metrics, which only the pairwise
-counters read.
+A batch draws all of its random numbers first (gains, symbols, noise)
+and keeps only what detection reads: each trial's per-axis symbol
+signs and the gain-normalised noise q = z/h of every user, stored as
+contiguous real arrays.  Neither depends on the SNR or on the power
+allocation, so one batch serves every SNR point and every allocation
+(alpha, P) of a call (common random numbers), and only the detection
+runs per point.  Dividing r = h s + sigma z by h leaves y = s + sigma q
+per user, and along each axis the superposition s is a signed sum of
+the steps sqrt(alpha_k P) a (a the magnitude of the axis components of
+the alphabet).  Every SIC stage, the user's own included, decides the
+sign of each axis of the residual of y and subtracts its step with
+that sign, which is the minimum-distance chain for alphabets with one
+point per quadrant, mirrored across both axes (QPSK); simulate and
+sic_detect reject any other alphabet.  Detection runs in row blocks of
+BLOCK_ROWS trials in reused buffers, so its temporaries stay small
+whatever the batch size.  For the pairwise counters the own stage keeps
+three bits per trial: whether the hypothesis that flips the real part,
+the imaginary part or both of the sent symbol scores no worse than it.
 
 Counters are plain integers so that merging partial runs is exact
 component-wise addition: a run split into batches gives byte-identical
@@ -42,6 +46,7 @@ from .constellation import Constellation
 
 __all__ = [
     "SystemConfig",
+    "linear_snr",
     "SimStats",
     "PepEstimate",
     "simulate",
@@ -106,7 +111,25 @@ class SystemConfig:
 
     def noise_var_for_snr(self, snr_db: float) -> float:
         """SNR convention: snr_db = 10*log10(P / sigma_n^2)."""
-        return self.P / 10.0 ** (snr_db / 10.0)
+        return self.P / linear_snr(snr_db, self.P)
+
+
+def linear_snr(snr_db: float, P: float = 1.0) -> float:
+    """10**(snr_db/10), the ratio P / sigma_n^2 of the SNR convention.
+
+    Raises ValueError unless it and the noise variance P / 10**(snr_db/10)
+    are finite and positive, so that an SNR too large or too small for a
+    float fails as a configuration error.
+    """
+    try:
+        ratio = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not (0.0 < ratio < math.inf and 0.0 < P / ratio < math.inf):
+        raise ValueError(
+            f"SNR {snr_db} dB is out of range: the linear SNR and the noise "
+            f"variance at total power {P} must be finite and positive")
+    return ratio
 
 
 @dataclass
@@ -201,25 +224,10 @@ def superposed_signal(cfg: SystemConfig, symbol_indices: np.ndarray) -> np.ndarr
     return pts[np.asarray(symbol_indices)] @ coeff
 
 
-def _decision_metrics(w, gain, pts):
-    """Squared distances |residual - scale * point|^2 up to a common term.
-
-    Takes w = residual * conj(scale) and gain = |scale|^2.  Row j holds
-    hypothesis j, shape (M, n), so every row is one pass over the
-    samples.  Dropping |residual|^2 leaves all pairwise metric
-    differences unchanged.
-    """
-    energy = np.abs(pts) ** 2
-    metrics = np.empty((pts.size, w.size))
-    for j in range(pts.size):
-        metrics[j] = -2.0 * np.real(w * np.conj(pts[j])) + gain * energy[j]
-    return metrics
-
-
 def _quadrant_table(constellation: Constellation) -> np.ndarray:
     """Symbol index of each quadrant, keyed 2*(re < 0) + (im < 0).
 
-    Slicing each axis of the derotated residual by sign is the
+    Slicing each axis of the gain-normalised residual by sign is the
     minimum-distance decision only when the alphabet has one point per
     quadrant and the points mirror each other across both axes, as QPSK
     does; any other alphabet raises ValueError.
@@ -242,37 +250,51 @@ def _quadrant_table(constellation: Constellation) -> np.ndarray:
     return table
 
 
-def _sic_stages(cfg: SystemConfig, quadrant, residual, h, u: int):
-    """Sequential SIC chain of user u+1 over its received samples.
+def _axis_steps(cfg: SystemConfig) -> np.ndarray:
+    """Per-axis SIC steps of cfg, shape (2, L).
 
-    Detects users 1..u+1 in power order, each by the quadrant (table from
-    _quadrant_table) of the residual derotated by its power-scaled gain,
-    and subtracts each decision before the next stage; the last stage is
-    user u+1's own decision.  A component that is exactly zero counts as
-    non-negative.  Returns the stage decisions, shape (n, u+1), and user
-    u+1's own decision metrics, shape (M, n), which only the pairwise
-    counters read.
+    steps[0, k] and steps[1, k] are sqrt(alpha_k P) times the magnitude of
+    the real and of the imaginary part of the points of an alphabet that
+    _quadrant_table accepts.  Along each axis of y = r/h, user k+1's
+    signal is +steps[:, k] or -steps[:, k]: the superposition is a signed
+    sum of the steps, SIC stage k subtracts its step with the sign it
+    decided, and the stage thresholds are the partial sums.
     """
-    pts = cfg.constellation.points_array()
+    p = cfg.constellation.points_array()[0]
     coeff = np.sqrt(np.asarray(cfg.alpha) * cfg.P)
-    decisions = np.empty((residual.size, u + 1), dtype=np.int64)
+    return np.array([abs(p.real) * coeff, abs(p.imag) * coeff])
+
+
+def _sic_chain(y, steps, u: int, work=None) -> np.ndarray:
+    """User u+1's SIC chain on both axes of its gain-normalised samples.
+
+    y has shape (2, n): the real and imaginary parts of r/h.  Stage k,
+    for k = 0..u in power order, decides the sign of each axis of the
+    residual, a component that is exactly zero counting as non-negative;
+    stages k < u then subtract steps[:, k] with the decided signs, and
+    stage u is the user's own decision.  Overwrites y with the residual
+    of the own stage and returns the decisions per axis, shape (2, n):
+    bit k is set where stage k decided negative.  work, if given, is a
+    float scratch array shaped like y.
+    """
+    leaf = np.zeros(y.shape, dtype=np.min_scalar_type((2 << u) - 1))
     for k in range(u + 1):
-        scale = coeff[k] * h
-        w = residual * np.conj(scale)
-        decisions[:, k] = quadrant[2 * (w.real < 0) + (w.imag < 0)]
+        neg = y < 0
+        leaf += neg * leaf.dtype.type(1 << k)
         if k < u:
-            residual = residual - scale * pts[decisions[:, k]]
-    return decisions, _decision_metrics(w, np.abs(scale) ** 2, pts)
+            # exactly -steps where negative and +steps elsewhere
+            delta = np.multiply(neg, -2.0 * steps[:, k, None], out=work)
+            delta += steps[:, k, None]
+            y -= delta
+    return leaf
 
 
-def _superposition(cfg: SystemConfig, tx_idx) -> np.ndarray:
-    """superposed_signal of every trial, built in blocks of BLOCK_ROWS rows
-    so that its (n, L) complex temporary stays small."""
-    s = np.empty(tx_idx.shape[0], dtype=np.complex128)
-    for start in range(0, s.size, BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        s[rows] = superposed_signal(cfg, tx_idx[rows])
-    return s
+def _stage_symbols(quadrant, re, im, k: int):
+    """Symbol indices of stage (or user) k+1 from per-axis sign bits.
+
+    Bit k of re (im) is set where the real (imaginary) part is negative.
+    """
+    return quadrant[2 * ((re >> k) & 1) + ((im >> k) & 1)]
 
 
 def _run_batch(points, quadrant, n: int, seed: int) -> list[SimStats]:
@@ -283,7 +305,31 @@ def _run_batch(points, quadrant, n: int, seed: int) -> list[SimStats]:
     standard-normal noise, with its config's superposition and its own
     noise level.
     """
-    cfg = points[0][0]
+    signs, q = _draw_batch(points[0][0], n, seed)
+    s = np.empty((2, n))
+    stats, built = [], None
+    for c, snr_db in points:
+        if c != built:
+            steps, built = _axis_steps(c), c
+            # table[x, j]: axis x of the superposition of symbols whose
+            # signs along x are the bits of j, a signed sum of the steps
+            j = np.arange(1 << c.num_users)[:, None]
+            table = steps @ (1 - 2 * ((j >> np.arange(c.num_users)) & 1)).T
+            for x in range(2):
+                s[x] = table[x][signs[x]]
+        stats.append(_detect_batch(c, quadrant, snr_db, steps, signs, s, q))
+    return stats
+
+
+def _draw_batch(cfg: SystemConfig, n: int, seed: int):
+    """Draw one batch and keep what detection reads of it.
+
+    Returns signs, shape (2, n), where bit k of signs[0] (signs[1]) is set
+    when user k+1's symbol has a negative real (imaginary) part, and the
+    gain-normalised noise q = z/h, shape (2, L, n): the real and the
+    imaginary parts of each user's standard-normal noise over its ordered
+    gain.  Neither depends on the SNR or on (alpha, P).
+    """
     rng = np.random.default_rng(seed)
     L = cfg.num_users
     m = cfg.constellation.size
@@ -291,74 +337,136 @@ def _run_batch(points, quadrant, n: int, seed: int) -> list[SimStats]:
 
     # Draw order is fixed (gains, symbols, noise) so a batch is a pure
     # function of (channel, constellation, n, seed).
-    # rng.normal(scale=s) returns s times the standard normal it draws,
-    # so scaling z below is bitwise equal to drawing the noise at each
-    # SNR's scale.
-    h = np.empty((n, L), dtype=np.complex128)
-    h.real = rng.normal(scale=std_h, size=(n, L))
-    h.imag = rng.normal(scale=std_h, size=(n, L))
-    order = np.argsort(h.real**2 + h.imag**2, axis=1, kind="stable")
-    h = np.take_along_axis(h, order, axis=1)
-    tx_idx = rng.integers(0, m, size=(n, L))
-    z = np.empty((n, L), dtype=np.complex128)
-    z.real = rng.standard_normal(size=(n, L))
-    z.imag = rng.standard_normal(size=(n, L))
-    stats, built = [], None
-    for c, snr_db in points:
-        if c != built:
-            s, built = _superposition(c, tx_idx), c
-        stats.append(_detect_batch(c, quadrant, snr_db, h, tx_idx, s, z))
-    return stats
+    hr = rng.normal(scale=std_h, size=(n, L))
+    hi = rng.normal(scale=std_h, size=(n, L))
+    g = hr * hr
+    g += hi * hi
+    # 1/h = (hr - j hi)/g; dividing before the sort lets g go first
+    hr /= g
+    hi /= g
+    order = np.argsort(g, axis=1, kind="stable")
+    del g
+    hr = np.take_along_axis(hr, order, axis=1)
+    hi = np.take_along_axis(hi, order, axis=1)
+    del order
 
+    tx = rng.integers(0, m, size=(n, L))
+    pts = cfg.constellation.points_array()
+    signs = np.zeros((2, n), dtype=np.min_scalar_type((1 << L) - 1))
+    for x, negative in enumerate((pts.real < 0, pts.imag < 0)):
+        for k in range(L):
+            signs[x] += (negative << k).astype(signs.dtype)[tx[:, k]]
+    del tx
 
-def _detect_batch(cfg, quadrant, snr_db, h, tx_idx, s, z) -> SimStats:
-    """Run every user's SIC chain over a drawn batch at one SNR."""
-    n, L = h.shape
-    m = cfg.constellation.size
-    std_n = math.sqrt(cfg.noise_var_for_snr(snr_db) / 2.0)
-
-    # events[u, a, d, e]: trials of user u+1 that sent a, detected d, and
-    # in which hypothesis b scored no worse than a exactly when bit b of e
-    # is set.
-    events = np.zeros((L, (m * m) << m), dtype=np.int64)
-    patterns = []
-    code = np.empty(n, dtype=np.int64)
-    for u in range(L):
+    # The noise is drawn in row blocks, the same stream as one draw, so
+    # that q and the gains are the only whole-batch float arrays.
+    q = np.empty((2, L, n))
+    for part in range(2):  # real parts of z, then imaginary parts
         for start in range(0, n, BLOCK_ROWS):
             rows = slice(start, start + BLOCK_ROWS)
-            hu = h[rows, u]
-            det, metrics = _sic_stages(
-                cfg, quadrant, hu * s[rows] + std_n * z[rows, u], hu, u
-            )
-            txu = tx_idx[rows, u]
-            sent = metrics[txu, np.arange(txu.size)]
-            key = (txu * m + det[:, u]) << m
-            for b in range(m):
-                key += (metrics[b] <= sent) << b
-            events[u] += np.bincount(key, minlength=(m * m) << m)
+            z = rng.standard_normal(size=(min(BLOCK_ROWS, n - start), L)).T
+            ur, ui = hr[rows].T, hi[rows].T
+            if part == 0:
+                np.multiply(z, ur, out=q[0, :, rows])
+                np.multiply(z, ui, out=q[1, :, rows])
+                np.negative(q[1, :, rows], out=q[1, :, rows])
+            else:
+                q[0, :, rows] += z * ui
+                q[1, :, rows] += z * ur
+    return signs, q
 
-            # Key: own transmitted symbol in the lowest base-m digit, then
-            # one base-m^2 digit per SIC stage for the (tx, detected) pair.
-            c = code[rows]
-            c[:] = txu
-            mult = m
-            for k in range(u):
-                c += (tx_idx[rows, k] * m + det[:, k]) * mult
-                mult *= m * m
-        values, counts = np.unique(code, return_counts=True)
-        patterns.append(dict(zip(values.tolist(), counts.tolist())))
 
-    events = events.reshape(L, m, m, 1 << m)
+def _detect_batch(cfg, quadrant, snr_db, steps, signs, s, q) -> SimStats:
+    """Run every user's SIC chain over a drawn batch at one SNR.
+
+    User u+1's chain works on y = s + sigma * q[:, u], both axes of r/h,
+    where s, shape (2, n), is the superposition of the batch's symbols
+    under cfg.  Rows are detected in blocks of BLOCK_ROWS in reused
+    buffers.
+    """
+    L, n = q.shape[1:]
+    m = cfg.constellation.size
+    sigma = math.sqrt(cfg.noise_var_for_snr(snr_db) / 2.0)
+    pts = cfg.constellation.points_array()
+    half = np.abs([[pts[0].real], [pts[0].imag]])
+    y_buf = np.empty((2, min(n, BLOCK_ROWS)))
+    work_buf = np.empty_like(y_buf)
+
+    # keyed[u, e]: trials of user u+1 with event key e.  From bit 0 up, e
+    # holds the real and the imaginary sign of the sent symbol a (a set
+    # bit is negative), those of the own decision d, and three bits set
+    # when the hypothesis that differs from a in the real part, in the
+    # imaginary part or in both scored no worse than a.
+    keyed = np.zeros((L, 128), dtype=np.int64)
+    patterns = []
+    for u in range(L):
+        # Pattern key, from bit 0 up: the real and then the imaginary sign
+        # bits of users 1..u+1's symbols, then those of stages 1..u's
+        # decisions, w = u+1 bits per group of symbols.  It is at least 16
+        # bits wide because np.unique sorts uint8 far more slowly.
+        w = u + 1
+        keys = np.empty(n, dtype=np.promote_types(
+            np.uint16, np.min_scalar_type((1 << (4 * w - 2)) - 1)))
+        digit = keys.dtype.type
+        for start in range(0, n, BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
+            size = min(BLOCK_ROWS, n - start)
+            y = np.multiply(q[:, u, rows], sigma, out=y_buf[:, :size])
+            y += s[:, rows]
+            work = work_buf[:, :size]
+            leaf = _sic_chain(y, steps, u, work)
+            sent = (signs[:, rows] & (1 << u)) != 0
+            # t: the axes of Re(x * conj(a)), x the own residual; a
+            # hypothesis beats a when the terms it flips sum to <= 0
+            t = np.multiply(sent, -2.0 * half, out=work)
+            t += half
+            t *= y
+            axis = np.uint8(4) * (leaf >= (1 << u))
+            axis += sent
+            axis += np.uint8(16) * (t <= 0)
+            key = axis[0] + np.uint8(2) * axis[1]
+            key += np.uint8(64) * (np.add(t[0], t[1], out=y[0]) <= 0)
+            keyed[u] += np.bincount(key, minlength=128)
+
+            pk = keys[rows]
+            np.bitwise_and(signs[0, rows], (1 << w) - 1, out=pk)
+            pk += (signs[1, rows] & ((1 << w) - 1)) * digit(1 << w)
+            pk += (leaf[0] & ((1 << u) - 1)) * digit(1 << 2 * w)
+            pk += (leaf[1] & ((1 << u) - 1)) * digit(1 << 3 * w - 1)
+        values, counts = np.unique(keys, return_counts=True)
+        sr = values.astype(np.int64)
+        si, dr, di = sr >> w, sr >> 2 * w, sr >> 3 * w - 1
+        # Pattern code: own transmitted symbol in the lowest base-m digit,
+        # then one base-m^2 digit per SIC stage for the (tx, detected) pair
+        code = _stage_symbols(quadrant, sr, si, u)
+        mult = m
+        for k in range(u):
+            code += (_stage_symbols(quadrant, sr, si, k) * m
+                     + _stage_symbols(quadrant, dr, di, k)) * mult
+            mult *= m * m
+        order = np.argsort(code)
+        patterns.append(dict(zip(code[order].tolist(),
+                                 counts[order].tolist())))
+
+    # events[u, a, d, f]: the keyed counts by sent symbol, decision and
+    # the three hypothesis bits.  flips[a, b] is 1, 2 or 3 when b differs
+    # from a in the real part, the imaginary part or both, and b beat a
+    # in the trials whose bit flips - 1 of f is set.
+    e = np.arange(128)
+    events = np.zeros((L, m, m, 8), dtype=np.int64)
+    events[:, _stage_symbols(quadrant, e, e >> 1, 0),
+           _stage_symbols(quadrant, e >> 2, e >> 3, 0), e >> 4] = keyed
+    neg = np.array([pts.real < 0, pts.imag < 0], dtype=np.int64)
+    flips = (neg[0, :, None] != neg[0]) + 2 * (neg[1, :, None] != neg[1])
+    mask = (flips[..., None] > 0) & (
+        (np.arange(8) >> np.maximum(flips - 1, 0)[..., None]) & 1 == 1)
     detected = events.sum(axis=3)
-    beats = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
-    pairwise = events.sum(axis=2) @ beats
-    # The sent symbol always scores no worse than itself; b = a is no event.
-    pairwise[:, np.arange(m), np.arange(m)] = 0
     return SimStats(
         snr_db=snr_db,
         trials=n,
         detected_counts=detected,
-        pairwise_counts=pairwise,
+        pairwise_counts=np.einsum("uadf,abf->uab", events,
+                                  mask.astype(np.int64)),
         bit_errors=(detected * cfg.constellation._bit_diff).sum(axis=(1, 2)),
         delta_pattern_counts=patterns,
     )
@@ -392,7 +500,8 @@ def simulate(
     spread over `workers` processes; a single batch with several
     (configuration, SNR) points spreads the points instead, each process
     drawing the same batch.  Raises ValueError before any draw when an
-    SNR is not finite, a sequence is empty, the configurations differ in
+    SNR is not finite or out of range for a configuration (see
+    linear_snr), a sequence is empty, the configurations differ in
     more than alpha and P, or the alphabet cannot be sliced per axis (see
     _quadrant_table), and for fewer than one trial, worker or batch row.
     """
@@ -406,6 +515,9 @@ def simulate(
         raise ValueError("need at least one SNR point")
     if not all(math.isfinite(s) for s in snrs):
         raise ValueError(f"SNR values must be finite, got {snr_db!r}")
+    for c in cfgs:
+        for s in snrs:
+            c.noise_var_for_snr(s)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     if batch_size < 1:
@@ -458,22 +570,27 @@ def _run_batch_star(args):
 def sic_detect(r: complex, h: complex, cfg: SystemConfig, l: int):
     """Sequential SIC detection of one received sample at user l.
 
-    Runs the simulator's SIC chain on the single sample: users 1..l-1 in
-    power order, each decision subtracted before the next stage, then
-    user l's own symbol, every stage sliced per axis.  Returns the pair
-    (detected_index, prior_decision_indices).  Raises ValueError when the
-    alphabet cannot be sliced per axis.
+    Runs the simulator's SIC chain on the single sample y = r/h: users
+    1..l-1 in power order, each decision subtracted before the next
+    stage, then user l's own symbol, every stage sliced per axis.
+    Returns the pair (detected_index, prior_decision_indices).  Raises
+    ValueError when the alphabet cannot be sliced per axis.
     """
     if not 1 <= l <= cfg.num_users:
         raise ValueError(f"user index {l} out of range 1..{cfg.num_users}")
-    decisions, _ = _sic_stages(
-        cfg,
-        _quadrant_table(cfg.constellation),
-        np.array([complex(r)]),
-        np.array([complex(h)]),
-        l - 1,
-    )
-    *priors, own = decisions[0].tolist()
+    quadrant = _quadrant_table(cfg.constellation)
+    r, h = complex(r), complex(h)
+    # y = r * conj(h) / |h|^2, as the simulator normalises its noise; a
+    # zero gain gives NaN, which every stage decides as non-negative
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.float64(h.real * h.real + h.imag * h.imag)
+        ur, ui = h.real / g, h.imag / g
+        y = np.array([[r.real * ur + r.imag * ui],
+                      [r.imag * ur - r.real * ui]])
+        leaf = _sic_chain(y, _axis_steps(cfg), l - 1)
+    re, im = int(leaf[0, 0]), int(leaf[1, 0])
+    *priors, own = (int(_stage_symbols(quadrant, re, im, k))
+                    for k in range(l))
     return own, tuple(priors)
 
 

@@ -251,6 +251,18 @@ def test_workers_below_one_exits_2(tmp_path, capsys, command, workers):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command", ["pep", "diversity", "bound", "simulate"])
+@pytest.mark.parametrize("snr_db", ["4000", "-4000"])
+def test_out_of_range_snr_exits_2(tmp_path, capsys, command, snr_db):
+    # The linear SNR overflows a float at 4000 dB and the noise variance
+    # has no finite value at -4000 dB: a configuration error, not a crash.
+    rc = main([command, "--users", "2", f"--snr-db={snr_db}",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "out of range" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_benchmark_workloads_parse(monkeypatch):
     bench = Path(__file__).resolve().parents[1] / "bench"
     monkeypatch.syspath_prepend(str(bench))

@@ -284,6 +284,15 @@ def test_stats_rows_schema():
         assert 0.0 <= r["value"] <= 1.0
 
 
+def metrics_of(residual, scale, pts):
+    """Squared distances |residual - scale * point|^2 up to a common term,
+    one row per sample and one column per point of pts."""
+    w = residual * np.conj(scale)
+    return -2.0 * np.real(w[:, None] * np.conj(pts)[None, :]) + (
+        np.abs(scale) ** 2
+    )[:, None] * (np.abs(pts) ** 2)[None, :]
+
+
 def _reference_batch(cfg, snr_db, sigma_n_sq, n, seed):
     """Full-batch SIC chain the blocked simulator must reproduce exactly.
 
@@ -299,12 +308,6 @@ def _reference_batch(cfg, snr_db, sigma_n_sq, n, seed):
     coeff = np.sqrt(np.asarray(cfg.alpha) * cfg.P)
     std_h = math.sqrt(cfg.channel.sigma_h_sq)
     std_n = math.sqrt(sigma_n_sq / 2.0)
-
-    def metrics_of(residual, scale):
-        w = residual * np.conj(scale)
-        return -2.0 * np.real(w[:, None] * np.conj(pts)[None, :]) + (
-            np.abs(scale) ** 2
-        )[:, None] * (np.abs(pts) ** 2)[None, :]
 
     h = rng.normal(scale=std_h, size=(n, L)) + 1j * rng.normal(
         scale=std_h, size=(n, L)
@@ -332,10 +335,10 @@ def _reference_batch(cfg, snr_db, sigma_n_sq, n, seed):
         residual = hu * s + noise[:, u]
         det = np.empty((n, u), dtype=np.int64)
         for k in range(u):
-            dk = np.argmin(metrics_of(residual, coeff[k] * hu), axis=1)
+            dk = np.argmin(metrics_of(residual, coeff[k] * hu, pts), axis=1)
             residual = residual - coeff[k] * hu * pts[dk]
             det[:, k] = dk
-        metrics = metrics_of(residual, coeff[u] * hu)
+        metrics = metrics_of(residual, coeff[u] * hu, pts)
         du = np.argmin(metrics, axis=1)
         txu = tx_idx[:, u]
         tx_counts[u] = np.bincount(txu, minlength=m)
@@ -559,3 +562,91 @@ def test_quadrant_table_matches_minimum_distance():
     # A rectangle with one point per quadrant slices the same way.
     rect = _alphabet((2 + 1j, -2 + 1j, -2 - 1j, 2 - 1j))
     np.testing.assert_array_equal(sim._quadrant_table(rect), table)
+
+
+def test_axis_steps_hand_values():
+    # QPSK points are (+-a, +-a) with a = 1/sqrt(2); at L = 2 (0.8, 0.2)
+    # stage 1 subtracts +-sqrt(0.8) a and stage 2 +-sqrt(0.2) a per axis.
+    cfg = make_cfg((0.8, 0.2))
+    a = math.sqrt(0.5)
+    steps = sim._axis_steps(cfg)
+    np.testing.assert_allclose(
+        steps, [[math.sqrt(0.8) * a, math.sqrt(0.2) * a]] * 2, rtol=1e-15)
+    # Every superposition is a signed sum of the steps, axis by axis.
+    pts = QPSK.points_array()
+    idx = np.array([(a1, a2) for a1 in range(4) for a2 in range(4)])
+    s = superposed_signal(cfg, idx)
+    np.testing.assert_allclose(s.real, np.sign(pts[idx].real) @ steps[0],
+                               rtol=1e-15, atol=1e-15)
+    np.testing.assert_allclose(s.imag, np.sign(pts[idx].imag) @ steps[1],
+                               rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_sic_detect_equals_argmin_chain(L):
+    # One SIC model: slicing r/h per axis decides, stage by stage, as the
+    # sequential minimum-distance chain on r does.
+    cfg = make_cfg(REFERENCE_ALPHA[L])
+    pts = QPSK.points_array()
+    coeff = np.sqrt(np.asarray(cfg.alpha) * cfg.P)
+    rng = np.random.default_rng(40 + L)
+    n = 5_000  # 20,000 samples over the four user counts
+    h = rng.normal(size=n) + 1j * rng.normal(size=n)
+    noise = rng.normal(size=n) + 1j * rng.normal(size=n)
+    r = h * (pts[rng.integers(0, 4, size=(n, L))] @ coeff) + 0.3 * noise
+    chain = np.empty((n, L), dtype=np.int64)
+    residual = r
+    for k in range(L):
+        chain[:, k] = np.argmin(metrics_of(residual, coeff[k] * h, pts),
+                                axis=1)
+        residual = residual - coeff[k] * h * pts[chain[:, k]]
+    users = rng.integers(1, L + 1, size=n)
+    for i, l in enumerate(users.tolist()):
+        det, priors = sic_detect(r[i], h[i], cfg, l)
+        assert (det, priors) == (chain[i, l - 1], tuple(chain[i, :l - 1]))
+
+
+def test_exact_zero_component_counts_as_non_negative():
+    cfg = make_cfg((0.8, 0.2))
+    steps = sim._axis_steps(cfg)
+    # With h = 1, y = r.  Stage 1 decides point 0 (+a, +a) and leaves a
+    # real part of exactly zero and a negative imaginary part, which the
+    # own stage slices to point 3 (+a, -a), not point 2 (-a, -a).
+    r = complex(steps[0, 0], steps[1, 0] - steps[1, 1])
+    assert sic_detect(r, 1.0, cfg, 2) == (3, (0,))
+    for zero in (0.0, -0.0):
+        assert sic_detect(complex(zero, -0.3), 1.0, cfg, 1) == (3, ())
+    leaf = sim._sic_chain(np.array([[0.0, -0.0], [-1.0, 1.0]]), steps, 0)
+    np.testing.assert_array_equal(leaf, [[0, 0], [1, 0]])
+
+
+def test_simulate_peak_memory_stays_within_seven_batch_arrays():
+    # The batch is kept as gain-normalised noise (2 arrays of n x L floats)
+    # and sign bits; detection reuses per-block buffers.  The peak must
+    # stay below 7 float arrays of the batch's n x L size.
+    cfg = make_cfg((0.7, 0.2, 0.1))
+    simulate(cfg, [0.0, 20.0], 2_000, seed=1)  # imports and caches
+    n = 200_000
+    tracemalloc.start()
+    try:
+        simulate(cfg, [0.0, 20.0], n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * n * cfg.num_users * 8
+
+
+@pytest.mark.parametrize("snr_db", [4000.0, -4000.0])
+def test_out_of_range_snr_is_rejected_before_drawing(snr_db, monkeypatch):
+    # 10**400 overflows a float and 10**-400 underflows to zero
+    def no_draws(*args):
+        raise AssertionError("simulate drew a batch")
+
+    monkeypatch.setattr(sim, "_run_batch", no_draws)
+    cfg = make_cfg((0.8, 0.2))
+    with pytest.raises(ValueError, match="SNR"):
+        cfg.noise_var_for_snr(snr_db)
+    with pytest.raises(ValueError, match="SNR"):
+        simulate(cfg, [10.0, snr_db], 2_000, seed=1)
+    assert sim.linear_snr(20.0) == 100.0
+    assert cfg.noise_var_for_snr(20.0) == 1.0 / 10.0 ** 2.0
