@@ -55,6 +55,7 @@ from .pep import (
     upsilon_factor,
 )
 from .simulate import (
+    PatternCounts,
     PepEstimate,
     SimStats,
     SystemConfig,
@@ -63,6 +64,7 @@ from .simulate import (
     empirical_pep,
     sic_delta_weights,
     sic_detect,
+    sic_patterns,
     sic_weight_tables,
     simulate,
     stats_rows,

@@ -134,8 +134,10 @@ def effective_diversity(
     An entry is NaN where the estimate is undefined: the first point of
     a finite difference, a point with pep = 0, and the gamma_bar = 1
     point of the ratio form; nothing is warned.  Raises ValueError for
-    a grid that is not strictly increasing, a pep outside [0, 1], fewer
-    than two positive-PEP points, or an estimate that is not finite.
+    a grid that is not strictly increasing, an SNR whose gamma_bar is
+    not finite and positive (as linear_snr does), a pep outside [0, 1],
+    fewer than two positive-PEP points, or an estimate that is not
+    finite.
     """
     if method not in ("ratio_form", "finite_difference"):
         raise ValueError(f"unknown method {method!r}")
@@ -145,6 +147,13 @@ def effective_diversity(
         raise ValueError("snr_db and pep must be 1-D arrays of equal length")
     if not np.all(np.diff(snr) > 0):
         raise ValueError("snr grid must be strictly increasing")
+    with np.errstate(over="ignore", under="ignore"):
+        gamma = 10.0 ** (snr / 10.0)
+    in_range = np.isfinite(gamma) & (gamma > 0.0)
+    if not np.all(in_range):
+        raise ValueError(
+            f"SNR {snr[~in_range][0]} dB is out of range: the linear SNR "
+            "must be finite and positive")
     probability = (pep >= 0.0) & (pep <= 1.0)
     if not np.all(probability):
         raise ValueError(f"pep must be a probability, got {pep[~probability][0]}")
@@ -152,7 +161,7 @@ def effective_diversity(
     if np.sum(keep) < 2:
         raise ValueError("need at least two positive-PEP points")
     at = np.flatnonzero(keep)
-    log_g = np.log(10.0 ** (snr[keep] / 10.0))
+    log_g = np.log(gamma[keep])
     log_p = np.log(pep[keep])
     with np.errstate(divide="ignore", invalid="ignore"):
         if method == "ratio_form":

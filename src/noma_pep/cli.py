@@ -66,6 +66,7 @@ from .simulate import (
     SystemConfig,
     empirical_pep,
     linear_snr,
+    sic_patterns,
     sic_weight_tables,
     simulate,
     stats_rows,
@@ -209,8 +210,8 @@ def cmd_pep(s: dict, out: Path) -> list[str]:
     pairs = list(itertools.permutations(range(cfg.constellation.size), 2))
     stats_by_snr = [None] * len(snrs)
     if sic_mode == "weighted":
-        stats_by_snr = simulate(cfg, snrs, s["trials"], s["seed"],
-                                workers=s["workers"])
+        stats_by_snr = sic_patterns(cfg, snrs, s["trials"], s["seed"],
+                                    workers=s["workers"])
     rows = []
     for snr, stats in zip(snrs, stats_by_snr):
         table = pep_table(cfg, snr, residual_tables(

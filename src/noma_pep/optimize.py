@@ -21,7 +21,10 @@ import numpy as np
 
 from .constellation import Constellation, bit_errors
 from .pep import average_pep
-from .simulate import SystemConfig, linear_snr, sic_weight_tables, simulate
+from .simulate import SystemConfig, linear_snr, sic_patterns, sic_weight_tables
+# unused here, but bench/tests/test_bench_harness.py::_bindings reads
+# optimize.simulate, which the benchmark tracer wraps and restores
+from .simulate import simulate  # noqa: F401
 
 __all__ = [
     "OptimizationProblem",
@@ -46,7 +49,7 @@ def residual_tables(cfg: SystemConfig, sic_mode: str, prior_deltas=None,
 
       perfect   None: every residual is zero
       pattern   {first l-1 prior_deltas: 1.0}; needs at least L-1 deltas
-      weighted  sic_weight_tables of stats, a simulation's counters
+      weighted  sic_weight_tables of stats, a SimStats or PatternCounts
     """
     L, m = cfg.num_users, cfg.constellation.size
     if sic_mode == "perfect":
@@ -191,15 +194,15 @@ def union_bound_ber(
 
 
 def _weight_stats(problem: OptimizationProblem, grid, workers: int = 1):
-    """Simulated counters of every allocation in grid, for weighted mode.
+    """Simulated SIC residual patterns of every allocation in grid.
 
-    One simulate call at problem.weights_seed covers the whole grid, so
-    every point detects the same draws; other modes need none (None per
-    point).
+    Weighted mode reads nothing else of a simulation.  One sic_patterns
+    call at problem.weights_seed covers the whole grid, so every point
+    detects the same draws; other modes need none (None per point).
     """
     if problem.sic_mode != "weighted":
         return [None] * len(grid)
-    return simulate(
+    return sic_patterns(
         [replace(problem.cfg, alpha=tuple(a)) for a in grid],
         problem.snr_db, problem.weights_trials, problem.weights_seed,
         workers=workers,
@@ -210,7 +213,7 @@ def _per_user_bounds_and_peps(problem: OptimizationProblem, alpha, stats):
     """Union bound and worst-pair PEP for every user at one grid point.
 
     Weighted mode takes the SIC residual weight tables from stats, the
-    point's simulated counters (see _weight_stats).
+    point's simulated residual patterns (see _weight_stats).
     """
     cfg = replace(problem.cfg, alpha=tuple(alpha))
     table = pep_table(cfg, problem.snr_db, residual_tables(

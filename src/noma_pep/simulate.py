@@ -24,6 +24,15 @@ whatever the batch size.  For the pairwise counters the own stage keeps
 three bits per trial: whether the hypothesis that flips the real part,
 the imaginary part or both of the sent symbol scores no worse than it.
 
+Two counters share one batching path.  simulate runs every user's full chain
+and keeps every counter of SimStats; sic_patterns keeps only the SIC
+residual patterns (PatternCounts), which is all that weighted-mode
+hypothesis averaging reads, so it stops each user's chain before the
+own stage and counts user 1's patterns, its own symbols, once per batch.
+Both validate, split trials into batches, seed them, spread them over
+workers and merge them in the same code, share the chain, the pattern
+key and its decoding, and give user for user the same patterns.
+
 Counters are plain integers so that merging partial runs is exact
 component-wise addition: a run split into batches gives byte-identical
 results for any worker count, because batch i always draws from seed+i,
@@ -48,8 +57,10 @@ __all__ = [
     "SystemConfig",
     "linear_snr",
     "SimStats",
+    "PatternCounts",
     "PepEstimate",
     "simulate",
+    "sic_patterns",
     "sic_detect",
     "superposed_signal",
     "empirical_pep",
@@ -186,21 +197,51 @@ class SimStats:
             other.snr_db,
         ):
             raise ValueError("cannot merge stats from different configurations")
-        patterns = []
-        for mine, theirs in zip(self.delta_pattern_counts,
-                                other.delta_pattern_counts):
-            d = dict(mine)
-            for code, cnt in theirs.items():
-                d[code] = d.get(code, 0) + cnt
-            patterns.append(d)
         return SimStats(
             snr_db=self.snr_db,
             trials=self.trials + other.trials,
             detected_counts=self.detected_counts + other.detected_counts,
             pairwise_counts=self.pairwise_counts + other.pairwise_counts,
             bit_errors=self.bit_errors + other.bit_errors,
-            delta_pattern_counts=patterns,
+            delta_pattern_counts=_merged_patterns(self, other),
         )
+
+
+@dataclass
+class PatternCounts:
+    """SIC residual patterns of one run, as sic_patterns counts them.
+
+    delta_pattern_counts has SimStats' meaning and equals, dict order
+    included, that of simulate with the same arguments.
+    """
+
+    snr_db: float
+    trials: int
+    delta_pattern_counts: list[dict[int, int]]
+
+    def merge(self, other: "PatternCounts") -> "PatternCounts":
+        if (len(self.delta_pattern_counts), self.snr_db) != (
+            len(other.delta_pattern_counts),
+            other.snr_db,
+        ):
+            raise ValueError(
+                "cannot merge counts from different configurations")
+        return PatternCounts(
+            snr_db=self.snr_db,
+            trials=self.trials + other.trials,
+            delta_pattern_counts=_merged_patterns(self, other),
+        )
+
+
+def _merged_patterns(mine, theirs) -> list[dict[int, int]]:
+    """Per-user sums of two runs' pattern counts, mine's codes first."""
+    patterns = []
+    for a, b in zip(mine.delta_pattern_counts, theirs.delta_pattern_counts):
+        d = dict(a)
+        for code, cnt in b.items():
+            d[code] = d.get(code, 0) + cnt
+        patterns.append(d)
+    return patterns
 
 
 @dataclass(frozen=True)
@@ -306,8 +347,48 @@ def _run_batch(points, quadrant, n: int, seed: int) -> list[SimStats]:
     noise level.
     """
     signs, q = _draw_batch(points[0][0], n, seed)
+    return [_detect_batch(c, quadrant, snr_db, steps, signs, s, q)
+            for c, snr_db, steps, s in _superpositions(points, signs)]
+
+
+def _run_pattern_batch(points, quadrant, n: int, seed: int
+                       ) -> list[PatternCounts]:
+    """Residual patterns of one batch at each (config, SNR) point, in order.
+
+    Draws the batch as _run_batch does and gives the same patterns, but
+    runs user u+1's chain only through the stages before its own and
+    never builds the other counters.  User 1 has no earlier stage: its
+    patterns are its own symbols, counted once for every point, and the
+    symbol half of every user's key is built once per batch.
+    """
+    signs, q = _draw_batch(points[0][0], n, seed)
+    sign_keys = [_sign_key(signs, u) for u in range(q.shape[1])]
+    own = _pattern_counts(sign_keys[0], quadrant, 0)
+    counts = []
+    for c, snr_db, steps, s in _superpositions(points, signs):
+        sigma = _noise_scale(c, snr_db)
+        patterns = [dict(own)]
+        for u in range(1, len(sign_keys)):
+            keys = np.empty_like(sign_keys[u])
+            blocks = _chain_blocks(q, s, sigma, steps, u, u - 1)
+            for rows, leaf, _, _ in blocks:
+                _pattern_keys(sign_keys[u][rows], leaf, u, out=keys[rows])
+            patterns.append(_pattern_counts(keys, quadrant, u))
+        counts.append(PatternCounts(snr_db=snr_db, trials=n,
+                                    delta_pattern_counts=patterns))
+    return counts
+
+
+def _superpositions(points, signs):
+    """Yield (config, snr_db, steps, s) for each point of a drawn batch.
+
+    steps are the config's axis steps and s, shape (2, n), both axes of
+    the superposition of the batch's symbols under it.  s is one buffer,
+    rebuilt only when the config changes from the previous point.
+    """
+    n = signs.shape[1]
     s = np.empty((2, n))
-    stats, built = [], None
+    built = None
     for c, snr_db in points:
         if c != built:
             steps, built = _axis_steps(c), c
@@ -315,10 +396,13 @@ def _run_batch(points, quadrant, n: int, seed: int) -> list[SimStats]:
             # signs along x are the bits of j, a signed sum of the steps
             j = np.arange(1 << c.num_users)[:, None]
             table = steps @ (1 - 2 * ((j >> np.arange(c.num_users)) & 1)).T
-            for x in range(2):
-                s[x] = table[x][signs[x]]
-        stats.append(_detect_batch(c, quadrant, snr_db, steps, signs, s, q))
-    return stats
+            # take() is faster than indexing; a block at a time keeps the
+            # intp copy of its indices small
+            for start in range(0, n, BLOCK_ROWS):
+                rows = slice(start, start + BLOCK_ROWS)
+                for x in range(2):
+                    s[x, rows] = table[x].take(signs[x, rows])
+        yield c, snr_db, steps, s
 
 
 def _draw_batch(cfg: SystemConfig, n: int, seed: int):
@@ -376,21 +460,97 @@ def _draw_batch(cfg: SystemConfig, n: int, seed: int):
     return signs, q
 
 
+def _noise_scale(cfg: SystemConfig, snr_db: float) -> float:
+    """Standard deviation of each axis of the noise at snr_db."""
+    return math.sqrt(cfg.noise_var_for_snr(snr_db) / 2.0)
+
+
+def _chain_blocks(q, s, sigma: float, steps, u: int, last: int):
+    """Run user u+1's SIC chain through stage `last`, block by block.
+
+    The chain works on y = s + sigma * q[:, u], both axes of r/h, in row
+    blocks of BLOCK_ROWS trials.  Yields (rows, leaf, y, work) per block:
+    the block's trial slice, the decisions of stages 0..last (see
+    _sic_chain), the residual after the stages before `last`, and a
+    scratch array shaped like y.  y and work are buffers reused by the
+    next block.
+    """
+    n = q.shape[2]
+    y_buf = np.empty((2, min(n, BLOCK_ROWS)))
+    work_buf = np.empty_like(y_buf)
+    for start in range(0, n, BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        size = min(BLOCK_ROWS, n - start)
+        y = np.multiply(q[:, u, rows], sigma, out=y_buf[:, :size])
+        y += s[:, rows]
+        work = work_buf[:, :size]
+        yield rows, _sic_chain(y, steps, last, work), y, work
+
+
+def _key_dtype(u: int) -> np.dtype:
+    """Dtype of user u+1's pattern keys.
+
+    A key holds, from bit 0 up, the real and then the imaginary sign bits
+    of users 1..u+1's symbols, then those of stages 1..u's decisions,
+    w = u+1 bits per group of symbols.  It is at least 16 bits wide
+    because np.unique sorts uint8 far more slowly.
+    """
+    widest = (1 << 4 * u + 2) - 1
+    return np.promote_types(np.uint16, np.min_scalar_type(widest))
+
+
+def _sign_key(signs, u: int, out=None):
+    """The symbol half of user u+1's pattern keys, from the batch's signs."""
+    w = u + 1
+    if out is None:
+        out = np.empty(signs.shape[1], dtype=_key_dtype(u))
+    np.bitwise_and(signs[0], (1 << w) - 1, out=out)
+    out += (signs[1] & ((1 << w) - 1)) * out.dtype.type(1 << w)
+    return out
+
+
+def _pattern_keys(sign_key, leaf, u: int, out):
+    """User u+1's pattern keys: sign_key (see _sign_key) plus the
+    decisions of stages 1..u, the low u bits of leaf (see _sic_chain)."""
+    w, digit = u + 1, out.dtype.type
+    np.add(sign_key, (leaf[0] & ((1 << u) - 1)) * digit(1 << 2 * w), out=out)
+    out += (leaf[1] & ((1 << u) - 1)) * digit(1 << 3 * w - 1)
+    return out
+
+
+def _pattern_counts(keys, quadrant, u: int) -> dict[int, int]:
+    """Count user u+1's pattern keys by code, in increasing code order.
+
+    Pattern code: own transmitted symbol in the lowest base-m digit, then
+    one base-m^2 digit per SIC stage for the (tx, detected) pair.
+    """
+    m = len(quadrant)
+    w = u + 1
+    values, counts = np.unique(keys, return_counts=True)
+    sr = values.astype(np.int64)
+    si, dr, di = sr >> w, sr >> 2 * w, sr >> 3 * w - 1
+    code = _stage_symbols(quadrant, sr, si, u)
+    mult = m
+    for k in range(u):
+        code += (_stage_symbols(quadrant, sr, si, k) * m
+                 + _stage_symbols(quadrant, dr, di, k)) * mult
+        mult *= m * m
+    order = np.argsort(code)
+    return dict(zip(code[order].tolist(), counts[order].tolist()))
+
+
 def _detect_batch(cfg, quadrant, snr_db, steps, signs, s, q) -> SimStats:
     """Run every user's SIC chain over a drawn batch at one SNR.
 
     User u+1's chain works on y = s + sigma * q[:, u], both axes of r/h,
     where s, shape (2, n), is the superposition of the batch's symbols
-    under cfg.  Rows are detected in blocks of BLOCK_ROWS in reused
-    buffers.
+    under cfg (see _chain_blocks).
     """
     L, n = q.shape[1:]
     m = cfg.constellation.size
-    sigma = math.sqrt(cfg.noise_var_for_snr(snr_db) / 2.0)
+    sigma = _noise_scale(cfg, snr_db)
     pts = cfg.constellation.points_array()
     half = np.abs([[pts[0].real], [pts[0].imag]])
-    y_buf = np.empty((2, min(n, BLOCK_ROWS)))
-    work_buf = np.empty_like(y_buf)
 
     # keyed[u, e]: trials of user u+1 with event key e.  From bit 0 up, e
     # holds the real and the imaginary sign of the sent symbol a (a set
@@ -400,21 +560,8 @@ def _detect_batch(cfg, quadrant, snr_db, steps, signs, s, q) -> SimStats:
     keyed = np.zeros((L, 128), dtype=np.int64)
     patterns = []
     for u in range(L):
-        # Pattern key, from bit 0 up: the real and then the imaginary sign
-        # bits of users 1..u+1's symbols, then those of stages 1..u's
-        # decisions, w = u+1 bits per group of symbols.  It is at least 16
-        # bits wide because np.unique sorts uint8 far more slowly.
-        w = u + 1
-        keys = np.empty(n, dtype=np.promote_types(
-            np.uint16, np.min_scalar_type((1 << (4 * w - 2)) - 1)))
-        digit = keys.dtype.type
-        for start in range(0, n, BLOCK_ROWS):
-            rows = slice(start, start + BLOCK_ROWS)
-            size = min(BLOCK_ROWS, n - start)
-            y = np.multiply(q[:, u, rows], sigma, out=y_buf[:, :size])
-            y += s[:, rows]
-            work = work_buf[:, :size]
-            leaf = _sic_chain(y, steps, u, work)
+        keys = np.empty(n, dtype=_key_dtype(u))
+        for rows, leaf, y, work in _chain_blocks(q, s, sigma, steps, u, u):
             sent = (signs[:, rows] & (1 << u)) != 0
             # t: the axes of Re(x * conj(a)), x the own residual; a
             # hypothesis beats a when the terms it flips sum to <= 0
@@ -428,25 +575,9 @@ def _detect_batch(cfg, quadrant, snr_db, steps, signs, s, q) -> SimStats:
             key += np.uint8(64) * (np.add(t[0], t[1], out=y[0]) <= 0)
             keyed[u] += np.bincount(key, minlength=128)
 
-            pk = keys[rows]
-            np.bitwise_and(signs[0, rows], (1 << w) - 1, out=pk)
-            pk += (signs[1, rows] & ((1 << w) - 1)) * digit(1 << w)
-            pk += (leaf[0] & ((1 << u) - 1)) * digit(1 << 2 * w)
-            pk += (leaf[1] & ((1 << u) - 1)) * digit(1 << 3 * w - 1)
-        values, counts = np.unique(keys, return_counts=True)
-        sr = values.astype(np.int64)
-        si, dr, di = sr >> w, sr >> 2 * w, sr >> 3 * w - 1
-        # Pattern code: own transmitted symbol in the lowest base-m digit,
-        # then one base-m^2 digit per SIC stage for the (tx, detected) pair
-        code = _stage_symbols(quadrant, sr, si, u)
-        mult = m
-        for k in range(u):
-            code += (_stage_symbols(quadrant, sr, si, k) * m
-                     + _stage_symbols(quadrant, dr, di, k)) * mult
-            mult *= m * m
-        order = np.argsort(code)
-        patterns.append(dict(zip(code[order].tolist(),
-                                 counts[order].tolist())))
+            pk = _sign_key(signs[:, rows], u, out=keys[rows])
+            _pattern_keys(pk, leaf, u, out=pk)
+        patterns.append(_pattern_counts(keys, quadrant, u))
 
     # events[u, a, d, f]: the keyed counts by sent symbol, decision and
     # the three hypothesis bits.  flips[a, b] is 1, 2 or 3 when b differs
@@ -505,6 +636,36 @@ def simulate(
     more than alpha and P, or the alphabet cannot be sliced per axis (see
     _quadrant_table), and for fewer than one trial, worker or batch row.
     """
+    return _run_batches(_run_batch, cfg, snr_db, trials, seed, workers,
+                        batch_size)
+
+
+def sic_patterns(
+    cfg: SystemConfig | Sequence[SystemConfig],
+    snr_db: float | Sequence[float],
+    trials: int,
+    seed: int,
+    workers: int = 1,
+    batch_size: int = DEFAULT_BATCH_SIZE,
+) -> PatternCounts | list:
+    """SIC residual patterns of the trials simulate would run.
+
+    Takes simulate's arguments, validates them, draws and spreads its
+    batches and shapes its result the same way, with a PatternCounts in
+    place of each SimStats: its delta_pattern_counts equal simulate's,
+    dict order included.  It is what sic_weight_tables needs, for a
+    fraction of the detection work: no user's own stage runs.
+    """
+    return _run_batches(_run_pattern_batch, cfg, snr_db, trials, seed,
+                        workers, batch_size)
+
+
+def _run_batches(run, cfg, snr_db, trials, seed, workers, batch_size):
+    """Validate, batch, seed, spread and merge a run of the counter `run`.
+
+    run(points, quadrant, n, seed) counts one batch at every (config,
+    SNR) point; _run_batch and _run_pattern_batch are the two counters.
+    """
     many = not isinstance(cfg, SystemConfig)
     cfgs = list(cfg) if many else [cfg]
     single = np.ndim(snr_db) == 0
@@ -543,13 +704,13 @@ def simulate(
     parts = min(workers, len(points)) if len(sizes) == 1 else 1
     chunks = [points[k * len(points) // parts:(k + 1) * len(points) // parts]
               for k in range(parts)]
-    args = [(chunk, quadrant, nb, seed + i)
+    args = [(run, chunk, quadrant, nb, seed + i)
             for i, nb in enumerate(sizes) for chunk in chunks]
     if workers > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
-            results = list(pool.map(_run_batch_star, args))
+            results = list(pool.map(_call, args))
     else:
-        results = [_run_batch(*a) for a in args]
+        results = [_call(a) for a in args]
 
     if parts > 1:  # the chunks of the one batch, back in point order
         results = [[p for chunk in results for p in chunk]]
@@ -563,8 +724,9 @@ def simulate(
     return per_cfg if many else per_cfg[0]
 
 
-def _run_batch_star(args):
-    return _run_batch(*args)
+def _call(args):
+    run, *rest = args
+    return run(*rest)
 
 
 def sic_detect(r: complex, h: complex, cfg: SystemConfig, l: int):
@@ -658,7 +820,8 @@ def decode_delta_pattern(
 
 
 def sic_delta_weights(
-    stats: SimStats, l: int, constellation: Constellation, tx: int | None = None
+    stats: SimStats | PatternCounts, l: int, constellation: Constellation,
+    tx: int | None = None
 ):
     """Normalized weights of the prior-delta patterns observed at user l.
 
@@ -670,38 +833,62 @@ def sic_delta_weights(
 
     Patterns that differ only in which symbol pair produced the same
     delta value are aggregated, since the error statistic depends on the
-    delta alone.  Weights sum to 1.
+    delta alone.  Weights sum to 1.  stats is a SimStats or a
+    PatternCounts.
     """
+    _check_weight_trials(stats)
+    tables = _residual_counts(stats.delta_pattern_counts[l - 1], l - 1,
+                              constellation, by_own=tx is not None)
+    return _normalised(tables.get(tx, {}), l, tx)
+
+
+def sic_weight_tables(stats: SimStats | PatternCounts,
+                      constellation: Constellation):
+    """Residual weight tables of every user and transmitted symbol.
+
+    Maps (l, tx) to sic_delta_weights(stats, l, constellation, tx=tx),
+    the table weighted-mode hypothesis averaging takes for the pairs of
+    user l that transmit tx, decoding each pattern code once.  stats is
+    a SimStats or a PatternCounts.
+    """
+    _check_weight_trials(stats)
+    weights = {}
+    for u, counts in enumerate(stats.delta_pattern_counts):
+        tables = _residual_counts(counts, u, constellation, by_own=True)
+        for tx in range(constellation.size):
+            weights[u + 1, tx] = _normalised(tables.get(tx, {}), u + 1, tx)
+    return weights
+
+
+def _check_weight_trials(stats) -> None:
     if stats.trials < MIN_WEIGHT_TRIALS:
         raise ValueError(
             f"need at least {MIN_WEIGHT_TRIALS} trials for weight estimation, "
             f"got {stats.trials}"
         )
-    u = l - 1
-    table: dict[tuple[complex, ...], float] = {}
-    for code, cnt in stats.delta_pattern_counts[u].items():
+
+
+def _residual_counts(counts: dict[int, int], u: int,
+                     constellation: Constellation, by_own: bool):
+    """Trials per residual pattern of user u+1's pattern counts.
+
+    Returns {own symbol: {pattern: count}} when by_own, else {None:
+    {pattern: count}} over every own symbol; patterns keep the order in
+    which their first code comes.
+    """
+    tables: dict = {}
+    for code, cnt in counts.items():
         own, pattern = decode_delta_pattern(code, u, constellation)
-        if tx is not None and own != tx:
-            continue
+        table = tables.setdefault(own if by_own else None, {})
         table[pattern] = table.get(pattern, 0.0) + cnt
+    return tables
+
+
+def _normalised(table: dict, l: int, tx: int | None) -> dict:
     total = sum(table.values())
     if total == 0:
         raise ValueError(f"no trials with symbol {tx} transmitted by user {l}")
     return {pat: cnt / total for pat, cnt in table.items()}
-
-
-def sic_weight_tables(stats: SimStats, constellation: Constellation):
-    """Residual weight tables of every user and transmitted symbol.
-
-    Maps (l, tx) to sic_delta_weights(stats, l, constellation, tx=tx),
-    the table weighted-mode hypothesis averaging takes for the pairs of
-    user l that transmit tx.
-    """
-    return {
-        (l, tx): sic_delta_weights(stats, l, constellation, tx=tx)
-        for l in range(1, stats.num_users + 1)
-        for tx in range(constellation.size)
-    }
 
 
 def stats_rows(stats: SimStats, bits_per_symbol: int) -> list[dict]:

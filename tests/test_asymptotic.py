@@ -231,6 +231,19 @@ def test_effective_diversity_zero_pep_between_positive_points():
     assert np.all(np.abs(ratio[[0, 1, 3]] - [1.0, 1.5, 1.75]) < 1e-12)
 
 
+@pytest.mark.parametrize("method", ["finite_difference", "ratio_form"])
+@pytest.mark.parametrize("snrs,peps", [
+    ([0.0, 10.0, 4000.0], [0.1, 0.01, 1e-5]),  # 10**400 overflows
+    ([-4000.0, 10.0, 20.0], [0.1, 0.01, 1e-5]),  # 10**-400 underflows
+])
+def test_effective_diversity_rejects_out_of_range_snr(snrs, peps, method):
+    # These grids used to read slopes of 0 (or -0.0) without a word.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="SNR .* out of range"):
+            effective_diversity(snrs, peps, method)
+
+
 def test_effective_diversity_gamma_bar_one_reads_nan():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

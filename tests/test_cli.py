@@ -117,13 +117,13 @@ def test_workers_reach_weighted_pep_and_fig4(tmp_path, monkeypatch):
     assert config["workers"] == 2
 
     seen = []
-    real_simulate = optimize.simulate
+    real_sic_patterns = optimize.sic_patterns
 
-    def recording_simulate(*args, **kwargs):
+    def recording_sic_patterns(*args, **kwargs):
         seen.append(kwargs.get("workers"))
-        return real_simulate(*args, **kwargs)
+        return real_sic_patterns(*args, **kwargs)
 
-    monkeypatch.setattr(optimize, "simulate", recording_simulate)
+    monkeypatch.setattr(optimize, "sic_patterns", recording_sic_patterns)
     args = ["fig4", "--grid-step", "0.01", "--weights-trials", "100000",
             "--seed", "3"]
     outs = {w: tmp_path / f"fig4_w{w}" for w in (1, 2)}
@@ -131,7 +131,7 @@ def test_workers_reach_weighted_pep_and_fig4(tmp_path, monkeypatch):
         assert main(args + ["--workers", str(w), "--out", str(out)]) == 0
         config = json.loads((out / "manifest.json").read_text())["config"]
         assert config["workers"] == w
-    # One simulate call covers the whole grid.
+    # One sic_patterns call covers the whole grid.
     assert seen == [1, 2]
     for name in ("fig4_sweep.csv", "fig4_summary.csv"):
         assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes()

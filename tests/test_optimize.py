@@ -1,4 +1,5 @@
 import ast
+import importlib
 import inspect
 import math
 from pathlib import Path
@@ -22,6 +23,7 @@ from noma_pep import (
     union_bound_ber,
     union_bound_from_pep,
 )
+from noma_pep.cli import main
 from noma_pep.optimize import _descending_grid
 
 QPSK = qpsk_constellation(1.0)
@@ -169,6 +171,26 @@ def test_weighted_objective_equals_every_sweep_entry():
     assert len(result.sweep) == 49
     for e in result.sweep:
         assert objective_psi(problem, e.alpha) == e.psi, e.alpha
+
+def test_weighted_mode_never_runs_the_full_detector(monkeypatch, tmp_path):
+    # Weighted mode reads only SIC residual patterns; the full detector's
+    # counters would be computed and dropped.
+    sim = importlib.import_module("noma_pep.simulate")
+
+    def full_detector(*args):
+        raise AssertionError("the full detector ran")
+
+    monkeypatch.setattr(sim, "_detect_batch", full_detector)
+    with pytest.raises(AssertionError, match="full detector"):
+        simulate(make_problem().cfg, 10.0, 1_000, seed=1)
+    problem = make_problem(sic_mode="weighted", weights_trials=100_000,
+                           weights_seed=7)
+    entry = solve(problem).sweep[10]
+    assert objective_psi(problem, entry.alpha) == entry.psi
+    assert main(["pep", "--users", "3", "--sic-mode", "weighted",
+                 "--snr-db", "5,10", "--trials", "100000",
+                 "--out", str(tmp_path)]) == 0
+
 
 def test_solve_user1_pep_monotone_in_alpha1():
     problem = make_problem(p_th=0.999, snr_db=20.0)

@@ -9,6 +9,7 @@ import pytest
 from noma_pep import (
     ChannelModel,
     Constellation,
+    PatternCounts,
     SimStats,
     SystemConfig,
     average_pep,
@@ -19,6 +20,7 @@ from noma_pep import (
     qpsk_constellation,
     sic_delta_weights,
     sic_detect,
+    sic_patterns,
     sic_weight_tables,
     simulate,
     stats_rows,
@@ -650,3 +652,121 @@ def test_out_of_range_snr_is_rejected_before_drawing(snr_db, monkeypatch):
         simulate(cfg, [10.0, snr_db], 2_000, seed=1)
     assert sim.linear_snr(20.0) == 100.0
     assert cfg.noise_var_for_snr(20.0) == 1.0 / 10.0 ** 2.0
+
+
+# ------------------------------------------------------------ sic_patterns
+
+
+def _assert_same_patterns(got, want):
+    """got (PatternCounts) holds want's (SimStats) patterns, order included."""
+    assert isinstance(got, PatternCounts)
+    assert (got.snr_db, got.trials) == (want.snr_db, want.trials)
+    assert [list(d.items()) for d in got.delta_pattern_counts] == [
+        list(d.items()) for d in want.delta_pattern_counts
+    ]
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_sic_patterns_equal_simulate(L):
+    # Several allocations and SNRs in one call, over four batches.
+    base = make_cfg(REFERENCE_ALPHA[L])
+    cfgs = [base, dataclasses.replace(base, P=2.5)]
+    if L > 1:
+        a = REFERENCE_ALPHA[L]
+        cfgs.append(dataclasses.replace(
+            base, alpha=(a[0] + 0.05, a[1] - 0.05) + a[2:]))
+    snrs = [0.0, 15.0, 30.0]
+    got = sic_patterns(cfgs, snrs, 30_001, seed=21, batch_size=10_000)
+    want = simulate(cfgs, snrs, 30_001, seed=21, batch_size=10_000)
+    assert len(got) == len(cfgs)
+    for counts, stats in zip(got, want):
+        assert len(counts) == len(snrs)
+        for g, w in zip(counts, stats):
+            _assert_same_patterns(g, w)
+    # A single configuration and SNR returns one PatternCounts.
+    _assert_same_patterns(
+        sic_patterns(base, 15.0, 30_001, seed=21, batch_size=10_000),
+        want[0][1])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("trials,batch_size", [(300_001, 100_000),
+                                               (30_001, 1_000_000)])
+def test_sic_patterns_batches_and_workers(trials, batch_size, workers):
+    # Four batches, the last one row long, or one batch whose points
+    # spread over the workers.
+    base = make_cfg((0.7, 0.2, 0.1))
+    cfgs = [base, dataclasses.replace(base, alpha=(0.6, 0.3, 0.1))]
+    got = sic_patterns(cfgs, [5.0, 20.0], trials, seed=8, workers=workers,
+                       batch_size=batch_size)
+    want = simulate(cfgs, [5.0, 20.0], trials, seed=8, batch_size=batch_size)
+    for counts, stats in zip(got, want):
+        for g, w in zip(counts, stats):
+            _assert_same_patterns(g, w)
+
+
+def _bad_calls():
+    base = make_cfg((0.8, 0.2))
+    other = dataclasses.replace(base, alpha=(0.9, 0.1),
+                                channel=ChannelModel(2, sigma_h_sq=1.0))
+    ch = ChannelModel(num_users=2, sigma_h_sq=0.5)
+    rotated = SystemConfig(alpha=(0.8, 0.2), P=1.0, channel=ch,
+                           constellation=_alphabet((1, 1j, -1, -1j)))
+    call = dict(cfg=base, snr_db=10.0, trials=2_000, seed=1)
+    return {
+        "no configuration": {**call, "cfg": []},
+        "no SNR": {**call, "snr_db": []},
+        "other channel": {**call, "cfg": [base, other]},
+        "no trial": {**call, "trials": 0},
+        "no worker": {**call, "workers": 0},
+        "no batch row": {**call, "batch_size": 0},
+        "SNR overflow": {**call, "snr_db": [10.0, 4000.0]},
+        "SNR not finite": {**call, "snr_db": math.nan},
+        "not QPSK": {**call, "cfg": rotated},
+    }
+
+
+@pytest.mark.parametrize("case", list(_bad_calls()))
+def test_sic_patterns_rejects_what_simulate_rejects(case, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a batch was drawn")
+
+    monkeypatch.setattr(sim, "_run_batch", no_draws)
+    monkeypatch.setattr(sim, "_run_pattern_batch", no_draws)
+    kwargs = _bad_calls()[case]
+    with pytest.raises(ValueError) as want:
+        simulate(**kwargs)
+    with pytest.raises(ValueError) as got:
+        sic_patterns(**kwargs)
+    assert str(got.value) == str(want.value)
+
+
+def test_sic_patterns_peak_memory_stays_within_six_batch_arrays():
+    # As simulate, and one float array stricter: the drawing sets the peak.
+    cfg = make_cfg((0.7, 0.2, 0.1))
+    sic_patterns(cfg, [0.0, 20.0], 2_000, seed=1)  # imports and caches
+    n = 200_000
+    tracemalloc.start()
+    try:
+        sic_patterns(cfg, [0.0, 20.0], n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * n * cfg.num_users * 8
+
+
+def test_weight_tables_equal_per_symbol_delta_weights():
+    # At 5 dB user 3 sees many residual patterns for every own symbol.
+    cfg = make_cfg((0.7, 0.2, 0.1))
+    stats = simulate(cfg, 5.0, 150_000, seed=12)
+    counts = sic_patterns(cfg, 5.0, 150_000, seed=12)
+    tables = sic_weight_tables(counts, QPSK)
+    want = [((l, tx), sic_delta_weights(stats, l, QPSK, tx=tx))
+            for l in (1, 2, 3) for tx in range(4)]
+    assert list(tables) == [key for key, _ in want]
+    for (key, table), (_, expected) in zip(tables.items(), want):
+        assert list(table.items()) == list(expected.items()), key
+    assert len(tables[3, 0]) > 4
+    assert list(sic_weight_tables(stats, QPSK).items()) == list(tables.items())
+    marginal = sic_delta_weights(counts, 3, QPSK)
+    assert marginal == sic_delta_weights(stats, 3, QPSK)
