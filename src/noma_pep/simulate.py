@@ -5,44 +5,52 @@ passes the sum through each user's ordered Rayleigh channel plus AWGN, and
 runs the sequential minimum-distance SIC receiver at every user.  SIC
 decision errors propagate; there is no genie correction.
 
-A batch draws all of its random numbers first (gains, symbols, noise)
-and keeps only what detection reads: each trial's per-axis symbol
-signs and the gain-normalised noise q = z/h of every user, stored as
-contiguous real arrays.  Neither depends on the SNR or on the power
-allocation, so one batch serves every SNR point and every allocation
-(alpha, P) of a call (common random numbers), and only the detection
-runs per point.  Dividing r = h s + sigma z by h leaves y = s + sigma q
-per user, and along each axis the superposition s is a signed sum of
-the steps sqrt(alpha_k P) a (a the magnitude of the axis components of
-the alphabet).  Every SIC stage, the user's own included, decides the
-sign of each axis of the residual of y and subtracts its step with
-that sign, which is the minimum-distance chain for alphabets with one
-point per quadrant, mirrored across both axes (QPSK); simulate and
-sic_detect reject any other alphabet.  Detection runs in row blocks of
-BLOCK_ROWS trials in reused buffers, so its temporaries stay small
-whatever the batch size.  For the pairwise counters the own stage keeps
-three bits per trial: whether the hypothesis that flips the real part,
-the imaginary part or both of the sent symbol scores no worse than it.
+A batch runs as a pipeline over blocks of BLOCK_ROWS trials.  It draws
+its random numbers in a fixed order (real parts of the gains, their
+imaginary parts, symbols, real parts of the noise, its imaginary parts)
+and keeps whole only what that order makes outlive a block: the real
+parts of the gains until the imaginary parts come, then the sorted
+inverse gains 1/h and the real parts of the noise until the last pass,
+and each trial's per-axis symbol signs.  The last pass draws the
+imaginary parts of the noise one block at a time, builds that block's
+gain-normalised noise q = z/h of every user and detects every SNR point
+and every allocation (alpha, P) of the call on it while it is in cache.
+Neither q nor the signs depend on the SNR or on the allocation, so one
+batch serves every point (common random numbers), and only the
+detection runs per point.  Dividing r = h s + sigma z by h leaves
+y = s + sigma q per user, and along each axis the superposition s is a
+signed sum of the steps sqrt(alpha_k P) a (a the magnitude of the axis
+components of the alphabet).  Every SIC stage, the user's own included,
+decides the sign of each axis of the residual of y and subtracts its
+step with that sign, which is the minimum-distance chain for alphabets
+with one point per quadrant, mirrored across both axes (QPSK); simulate
+and sic_detect reject any other alphabet.  For the pairwise counters the
+own stage keeps three bits per trial: whether the hypothesis that flips
+the real part, the imaginary part or both of the sent symbol scores no
+worse than it.
 
 Two counters share one batching path.  simulate runs every user's full chain
 and keeps every counter of SimStats; sic_patterns keeps only the SIC
 residual patterns (PatternCounts), which is all that weighted-mode
 hypothesis averaging reads, so it stops each user's chain before the
-own stage and counts user 1's patterns, its own symbols, once per batch.
-Both validate, split trials into batches, seed them, spread them over
-workers and merge them in the same code, share the chain, the pattern
-key and its decoding, and give user for user the same patterns.
+own stage and counts user 1's patterns, its own symbols, once for all
+points.  Both validate, split trials into batches, seed them, spread
+them over workers and merge them in the same code, share the chain, the
+pattern key and its decoding, and give user for user the same patterns.
 
 Counters are plain integers so that merging partial runs is exact
 component-wise addition: a run split into batches gives byte-identical
 results for any worker count, because batch i always draws from seed+i,
 and an SNR point or an allocation gives the same counters alone or in a
-list.  Residual patterns are counted over the codes that occur, so their
-memory grows with the number of trials, not with the M^(2L) code space.
+list.  Every counter builds up block by block in state that does not grow
+with the batch: residual patterns are counted in a dense table when a
+user's key space is no larger than a block, and otherwise over the
+keys that occur, never over the M^(2L) code space.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -265,13 +273,16 @@ def superposed_signal(cfg: SystemConfig, symbol_indices: np.ndarray) -> np.ndarr
     return pts[np.asarray(symbol_indices)] @ coeff
 
 
+@functools.lru_cache(maxsize=8)
 def _quadrant_table(constellation: Constellation) -> np.ndarray:
     """Symbol index of each quadrant, keyed 2*(re < 0) + (im < 0).
 
     Slicing each axis of the gain-normalised residual by sign is the
     minimum-distance decision only when the alphabet has one point per
     quadrant and the points mirror each other across both axes, as QPSK
-    does; any other alphabet raises ValueError.
+    does; any other alphabet raises ValueError, on every call, since
+    only accepted alphabets are cached.  The table is read-only because
+    every caller of one alphabet shares it.
     """
     pts = constellation.points_array()
     re, im = np.abs(pts.real), np.abs(pts.imag)
@@ -288,6 +299,7 @@ def _quadrant_table(constellation: Constellation) -> np.ndarray:
         )
     table = np.empty(4, dtype=np.int64)
     table[key] = np.arange(4)
+    table.flags.writeable = False
     return table
 
 
@@ -344,11 +356,19 @@ def _run_batch(points, quadrant, n: int, seed: int) -> list[SimStats]:
     The configs of points differ at most in alpha and P, so the batch is
     drawn once and every point detects the same gains, symbols and
     standard-normal noise, with its config's superposition and its own
-    noise level.
+    noise level, block by block (see _blocks).
     """
-    signs, q = _draw_batch(points[0][0], n, seed)
-    return [_detect_batch(c, quadrant, snr_db, steps, signs, s, q)
-            for c, snr_db, steps, s in _superpositions(points, signs)]
+    cfg = points[0][0]
+    L = cfg.num_users
+    pts = cfg.constellation.points_array()
+    half = np.abs([[pts[0].real], [pts[0].imag]])
+    keyed = np.zeros((len(points), L, 128), dtype=np.int64)
+    tallies = [[_KeyTally(u) for u in range(L)] for _ in points]
+    for block in _blocks(points, n, seed):
+        _detect_batch(block, half, keyed, tallies)
+    return [_sim_stats(c, quadrant, snr_db, n, keyed[i],
+                       [t.patterns(quadrant) for t in tallies[i]])
+            for i, (c, snr_db) in enumerate(points)]
 
 
 def _run_pattern_batch(points, quadrant, n: int, seed: int
@@ -358,106 +378,145 @@ def _run_pattern_batch(points, quadrant, n: int, seed: int
     Draws the batch as _run_batch does and gives the same patterns, but
     runs user u+1's chain only through the stages before its own and
     never builds the other counters.  User 1 has no earlier stage: its
-    patterns are its own symbols, counted once for every point, and the
-    symbol half of every user's key is built once per batch.
+    patterns are its own symbols, counted once for every point.
     """
-    signs, q = _draw_batch(points[0][0], n, seed)
-    sign_keys = [_sign_key(signs, u) for u in range(q.shape[1])]
-    own = _pattern_counts(sign_keys[0], quadrant, 0)
-    counts = []
-    for c, snr_db, steps, s in _superpositions(points, signs):
-        sigma = _noise_scale(c, snr_db)
-        patterns = [dict(own)]
-        for u in range(1, len(sign_keys)):
-            keys = np.empty_like(sign_keys[u])
-            blocks = _chain_blocks(q, s, sigma, steps, u, u - 1)
-            for rows, leaf, _, _ in blocks:
-                _pattern_keys(sign_keys[u][rows], leaf, u, out=keys[rows])
-            patterns.append(_pattern_counts(keys, quadrant, u))
-        counts.append(PatternCounts(snr_db=snr_db, trials=n,
-                                    delta_pattern_counts=patterns))
-    return counts
+    L = points[0][0].num_users
+    own = _KeyTally(0)
+    tallies = [[_KeyTally(u) for u in range(1, L)] for _ in points]
+    for _, sign_keys, chains in _blocks(points, n, seed):
+        own.add(sign_keys[0])
+        for tally, chain in zip(tallies, chains):
+            for u, t in enumerate(tally, start=1):
+                leaf, _, _ = chain(u, u - 1)
+                t.add(_pattern_keys(sign_keys[u], leaf, u))
+    own_patterns = own.patterns(quadrant)
+    return [PatternCounts(snr_db=snr_db, trials=n, delta_pattern_counts=[
+                dict(own_patterns), *(t.patterns(quadrant) for t in tally)])
+            for (_, snr_db), tally in zip(points, tallies)]
 
 
-def _superpositions(points, signs):
-    """Yield (config, snr_db, steps, s) for each point of a drawn batch.
+def _blocks(points, n: int, seed: int):
+    """Draw one batch and yield its blocks, each with its points' chains.
 
-    steps are the config's axis steps and s, shape (2, n), both axes of
-    the superposition of the batch's symbols under it.  s is one buffer,
-    rebuilt only when the config changes from the previous point.
+    Yields (signs, sign_keys, chains) for each block of _draw_batch:
+    sign_keys[u] is the symbol half of user u+1's pattern keys (see
+    _sign_key), and chains yields, point by point in order, chain(u,
+    last), which runs user u+1's SIC chain at that point (see _chain).
+    The superposition of the block's symbols is rebuilt only when the
+    config changes from the previous point.  It and the chain's buffers
+    are reused by the next point and block, so a chain's results must be
+    read before the next one runs.
     """
-    n = signs.shape[1]
-    s = np.empty((2, n))
-    built = None
+    plan, tables = [], {}
     for c, snr_db in points:
-        if c != built:
-            steps, built = _axis_steps(c), c
+        if c not in tables:
+            steps = _axis_steps(c)
             # table[x, j]: axis x of the superposition of symbols whose
             # signs along x are the bits of j, a signed sum of the steps
             j = np.arange(1 << c.num_users)[:, None]
-            table = steps @ (1 - 2 * ((j >> np.arange(c.num_users)) & 1)).T
-            # take() is faster than indexing; a block at a time keeps the
-            # intp copy of its indices small
-            for start in range(0, n, BLOCK_ROWS):
-                rows = slice(start, start + BLOCK_ROWS)
-                for x in range(2):
-                    s[x, rows] = table[x].take(signs[x, rows])
-        yield c, snr_db, steps, s
+            tables[c] = steps, steps @ (
+                1 - 2 * ((j >> np.arange(c.num_users)) & 1)).T
+        plan.append((*tables[c], _noise_scale(c, snr_db)))
+    buffers = np.empty((3, 2, min(n, BLOCK_ROWS)))
+    for signs, q in _draw_batch(points[0][0], n, seed):
+        s, y, work = buffers[:, :, :signs.shape[1]]
+        sign_keys = [_sign_key(signs, u) for u in range(q.shape[1])]
+        yield signs, sign_keys, _chains(plan, signs, q, s, y, work)
+
+
+def _chains(plan, signs, q, s, y, work):
+    """Yield each planned point's chain on one block (see _blocks)."""
+    built = None
+    for steps, table, sigma in plan:
+        if table is not built:
+            for x in range(2):
+                # take() is faster than indexing; signs never index past
+                # the table, and mode="clip" writes out without a buffer
+                table[x].take(signs[x], out=s[x], mode="clip")
+            built = table
+        yield functools.partial(_chain, q, s, sigma, steps, y, work)
+
+
+def _chain(q, s, sigma: float, steps, y, work, u: int, last: int):
+    """Run user u+1's SIC chain through stage `last` on one block.
+
+    The chain works on y = s + sigma * q[:, u], both axes of r/h, built
+    in the buffer y, with the scratch array work.  Returns (leaf, y,
+    work): the decisions of stages 0..last (see _sic_chain), the
+    residual after the stages before `last`, and the scratch array.
+    """
+    np.multiply(q[:, u], sigma, out=y)
+    y += s
+    return _sic_chain(y, steps, last, work), y, work
 
 
 def _draw_batch(cfg: SystemConfig, n: int, seed: int):
-    """Draw one batch and keep what detection reads of it.
+    """Draw one batch and yield what detection reads of it, block by block.
 
-    Returns signs, shape (2, n), where bit k of signs[0] (signs[1]) is set
-    when user k+1's symbol has a negative real (imaginary) part, and the
-    gain-normalised noise q = z/h, shape (2, L, n): the real and the
-    imaginary parts of each user's standard-normal noise over its ordered
-    gain.  Neither depends on the SNR or on (alpha, P).
+    Yields (signs, q) for each block of BLOCK_ROWS trials, the last one
+    possibly shorter.  signs, shape (2, b), has bit k of signs[0]
+    (signs[1]) set when user k+1's symbol has a negative real (imaginary)
+    part; q, shape (2, L, b), is the gain-normalised noise z/h: the real
+    and the imaginary parts of each user's standard-normal noise over its
+    ordered gain.  Neither depends on the SNR or on (alpha, P).  q is a
+    buffer that the next block overwrites.
+
+    The draw order is fixed (real parts of the gains, imaginary parts,
+    symbols, real parts of the noise, imaginary parts), so a batch is a
+    pure function of (channel, constellation, n, seed).  numpy's Generator
+    gives the same numbers drawn in row blocks as in one call, so the
+    batch does not depend on BLOCK_ROWS either.  What the stream order
+    makes outlive a block stays whole-batch: the real parts of the gains
+    (all drawn before any imaginary part), the sorted inverse gains and
+    the real parts of the noise (all drawn before the last pass reads
+    them with the imaginary parts) and the signs.  The rest lives one
+    block at a time.
     """
     rng = np.random.default_rng(seed)
     L = cfg.num_users
     m = cfg.constellation.size
     std_h = math.sqrt(cfg.channel.sigma_h_sq)
+    blocks = [slice(start, min(start + BLOCK_ROWS, n))
+              for start in range(0, n, BLOCK_ROWS)]
 
-    # Draw order is fixed (gains, symbols, noise) so a batch is a pure
-    # function of (channel, constellation, n, seed).
-    hr = rng.normal(scale=std_h, size=(n, L))
-    hi = rng.normal(scale=std_h, size=(n, L))
-    g = hr * hr
-    g += hi * hi
-    # 1/h = (hr - j hi)/g; dividing before the sort lets g go first
-    hr /= g
-    hi /= g
-    order = np.argsort(g, axis=1, kind="stable")
-    del g
-    hr = np.take_along_axis(hr, order, axis=1)
-    hi = np.take_along_axis(hi, order, axis=1)
-    del order
+    # 1/h = (hr - j hi)/g with g = |h|^2, sorted by g: ur and ui hold its
+    # real and imaginary parts, ur written over hr block by block
+    ur = rng.normal(scale=std_h, size=(n, L))
+    ui = np.empty_like(ur)
+    for rows in blocks:
+        hr = ur[rows]
+        hi = rng.normal(scale=std_h, size=hr.shape)
+        g = hr * hr
+        g += hi * hi
+        hr /= g
+        hi /= g
+        order = np.argsort(g, axis=1, kind="stable")
+        hr[...] = np.take_along_axis(hr, order, axis=1)
+        ui[rows] = np.take_along_axis(hi, order, axis=1)
 
-    tx = rng.integers(0, m, size=(n, L))
     pts = cfg.constellation.points_array()
     signs = np.zeros((2, n), dtype=np.min_scalar_type((1 << L) - 1))
-    for x, negative in enumerate((pts.real < 0, pts.imag < 0)):
-        for k in range(L):
-            signs[x] += (negative << k).astype(signs.dtype)[tx[:, k]]
-    del tx
+    bits = [[(negative << k).astype(signs.dtype) for k in range(L)]
+            for negative in (pts.real < 0, pts.imag < 0)]
+    for rows in blocks:
+        tx = rng.integers(0, m, size=(rows.stop - rows.start, L))
+        for x in range(2):
+            for k in range(L):
+                signs[x, rows] += bits[x][k][tx[:, k]]
+    del hi, g, order, tx  # the last block's, before the noise comes
 
-    # The noise is drawn in row blocks, the same stream as one draw, so
-    # that q and the gains are the only whole-batch float arrays.
-    q = np.empty((2, L, n))
-    for part in range(2):  # real parts of z, then imaginary parts
-        for start in range(0, n, BLOCK_ROWS):
-            rows = slice(start, start + BLOCK_ROWS)
-            z = rng.standard_normal(size=(min(BLOCK_ROWS, n - start), L)).T
-            ur, ui = hr[rows].T, hi[rows].T
-            if part == 0:
-                np.multiply(z, ur, out=q[0, :, rows])
-                np.multiply(z, ui, out=q[1, :, rows])
-                np.negative(q[1, :, rows], out=q[1, :, rows])
-            else:
-                q[0, :, rows] += z * ui
-                q[1, :, rows] += z * ur
-    return signs, q
+    zr = rng.standard_normal(size=(n, L))
+    q = np.empty((2, L, min(n, BLOCK_ROWS)))
+    for rows in blocks:
+        b = rows.stop - rows.start
+        zi = rng.standard_normal(size=(b, L)).T
+        z, r, i, qb = zr[rows].T, ur[rows].T, ui[rows].T, q[:, :, :b]
+        np.multiply(z, r, out=qb[0])
+        qb[0] += zi * i
+        np.multiply(z, i, out=qb[1])
+        np.negative(qb[1], out=qb[1])
+        qb[1] += zi * r
+        yield signs[:, rows], qb
 
 
 def _noise_scale(cfg: SystemConfig, snr_db: float) -> float:
@@ -465,120 +524,124 @@ def _noise_scale(cfg: SystemConfig, snr_db: float) -> float:
     return math.sqrt(cfg.noise_var_for_snr(snr_db) / 2.0)
 
 
-def _chain_blocks(q, s, sigma: float, steps, u: int, last: int):
-    """Run user u+1's SIC chain through stage `last`, block by block.
-
-    The chain works on y = s + sigma * q[:, u], both axes of r/h, in row
-    blocks of BLOCK_ROWS trials.  Yields (rows, leaf, y, work) per block:
-    the block's trial slice, the decisions of stages 0..last (see
-    _sic_chain), the residual after the stages before `last`, and a
-    scratch array shaped like y.  y and work are buffers reused by the
-    next block.
-    """
-    n = q.shape[2]
-    y_buf = np.empty((2, min(n, BLOCK_ROWS)))
-    work_buf = np.empty_like(y_buf)
-    for start in range(0, n, BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        size = min(BLOCK_ROWS, n - start)
-        y = np.multiply(q[:, u, rows], sigma, out=y_buf[:, :size])
-        y += s[:, rows]
-        work = work_buf[:, :size]
-        yield rows, _sic_chain(y, steps, last, work), y, work
-
-
 def _key_dtype(u: int) -> np.dtype:
     """Dtype of user u+1's pattern keys.
 
     A key holds, from bit 0 up, the real and then the imaginary sign bits
     of users 1..u+1's symbols, then those of stages 1..u's decisions,
-    w = u+1 bits per group of symbols.  It is at least 16 bits wide
-    because np.unique sorts uint8 far more slowly.
+    w = u+1 bits per group of symbols.
     """
-    widest = (1 << 4 * u + 2) - 1
-    return np.promote_types(np.uint16, np.min_scalar_type(widest))
+    return np.min_scalar_type((1 << 4 * u + 2) - 1)
 
 
-def _sign_key(signs, u: int, out=None):
-    """The symbol half of user u+1's pattern keys, from the batch's signs."""
+def _sign_key(signs, u: int):
+    """The symbol half of user u+1's pattern keys, from a block's signs."""
     w = u + 1
-    if out is None:
-        out = np.empty(signs.shape[1], dtype=_key_dtype(u))
-    np.bitwise_and(signs[0], (1 << w) - 1, out=out)
+    out = np.bitwise_and(signs[0], (1 << w) - 1, dtype=_key_dtype(u))
     out += (signs[1] & ((1 << w) - 1)) * out.dtype.type(1 << w)
     return out
 
 
-def _pattern_keys(sign_key, leaf, u: int, out):
+def _pattern_keys(sign_key, leaf, u: int):
     """User u+1's pattern keys: sign_key (see _sign_key) plus the
     decisions of stages 1..u, the low u bits of leaf (see _sic_chain)."""
-    w, digit = u + 1, out.dtype.type
-    np.add(sign_key, (leaf[0] & ((1 << u) - 1)) * digit(1 << 2 * w), out=out)
+    w, digit = u + 1, sign_key.dtype.type
+    out = np.add(sign_key, (leaf[0] & ((1 << u) - 1)) * digit(1 << 2 * w))
     out += (leaf[1] & ((1 << u) - 1)) * digit(1 << 3 * w - 1)
     return out
 
 
-def _pattern_counts(keys, quadrant, u: int) -> dict[int, int]:
-    """Count user u+1's pattern keys by code, in increasing code order.
+class _KeyTally:
+    """Running count of user u+1's pattern keys over the blocks of a batch.
 
-    Pattern code: own transmitted symbol in the lowest base-m digit, then
-    one base-m^2 digit per SIC stage for the (tx, detected) pair.
+    A key space no larger than a block is counted densely with bincount;
+    a larger one (five users or more) merges each block's np.unique into
+    sorted (key, count) arrays, so that its memory grows with the keys
+    that occur, not with the M^(2L) code space.
     """
-    m = len(quadrant)
-    w = u + 1
-    values, counts = np.unique(keys, return_counts=True)
-    sr = values.astype(np.int64)
-    si, dr, di = sr >> w, sr >> 2 * w, sr >> 3 * w - 1
-    code = _stage_symbols(quadrant, sr, si, u)
-    mult = m
-    for k in range(u):
-        code += (_stage_symbols(quadrant, sr, si, k) * m
-                 + _stage_symbols(quadrant, dr, di, k)) * mult
-        mult *= m * m
-    order = np.argsort(code)
-    return dict(zip(code[order].tolist(), counts[order].tolist()))
+
+    def __init__(self, u: int):
+        self.u = u
+        size = 1 << 4 * u + 2
+        self.dense = (np.zeros(size, dtype=np.int64) if size <= BLOCK_ROWS
+                      else None)
+        self.keys = np.empty(0, dtype=_key_dtype(u))
+        self.counts = np.empty(0, dtype=np.int64)
+
+    def add(self, keys) -> None:
+        if self.dense is not None:
+            self.dense += np.bincount(keys, minlength=self.dense.size)
+            return
+        new, counts = np.unique(keys, return_counts=True)
+        # a stable sort merges the two sorted runs; equal keys then sit
+        # side by side, and reduceat sums each run of them
+        keys = np.concatenate([self.keys, new])
+        counts = np.concatenate([self.counts, counts])
+        order = np.argsort(keys, kind="stable")
+        keys, counts = keys[order], counts[order]
+        first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        self.keys, self.counts = keys[first], np.add.reduceat(counts, first)
+
+    def patterns(self, quadrant) -> dict[int, int]:
+        """The counts by pattern code, in increasing code order.
+
+        Pattern code: own transmitted symbol in the lowest base-m digit,
+        then one base-m^2 digit per SIC stage for the (tx, detected) pair.
+        """
+        keys, counts = self.keys, self.counts
+        if self.dense is not None:
+            keys = np.flatnonzero(self.dense)
+            counts = self.dense[keys]
+        u, m, w = self.u, len(quadrant), self.u + 1
+        sr = keys.astype(np.int64)
+        si, dr, di = sr >> w, sr >> 2 * w, sr >> 3 * w - 1
+        code = _stage_symbols(quadrant, sr, si, u)
+        mult = m
+        for k in range(u):
+            code += (_stage_symbols(quadrant, sr, si, k) * m
+                     + _stage_symbols(quadrant, dr, di, k)) * mult
+            mult *= m * m
+        order = np.argsort(code)
+        return dict(zip(code[order].tolist(), counts[order].tolist()))
 
 
-def _detect_batch(cfg, quadrant, snr_db, steps, signs, s, q) -> SimStats:
-    """Run every user's SIC chain over a drawn batch at one SNR.
+def _detect_batch(block, half, keyed, tallies) -> None:
+    """Run every point's full SIC chains on one block and add its counters.
 
-    User u+1's chain works on y = s + sigma * q[:, u], both axes of r/h,
-    where s, shape (2, n), is the superposition of the batch's symbols
-    under cfg (see _chain_blocks).
+    block is one item of _blocks, and half the magnitudes of the axes of
+    the alphabet's points, shape (2, 1).  keyed[i, u, e] counts point i's
+    trials of user u+1 with event key e.  From bit 0 up, e holds the real
+    and the imaginary sign of the sent symbol a (a set bit is negative),
+    those of the own decision d, and three bits set when the hypothesis
+    that differs from a in the real part, in the imaginary part or in
+    both scored no worse than a.  tallies[i][u] counts point i's pattern
+    keys of user u+1.
     """
-    L, n = q.shape[1:]
-    m = cfg.constellation.size
-    sigma = _noise_scale(cfg, snr_db)
-    pts = cfg.constellation.points_array()
-    half = np.abs([[pts[0].real], [pts[0].imag]])
-
-    # keyed[u, e]: trials of user u+1 with event key e.  From bit 0 up, e
-    # holds the real and the imaginary sign of the sent symbol a (a set
-    # bit is negative), those of the own decision d, and three bits set
-    # when the hypothesis that differs from a in the real part, in the
-    # imaginary part or in both scored no worse than a.
-    keyed = np.zeros((L, 128), dtype=np.int64)
-    patterns = []
-    for u in range(L):
-        keys = np.empty(n, dtype=_key_dtype(u))
-        for rows, leaf, y, work in _chain_blocks(q, s, sigma, steps, u, u):
-            sent = (signs[:, rows] & (1 << u)) != 0
+    signs, sign_keys, chains = block
+    # no point changes sent[u], user u+1's sent signs per axis, or axes[u],
+    # the axes of its sent symbol a: +half where positive, -half elsewhere
+    sent = [(signs & (1 << u)) != 0 for u in range(len(sign_keys))]
+    axes = [b * (-2.0 * half) + half for b in sent]
+    for chain, point_keyed, point_tallies in zip(chains, keyed, tallies):
+        for u, tally in enumerate(point_tallies):
+            leaf, y, work = chain(u, u)
             # t: the axes of Re(x * conj(a)), x the own residual; a
             # hypothesis beats a when the terms it flips sum to <= 0
-            t = np.multiply(sent, -2.0 * half, out=work)
-            t += half
-            t *= y
+            t = np.multiply(axes[u], y, out=work)
             axis = np.uint8(4) * (leaf >= (1 << u))
-            axis += sent
+            axis += sent[u]
             axis += np.uint8(16) * (t <= 0)
             key = axis[0] + np.uint8(2) * axis[1]
             key += np.uint8(64) * (np.add(t[0], t[1], out=y[0]) <= 0)
-            keyed[u] += np.bincount(key, minlength=128)
+            point_keyed[u] += np.bincount(key, minlength=128)
+            tally.add(_pattern_keys(sign_keys[u], leaf, u))
 
-            pk = _sign_key(signs[:, rows], u, out=keys[rows])
-            _pattern_keys(pk, leaf, u, out=pk)
-        patterns.append(_pattern_counts(keys, quadrant, u))
 
+def _sim_stats(cfg, quadrant, snr_db, n: int, keyed, patterns) -> SimStats:
+    """The SimStats of one point from its event counts (see _detect_batch)."""
+    L = keyed.shape[0]
+    m = cfg.constellation.size
+    pts = cfg.constellation.points_array()
     # events[u, a, d, f]: the keyed counts by sent symbol, decision and
     # the three hypothesis bits.  flips[a, b] is 1, 2 or 3 when b differs
     # from a in the real part, the imaginary part or both, and b beat a

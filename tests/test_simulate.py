@@ -415,6 +415,81 @@ def test_blocked_batch_matches_reference_chain(L, mode, n):
         _assert_matches_reference(got, cfg, snr_db, n, seed)
 
 
+@pytest.mark.parametrize("offset", [-1, 0, 1, 7])
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
+def test_block_boundaries_match_reference_chain(L, offset):
+    # Batches one row short of a block, exactly one block, one row over,
+    # and two blocks and seven rows; the config list repeats c1 after c2,
+    # so every block rebuilds c1's superposition.  At five users the last
+    # two users' key spaces exceed a block and are counted sparsely.
+    n = (2 if offset == 7 else 1) * sim.BLOCK_ROWS + offset
+    c1 = make_cfg(REFERENCE_ALPHA.get(L, (0.5, 0.25, 0.13, 0.08, 0.04)))
+    c2 = dataclasses.replace(c1, P=2.5)
+    points = [(c1, 5.0), (c2, 20.0), (c1, 30.0)]
+    quadrant = sim._quadrant_table(c1.constellation)
+    seed = 500 + 10 * L + offset
+    stats = sim._run_batch(points, quadrant, n, seed)
+    counts = sim._run_pattern_batch(points, quadrant, n, seed)
+    assert len(stats) == len(counts) == len(points)
+    for (cfg, snr_db), got, patterns in zip(points, stats, counts):
+        _assert_matches_reference(got, cfg, snr_db, n, seed)
+        _assert_same_patterns(patterns, got)
+
+
+def _reference_run(cfg, snr_db, sizes, seed):
+    """Merged reference batches of the given sizes, seeded seed, seed+1, ..."""
+    total = None
+    for i, n in enumerate(sizes):
+        stats, _, _ = _reference_batch(
+            cfg, snr_db, cfg.noise_var_for_snr(snr_db), n, seed + i)
+        total = stats if total is None else total.merge(stats)
+    return total
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_batches_spanning_blocks_match_reference_chain(workers):
+    # Three batches of two blocks each, the last batch partial: the
+    # merged counters equal the reference chain's batch by batch.
+    cfg = make_cfg((0.7, 0.2, 0.1))
+    snrs = [10.0, 25.0]
+    got = simulate(cfg, snrs, 250_001, seed=31, workers=workers,
+                   batch_size=100_000)
+    counts = sic_patterns(cfg, snrs, 250_001, seed=31, workers=workers,
+                          batch_size=100_000)
+    for snr_db, stats, patterns in zip(snrs, got, counts):
+        _assert_same_stats(
+            stats, _reference_run(cfg, snr_db, [100_000, 100_000, 50_001], 31))
+        _assert_same_patterns(patterns, stats)
+
+
+@pytest.mark.parametrize("draw,dtype", [
+    ("normal", np.float64), ("integers", np.int64),
+    ("standard_normal", np.float64)])
+def test_generator_streams_the_same_in_row_blocks(draw, dtype):
+    # The simulator draws the imaginary parts of the gains, the symbols and
+    # the imaginary parts of the noise one block of rows at a time, and a
+    # batch must not depend on BLOCK_ROWS: it relies on numpy's Generator
+    # giving the same values drawn in row blocks as in one call, and on
+    # the stream continuing where the last block stopped.
+    n, L = 2 * sim.BLOCK_ROWS + 7, 3
+    calls = {"normal": lambda rng, size: rng.normal(scale=0.7, size=size),
+             "integers": lambda rng, size: rng.integers(0, 4, size=size),
+             "standard_normal": lambda rng, size: rng.standard_normal(size)}
+    one, blocked = np.random.default_rng(9), np.random.default_rng(9)
+    whole = calls[draw](one, (n, L))
+    rows = np.concatenate([
+        calls[draw](blocked, (min(sim.BLOCK_ROWS, n - start), L))
+        for start in range(0, n, sim.BLOCK_ROWS)])
+    assert whole.dtype == rows.dtype == dtype, (
+        f"Generator.{draw} no longer returns {np.dtype(dtype)}")
+    assert np.array_equal(whole, rows), (
+        f"Generator.{draw} gives other values in blocks of BLOCK_ROWS rows "
+        "than in one call, so simulated batches would change")
+    after = one.standard_normal(5), blocked.standard_normal(5)
+    assert np.array_equal(*after), (
+        f"Generator.{draw} leaves the stream elsewhere after row blocks")
+
+
 @pytest.mark.parametrize("mode", ["uniform_random"])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_snr_list_equals_separate_calls(workers, mode):
@@ -556,6 +631,18 @@ def test_simulator_rejects_alphabets_it_cannot_slice(points):
         sic_detect(0.3 + 0.1j, 0.5 + 0.2j, cfg, 2)
 
 
+def test_quadrant_table_is_shared_and_read_only():
+    table = sim._quadrant_table(QPSK)
+    assert sim._quadrant_table(qpsk_constellation(1.0)) is table
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 3
+    # A rejected alphabet is not cached: it raises on every call.
+    rotated = _alphabet((1, 1j, -1, -1j))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="quadrant"):
+            sim._quadrant_table(rotated)
+
+
 def test_quadrant_table_matches_minimum_distance():
     pts = QPSK.points_array()
     table = sim._quadrant_table(QPSK)
@@ -636,6 +723,23 @@ def test_simulate_peak_memory_stays_within_seven_batch_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 7 * n * cfg.num_users * 8
+
+
+@pytest.mark.parametrize("count", [simulate, sic_patterns])
+def test_peak_memory_stays_within_four_batch_arrays(count):
+    # A 1M-trial batch keeps three float arrays of its n x L size whole
+    # (the sorted inverse gains and the real parts of the noise) and
+    # streams everything else through blocks of BLOCK_ROWS rows.
+    cfg = make_cfg((0.7, 0.2, 0.1))
+    count(cfg, [0.0, 20.0], 2_000, seed=1)  # imports and caches
+    n = 1_000_000
+    tracemalloc.start()
+    try:
+        count(cfg, [0.0, 20.0], n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * cfg.num_users * 8
 
 
 @pytest.mark.parametrize("snr_db", [4000.0, -4000.0])
