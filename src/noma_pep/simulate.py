@@ -5,29 +5,29 @@ passes the sum through each user's ordered Rayleigh channel plus AWGN, and
 runs the sequential minimum-distance SIC receiver at every user.  SIC
 decision errors propagate; there is no genie correction.
 
-A batch runs as a pipeline over blocks of BLOCK_ROWS trials.  It draws
-its random numbers in a fixed order (real parts of the gains, their
-imaginary parts, symbols, real parts of the noise, its imaginary parts)
-and keeps whole only what that order makes outlive a block: the real
-parts of the gains until the imaginary parts come, then the sorted
-inverse gains 1/h and the real parts of the noise until the last pass,
-and each trial's per-axis symbol signs.  The last pass draws the
-imaginary parts of the noise one block at a time, builds that block's
-gain-normalised noise q = z/h of every user and detects every SNR point
-and every allocation (alpha, P) of the call on it while it is in cache.
-Neither q nor the signs depend on the SNR or on the allocation, so one
-batch serves every point (common random numbers), and only the
-detection runs per point.  Dividing r = h s + sigma z by h leaves
-y = s + sigma q per user, and along each axis the superposition s is a
-signed sum of the steps sqrt(alpha_k P) a (a the magnitude of the axis
-components of the alphabet).  Every SIC stage, the user's own included,
-decides the sign of each axis of the residual of y and subtracts its
-step with that sign, which is the minimum-distance chain for alphabets
-with one point per quadrant, mirrored across both axes (QPSK); simulate
-and sic_detect reject any other alphabet.  For the pairwise counters the
-own stage keeps three bits per trial: whether the hypothesis that flips
-the real part, the imaginary part or both of the sent symbol scores no
-worse than it.
+A batch runs as a pipeline over blocks of BLOCK_ROWS trials and keeps
+nothing of its own size.  Batch i of a run seeded s draws from three
+Generators that SeedSequence(s, spawn_key=(i,)) spawns, one each for the
+gains, the symbols and the noise, so no two batches of one run or of
+neighbouring seeds share a stream.  Each block draws its rows of every
+stream: the ordered gain magnitudes |h| as Renyi's sums of exponentials
+(no sort, no channel phase), the symbols as per-axis sign bits, and the
+noise, from which it builds the gain-normalised noise q = z/|h| of every
+user and detects every SNR point and every allocation (alpha, P) of the
+call on it while it is in cache.  Neither q nor the signs depend on the
+SNR or on the allocation, so one batch serves every point (common random
+numbers), and only the detection runs per point.  The coherent receiver
+sees r/h = s + sigma z e^{-j phi}/|h|, and z e^{-j phi} has the law of z,
+so the per-user samples y = s + sigma q have the law of r/h.  Along each
+axis the superposition s is a signed sum of the steps sqrt(alpha_k P) a
+(a the magnitude of the axis components of the alphabet).  Every SIC
+stage, the user's own included, decides the sign of each axis of the
+residual of y and subtracts its step with that sign, which is the
+minimum-distance chain for alphabets with one point per quadrant,
+mirrored across both axes (QPSK); simulate and sic_detect reject any
+other alphabet.  For the pairwise counters the own stage keeps three
+bits per trial: whether the hypothesis that flips the real part, the
+imaginary part or both of the sent symbol scores no worse than it.
 
 Two counters share one batching path.  simulate runs every user's full chain
 and keeps every counter of SimStats; sic_patterns keeps only the SIC
@@ -40,12 +40,13 @@ pattern key and its decoding, and give user for user the same patterns.
 
 Counters are plain integers so that merging partial runs is exact
 component-wise addition: a run split into batches gives byte-identical
-results for any worker count, because batch i always draws from seed+i,
-and an SNR point or an allocation gives the same counters alone or in a
-list.  Every counter builds up block by block in state that does not grow
-with the batch: residual patterns are counted in a dense table when a
-user's key space is no larger than a block, and otherwise over the
-keys that occur, never over the M^(2L) code space.
+results for any worker count, because batch i always draws from the
+streams of spawn key (i,) of the seed, and an SNR point or an
+allocation gives the same counters alone or in a list.  Every counter
+builds up block by block in state that does not grow with the batch:
+residual patterns are counted in a dense table when a user's key space
+is no larger than a block, and otherwise over the keys that occur,
+never over the M^(2L) code space.
 """
 
 from __future__ import annotations
@@ -350,8 +351,10 @@ def _stage_symbols(quadrant, re, im, k: int):
     return quadrant[2 * ((re >> k) & 1) + ((im >> k) & 1)]
 
 
-def _run_batch(points, quadrant, n: int, seed: int) -> list[SimStats]:
-    """Counters of one batch of n trials at each (config, SNR) point, in order.
+def _run_batch(points, quadrant, n: int, seed: int, batch: int
+               ) -> list[SimStats]:
+    """Counters of batch `batch` (n trials) of a run seeded `seed`, at each
+    (config, SNR) point, in order.
 
     The configs of points differ at most in alpha and P, so the batch is
     drawn once and every point detects the same gains, symbols and
@@ -364,14 +367,14 @@ def _run_batch(points, quadrant, n: int, seed: int) -> list[SimStats]:
     half = np.abs([[pts[0].real], [pts[0].imag]])
     keyed = np.zeros((len(points), L, 128), dtype=np.int64)
     tallies = [[_KeyTally(u) for u in range(L)] for _ in points]
-    for block in _blocks(points, n, seed):
+    for block in _blocks(points, n, seed, batch):
         _detect_batch(block, half, keyed, tallies)
     return [_sim_stats(c, quadrant, snr_db, n, keyed[i],
                        [t.patterns(quadrant) for t in tallies[i]])
             for i, (c, snr_db) in enumerate(points)]
 
 
-def _run_pattern_batch(points, quadrant, n: int, seed: int
+def _run_pattern_batch(points, quadrant, n: int, seed: int, batch: int
                        ) -> list[PatternCounts]:
     """Residual patterns of one batch at each (config, SNR) point, in order.
 
@@ -383,7 +386,7 @@ def _run_pattern_batch(points, quadrant, n: int, seed: int
     L = points[0][0].num_users
     own = _KeyTally(0)
     tallies = [[_KeyTally(u) for u in range(1, L)] for _ in points]
-    for _, sign_keys, chains in _blocks(points, n, seed):
+    for _, sign_keys, chains in _blocks(points, n, seed, batch):
         own.add(sign_keys[0])
         for tally, chain in zip(tallies, chains):
             for u, t in enumerate(tally, start=1):
@@ -395,7 +398,7 @@ def _run_pattern_batch(points, quadrant, n: int, seed: int
             for (_, snr_db), tally in zip(points, tallies)]
 
 
-def _blocks(points, n: int, seed: int):
+def _blocks(points, n: int, seed: int, batch: int):
     """Draw one batch and yield its blocks, each with its points' chains.
 
     Yields (signs, sign_keys, chains) for each block of _draw_batch:
@@ -418,7 +421,7 @@ def _blocks(points, n: int, seed: int):
                 1 - 2 * ((j >> np.arange(c.num_users)) & 1)).T
         plan.append((*tables[c], _noise_scale(c, snr_db)))
     buffers = np.empty((3, 2, min(n, BLOCK_ROWS)))
-    for signs, q in _draw_batch(points[0][0], n, seed):
+    for signs, q in _draw_batch(points[0][0], n, seed, batch):
         s, y, work = buffers[:, :, :signs.shape[1]]
         sign_keys = [_sign_key(signs, u) for u in range(q.shape[1])]
         yield signs, sign_keys, _chains(plan, signs, q, s, y, work)
@@ -450,73 +453,71 @@ def _chain(q, s, sigma: float, steps, y, work, u: int, last: int):
     return _sic_chain(y, steps, last, work), y, work
 
 
-def _draw_batch(cfg: SystemConfig, n: int, seed: int):
-    """Draw one batch and yield what detection reads of it, block by block.
+def _draw_batch(cfg: SystemConfig, n: int, seed: int, batch: int):
+    """Draw batch `batch` of a run seeded `seed`, one block at a time.
 
     Yields (signs, q) for each block of BLOCK_ROWS trials, the last one
     possibly shorter.  signs, shape (2, b), has bit k of signs[0]
     (signs[1]) set when user k+1's symbol has a negative real (imaginary)
-    part; q, shape (2, L, b), is the gain-normalised noise z/h: the real
-    and the imaginary parts of each user's standard-normal noise over its
-    ordered gain.  Neither depends on the SNR or on (alpha, P).  q is a
-    buffer that the next block overwrites.
+    part; q, shape (2, L, b), is the gain-normalised noise z/|h|: the real
+    and the imaginary parts of each user's standard-normal noise over the
+    magnitude of its ordered gain.  Neither depends on the SNR or on
+    (alpha, P).  Both are buffers that the next block overwrites.
 
-    The draw order is fixed (real parts of the gains, imaginary parts,
-    symbols, real parts of the noise, imaginary parts), so a batch is a
-    pure function of (channel, constellation, n, seed).  numpy's Generator
-    gives the same numbers drawn in row blocks as in one call, so the
-    batch does not depend on BLOCK_ROWS either.  What the stream order
-    makes outlive a block stays whole-batch: the real parts of the gains
-    (all drawn before any imaginary part), the sorted inverse gains and
-    the real parts of the noise (all drawn before the last pass reads
-    them with the imaginary parts) and the signs.  The rest lives one
-    block at a time.
+    The batch's SeedSequence(seed, spawn_key=(batch,)) spawns three
+    Generators, for the gains, the symbols and the noise, so batches of
+    one run and of neighbouring seeds draw from independent streams.  Each
+    stream is drawn one block of rows at a time, and numpy's Generator
+    gives the same numbers in row blocks as in one call, so a batch is a
+    pure function of (channel, constellation, n, seed, batch) and does not
+    depend on BLOCK_ROWS; nothing of the batch's size is kept.
+
+    The ordered gain magnitudes come without a sort (_gain_magnitudes),
+    and the channel phase is not drawn: the coherent receiver sees
+    r/h = s + sigma z e^{-j phi}/|h|, and z e^{-j phi} has the law of z,
+    so q = z/|h| has the law of z/h.
     """
-    rng = np.random.default_rng(seed)
+    gains, symbols, noise = (
+        np.random.default_rng(stream) for stream in
+        np.random.SeedSequence(seed, spawn_key=(batch,)).spawn(3))
     L = cfg.num_users
     m = cfg.constellation.size
-    std_h = math.sqrt(cfg.channel.sigma_h_sq)
-    blocks = [slice(start, min(start + BLOCK_ROWS, n))
-              for start in range(0, n, BLOCK_ROWS)]
-
-    # 1/h = (hr - j hi)/g with g = |h|^2, sorted by g: ur and ui hold its
-    # real and imaginary parts, ur written over hr block by block
-    ur = rng.normal(scale=std_h, size=(n, L))
-    ui = np.empty_like(ur)
-    for rows in blocks:
-        hr = ur[rows]
-        hi = rng.normal(scale=std_h, size=hr.shape)
-        g = hr * hr
-        g += hi * hi
-        hr /= g
-        hi /= g
-        order = np.argsort(g, axis=1, kind="stable")
-        hr[...] = np.take_along_axis(hr, order, axis=1)
-        ui[rows] = np.take_along_axis(hi, order, axis=1)
-
     pts = cfg.constellation.points_array()
-    signs = np.zeros((2, n), dtype=np.min_scalar_type((1 << L) - 1))
+    rows = min(n, BLOCK_ROWS)
+    signs = np.empty((2, rows), dtype=np.min_scalar_type((1 << L) - 1))
     bits = [[(negative << k).astype(signs.dtype) for k in range(L)]
             for negative in (pts.real < 0, pts.imag < 0)]
-    for rows in blocks:
-        tx = rng.integers(0, m, size=(rows.stop - rows.start, L))
+    e, h = np.empty((rows, L)), np.empty((L, rows))
+    z, q = np.empty((rows, L, 2)), np.empty((2, L, rows))
+    for start in range(0, n, BLOCK_ROWS):
+        b = min(BLOCK_ROWS, n - start)
+        eb, hb, zb, qb, sb = e[:b], h[:, :b], z[:b], q[:, :, :b], signs[:, :b]
+        _gain_magnitudes(gains, cfg.channel.sigma_h_sq, eb, hb)
+        tx = symbols.integers(0, m, size=(b, L))
+        sb[...] = 0
         for x in range(2):
             for k in range(L):
-                signs[x, rows] += bits[x][k][tx[:, k]]
-    del hi, g, order, tx  # the last block's, before the noise comes
+                sb[x] += bits[x][k][tx[:, k]]
+        noise.standard_normal(out=zb)
+        np.divide(zb.T, hb, out=qb)
+        yield sb, qb
 
-    zr = rng.standard_normal(size=(n, L))
-    q = np.empty((2, L, min(n, BLOCK_ROWS)))
-    for rows in blocks:
-        b = rows.stop - rows.start
-        zi = rng.standard_normal(size=(b, L)).T
-        z, r, i, qb = zr[rows].T, ur[rows].T, ui[rows].T, q[:, :, :b]
-        np.multiply(z, r, out=qb[0])
-        qb[0] += zi * i
-        np.multiply(z, i, out=qb[1])
-        np.negative(qb[1], out=qb[1])
-        qb[1] += zi * r
-        yield signs[:, rows], qb
+
+def _gain_magnitudes(rng, sigma_h_sq: float, e, h):
+    """Fill h, shape (L, b), with the ordered gain magnitudes of b trials.
+
+    Each |h|^2 is exponential with mean 2 sigma_h^2, and by Renyi's
+    (1953) form of the order statistics the k-th smallest of L of them
+    is sum_{i<=k} w_i E_i, with w_i = 2 sigma_h^2/(L-i+1) and i.i.d.
+    standard exponentials E_i.  rng draws the E_i into e, shape (b, L),
+    in one call, and the terms are added in user order.  Returns h.
+    """
+    L = h.shape[0]
+    rng.standard_exponential(out=e)
+    np.multiply(e.T, (2.0 * sigma_h_sq / np.arange(L, 0, -1))[:, None], out=h)
+    for k in range(1, L):
+        h[k] += h[k - 1]
+    return np.sqrt(h, out=h)
 
 
 def _noise_scale(cfg: SystemConfig, snr_db: float) -> float:
@@ -689,11 +690,12 @@ def simulate(
     the superposition and the detection run per configuration.
 
     Deterministic for fixed (cfg, snr_db, trials, seed, batch_size):
-    trials are split into fixed batches and batch i is seeded seed+i, so
-    the result is independent of the worker count.  Several batches are
-    spread over `workers` processes; a single batch with several
-    (configuration, SNR) points spreads the points instead, each process
-    drawing the same batch.  Raises ValueError before any draw when an
+    trials are split into fixed batches and batch i draws from
+    SeedSequence(seed, spawn_key=(i,)), so the result is independent of
+    the worker count, and no batch repeats one of another seed.  Several
+    batches are spread over `workers` processes; a single batch with
+    several (configuration, SNR) points spreads the points instead, each
+    process drawing the same batch.  Raises ValueError before any draw when an
     SNR is not finite or out of range for a configuration (see
     linear_snr), a sequence is empty, the configurations differ in
     more than alpha and P, or the alphabet cannot be sliced per axis (see
@@ -713,9 +715,10 @@ def sic_patterns(
 ) -> PatternCounts | list:
     """SIC residual patterns of the trials simulate would run.
 
-    Takes simulate's arguments, validates them, draws and spreads its
-    batches and shapes its result the same way, with a PatternCounts in
-    place of each SimStats: its delta_pattern_counts equal simulate's,
+    Takes simulate's arguments, validates them, draws its batches from
+    the same streams (batch i from SeedSequence(seed, spawn_key=(i,))),
+    spreads them and shapes its result the same way, with a PatternCounts
+    in place of each SimStats: its delta_pattern_counts equal simulate's,
     dict order included.  It is what sic_weight_tables needs, for a
     fraction of the detection work: no user's own stage runs.
     """
@@ -726,8 +729,9 @@ def sic_patterns(
 def _run_batches(run, cfg, snr_db, trials, seed, workers, batch_size):
     """Validate, batch, seed, spread and merge a run of the counter `run`.
 
-    run(points, quadrant, n, seed) counts one batch at every (config,
-    SNR) point; _run_batch and _run_pattern_batch are the two counters.
+    run(points, quadrant, n, seed, batch) counts batch number `batch` of
+    a run seeded `seed` at every (config, SNR) point; _run_batch and
+    _run_pattern_batch are the two counters.
     """
     many = not isinstance(cfg, SystemConfig)
     cfgs = list(cfg) if many else [cfg]
@@ -767,7 +771,7 @@ def _run_batches(run, cfg, snr_db, trials, seed, workers, batch_size):
     parts = min(workers, len(points)) if len(sizes) == 1 else 1
     chunks = [points[k * len(points) // parts:(k + 1) * len(points) // parts]
               for k in range(parts)]
-    args = [(run, chunk, quadrant, nb, seed + i)
+    args = [(run, chunk, quadrant, nb, seed, i)
             for i, nb in enumerate(sizes) for chunk in chunks]
     if workers > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
@@ -805,8 +809,9 @@ def sic_detect(r: complex, h: complex, cfg: SystemConfig, l: int):
         raise ValueError(f"user index {l} out of range 1..{cfg.num_users}")
     quadrant = _quadrant_table(cfg.constellation)
     r, h = complex(r), complex(h)
-    # y = r * conj(h) / |h|^2, as the simulator normalises its noise; a
-    # zero gain gives NaN, which every stage decides as non-negative
+    # y = r/h = r * conj(h) / |h|^2, the simulator's y for a real
+    # positive h; a zero gain gives NaN, which every stage decides as
+    # non-negative
     with np.errstate(divide="ignore", invalid="ignore"):
         g = np.float64(h.real * h.real + h.imag * h.imag)
         ur, ui = h.real / g, h.imag / g

@@ -18,6 +18,7 @@ from noma_pep import (
     empirical_pep,
     pep_quadrature,
     qpsk_constellation,
+    sample_ordered_channels,
     sic_delta_weights,
     sic_detect,
     sic_patterns,
@@ -295,30 +296,60 @@ def metrics_of(residual, scale, pts):
     )[:, None] * (np.abs(pts) ** 2)[None, :]
 
 
-def _reference_batch(cfg, snr_db, sigma_n_sq, n, seed):
-    """Full-batch SIC chain the blocked simulator must reproduce exactly.
+def _reference_draw(cfg, n, seed, batch):
+    """Batch `batch` of a run seeded `seed` as the simulator draws it.
 
-    Sorts gains by |h|, decides every SIC stage by the minimum of the full
-    distance metric row, and counts pairwise events one hypothesis at a
-    time.  Returns the SimStats plus its own per-symbol transmit counts
-    and symbol error counts, which SimStats derives from detected_counts.
+    SeedSequence(seed, spawn_key=(batch,)) spawns the gain, symbol and
+    noise streams, each drawn here in one call.  The gains are real and
+    positive: |h|^2 of the k-th weakest user is Renyi's sum of the first
+    k standard exponentials E_i, each weighted 2 sigma_h^2/(L-i+1).  The
+    noise is (n, L, 2) standard normals, the real and imaginary parts.
+    Returns (h, symbol indices, complex standard-normal noise).
     """
+    gains, symbols, noise = [
+        np.random.default_rng(s)
+        for s in np.random.SeedSequence(seed, spawn_key=(batch,)).spawn(3)]
+    L = cfg.num_users
+    e = gains.standard_exponential(size=(n, L))
+    g = np.cumsum(e * (2.0 * cfg.channel.sigma_h_sq / np.arange(L, 0, -1)),
+                  axis=1)
+    tx_idx = symbols.integers(0, cfg.constellation.size, size=(n, L))
+    z = noise.standard_normal(size=(n, L, 2))
+    return np.sqrt(g), tx_idx, z[..., 0] + 1j * z[..., 1]
+
+
+def _old_style_draw(cfg, n, seed):
+    """A batch drawn the long way: complex Gaussian gains with their
+    phases, stably sorted by |h|, symbol indices and complex noise, all
+    from one stream.  Same law as _reference_draw, other numbers."""
     rng = np.random.default_rng(seed)
     L = cfg.num_users
-    m = cfg.constellation.size
-    pts = cfg.constellation.points_array()
-    coeff = np.sqrt(np.asarray(cfg.alpha) * cfg.P)
     std_h = math.sqrt(cfg.channel.sigma_h_sq)
-    std_n = math.sqrt(sigma_n_sq / 2.0)
-
     h = rng.normal(scale=std_h, size=(n, L)) + 1j * rng.normal(
         scale=std_h, size=(n, L)
     )
     h = np.take_along_axis(h, np.argsort(np.abs(h), axis=1, kind="stable"), axis=1)
-    tx_idx = rng.integers(0, m, size=(n, L))
-    noise = rng.normal(scale=std_n, size=(n, L)) + 1j * rng.normal(
-        scale=std_n, size=(n, L)
-    )
+    tx_idx = rng.integers(0, cfg.constellation.size, size=(n, L))
+    noise = rng.standard_normal((n, L)) + 1j * rng.standard_normal((n, L))
+    return h, tx_idx, noise
+
+
+def _reference_batch(cfg, snr_db, sigma_n_sq, draws):
+    """Full-batch SIC chain the blocked simulator must reproduce exactly.
+
+    draws is (h, symbol indices, standard complex noise), as
+    _reference_draw or _old_style_draw give them.  Decides every SIC stage
+    by the minimum of the full distance metric row on r = h s + sigma_n
+    z, and counts pairwise events one hypothesis at a time.  Returns the
+    SimStats plus its own per-symbol transmit counts and symbol error
+    counts, which SimStats derives from detected_counts.
+    """
+    h, tx_idx, z = draws
+    n, L = tx_idx.shape
+    m = cfg.constellation.size
+    pts = cfg.constellation.points_array()
+    coeff = np.sqrt(np.asarray(cfg.alpha) * cfg.P)
+    noise = math.sqrt(sigma_n_sq / 2.0) * z
     s = pts[tx_idx] @ coeff
 
     tx_counts = np.zeros((L, m), dtype=np.int64)
@@ -382,9 +413,10 @@ def _assert_same_stats(got, want):
     ]
 
 
-def _assert_matches_reference(got, cfg, snr_db, n, seed):
+def _assert_matches_reference(got, cfg, snr_db, n, seed, batch):
     want, tx_counts, symbol_errors = _reference_batch(
-        cfg, snr_db, cfg.noise_var_for_snr(snr_db), n, seed)
+        cfg, snr_db, cfg.noise_var_for_snr(snr_db),
+        _reference_draw(cfg, n, seed, batch))
     _assert_same_stats(got, want)
     for name, counts in (("tx_counts", tx_counts),
                          ("symbol_errors", symbol_errors)):
@@ -404,15 +436,15 @@ def test_blocked_batch_matches_reference_chain(L, mode, n):
     snrs = (0.0, 20.0, 40.0)
     for snr_db in snrs:
         seed = 1000 * L + int(snr_db)
-        (got,) = sim._run_batch([(cfg, snr_db)], quadrant, n, seed)
-        _assert_matches_reference(got, cfg, snr_db, n, seed)
+        (got,) = sim._run_batch([(cfg, snr_db)], quadrant, n, seed, 0)
+        _assert_matches_reference(got, cfg, snr_db, n, seed, 0)
     # One call detects every SNR from the same draws; each point must
-    # equal a reference batch drawn afresh at that SNR and seed.
+    # equal a reference batch drawn afresh at that SNR, seed and batch.
     seed = 1000 * L + 99
-    shared = sim._run_batch([(cfg, s) for s in snrs], quadrant, n, seed)
+    shared = sim._run_batch([(cfg, s) for s in snrs], quadrant, n, seed, 2)
     assert len(shared) == len(snrs)
     for snr_db, got in zip(snrs, shared):
-        _assert_matches_reference(got, cfg, snr_db, n, seed)
+        _assert_matches_reference(got, cfg, snr_db, n, seed, 2)
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1, 7])
@@ -428,20 +460,22 @@ def test_block_boundaries_match_reference_chain(L, offset):
     points = [(c1, 5.0), (c2, 20.0), (c1, 30.0)]
     quadrant = sim._quadrant_table(c1.constellation)
     seed = 500 + 10 * L + offset
-    stats = sim._run_batch(points, quadrant, n, seed)
-    counts = sim._run_pattern_batch(points, quadrant, n, seed)
+    stats = sim._run_batch(points, quadrant, n, seed, L)
+    counts = sim._run_pattern_batch(points, quadrant, n, seed, L)
     assert len(stats) == len(counts) == len(points)
     for (cfg, snr_db), got, patterns in zip(points, stats, counts):
-        _assert_matches_reference(got, cfg, snr_db, n, seed)
+        _assert_matches_reference(got, cfg, snr_db, n, seed, L)
         _assert_same_patterns(patterns, got)
 
 
 def _reference_run(cfg, snr_db, sizes, seed):
-    """Merged reference batches of the given sizes, seeded seed, seed+1, ..."""
+    """Merged reference batches 0, 1, ... of a run seeded seed, of the
+    given sizes."""
     total = None
     for i, n in enumerate(sizes):
         stats, _, _ = _reference_batch(
-            cfg, snr_db, cfg.noise_var_for_snr(snr_db), n, seed + i)
+            cfg, snr_db, cfg.noise_var_for_snr(snr_db),
+            _reference_draw(cfg, n, seed, i))
         total = stats if total is None else total.merge(stats)
     return total
 
@@ -462,23 +496,32 @@ def test_batches_spanning_blocks_match_reference_chain(workers):
         _assert_same_patterns(patterns, stats)
 
 
-@pytest.mark.parametrize("draw,dtype", [
-    ("normal", np.float64), ("integers", np.int64),
-    ("standard_normal", np.float64)])
-def test_generator_streams_the_same_in_row_blocks(draw, dtype):
-    # The simulator draws the imaginary parts of the gains, the symbols and
-    # the imaginary parts of the noise one block of rows at a time, and a
-    # batch must not depend on BLOCK_ROWS: it relies on numpy's Generator
-    # giving the same values drawn in row blocks as in one call, and on
-    # the stream continuing where the last block stopped.
-    n, L = 2 * sim.BLOCK_ROWS + 7, 3
+@pytest.mark.parametrize("draw,dtype,tail", [
+    pytest.param("normal", np.float64, (3,), id="normal-float64"),
+    pytest.param("integers", np.int64, (3,), id="integers-int64"),
+    pytest.param("standard_normal", np.float64, (3,),
+                 id="standard_normal-float64"),
+    pytest.param("standard_normal", np.float64, (3, 2),
+                 id="standard_normal-float64-noise"),
+    pytest.param("standard_exponential", np.float64, (3,),
+                 id="standard_exponential-float64")])
+def test_generator_streams_the_same_in_row_blocks(draw, dtype, tail):
+    # The simulator draws the gains (standard exponentials), the symbols
+    # and the noise ((rows, L, 2) standard normals) one block of rows at a
+    # time, and a batch must not depend on BLOCK_ROWS: it relies on
+    # numpy's Generator giving the same values drawn in row blocks as in
+    # one call, and on the stream continuing where the last block stopped.
+    n = 2 * sim.BLOCK_ROWS + 7
     calls = {"normal": lambda rng, size: rng.normal(scale=0.7, size=size),
              "integers": lambda rng, size: rng.integers(0, 4, size=size),
-             "standard_normal": lambda rng, size: rng.standard_normal(size)}
+             "standard_normal": lambda rng, size: rng.standard_normal(
+                 out=np.empty(size)),
+             "standard_exponential": lambda rng, size:
+                 rng.standard_exponential(out=np.empty(size))}
     one, blocked = np.random.default_rng(9), np.random.default_rng(9)
-    whole = calls[draw](one, (n, L))
+    whole = calls[draw](one, (n, *tail))
     rows = np.concatenate([
-        calls[draw](blocked, (min(sim.BLOCK_ROWS, n - start), L))
+        calls[draw](blocked, (min(sim.BLOCK_ROWS, n - start), *tail))
         for start in range(0, n, sim.BLOCK_ROWS)])
     assert whole.dtype == rows.dtype == dtype, (
         f"Generator.{draw} no longer returns {np.dtype(dtype)}")
@@ -488,6 +531,88 @@ def test_generator_streams_the_same_in_row_blocks(draw, dtype):
     after = one.standard_normal(5), blocked.standard_normal(5)
     assert np.array_equal(*after), (
         f"Generator.{draw} leaves the stream elsewhere after row blocks")
+
+
+def _batch_draws(cfg, n, seed, batch):
+    """Copies of every block that sim._draw_batch yields, concatenated."""
+    blocks = [(signs.copy(), q.copy())
+              for signs, q in sim._draw_batch(cfg, n, seed, batch)]
+    return (np.concatenate([b[0] for b in blocks], axis=1),
+            np.concatenate([b[1] for b in blocks], axis=2))
+
+
+def test_neighbouring_seeds_do_not_share_batches():
+    # Seeding batch i with seed + i would make batch 1 of seed s repeat
+    # batch 0 of seed s + 1; spawned streams keep them apart.
+    cfg = make_cfg((0.8, 0.2))
+    n, s = 20_000, 5
+    signs, q = _batch_draws(cfg, n, s, 1)
+    next_signs, next_q = _batch_draws(cfg, n, s + 1, 0)
+    assert not np.array_equal(signs, next_signs)
+    assert not np.any(q == next_q)
+    # The same through simulate: the second batch of a two-batch run
+    # (its counters less those of the first) is not a run at seed s + 1.
+    two = simulate(cfg, 10.0, 2 * n, seed=s, batch_size=n)
+    first = simulate(cfg, 10.0, n, seed=s)
+    following = simulate(cfg, 10.0, n, seed=s + 1)
+    second = two.detected_counts - first.detected_counts
+    assert second.sum() == following.detected_counts.sum() == 2 * n
+    assert not np.array_equal(second, following.detected_counts)
+
+
+def test_renyi_gains_have_the_ordered_exponential_law():
+    # Bounds fixed before the first run.  4e5 trials of L = 4 users at
+    # sigma_h^2 = 0.7.  Means within 4 standard errors of the exact
+    # Renyi mean; variances within 4 standard errors of the exact one,
+    # the standard error of a sample variance being at most
+    # sqrt(8/n) of it because these sums of exponentials have a kurtosis
+    # of at most 9 (the exponential's).  Against the sorted complex gains
+    # of channel.sample_ordered_channels (2e5 trials): means within 4
+    # combined standard errors, and a two-sample Kolmogorov-Smirnov
+    # distance below 2.3 sqrt(1/n1 + 1/n2), a false alarm rate below 1e-4.
+    L, sigma_h_sq, n, n_oracle = 4, 0.7, 400_000, 200_000
+    g = sim._gain_magnitudes(np.random.default_rng(11), sigma_h_sq,
+                             np.empty((n, L)), np.empty((L, n))) ** 2
+    w = 2 * sigma_h_sq / np.arange(L, 0, -1)
+    mean, var = np.cumsum(w), np.cumsum(w ** 2)
+    assert np.all(np.diff(g, axis=0) >= 0)  # ascending by user
+    got_mean, got_var = g.mean(axis=1), g.var(axis=1, ddof=1)
+    assert np.all(np.abs(got_mean - mean) < 4 * np.sqrt(var / n))
+    assert np.all(np.abs(got_var / var - 1) < 4 * math.sqrt(8 / n))
+
+    oracle = sample_ordered_channels(ChannelModel(L, sigma_h_sq), 12,
+                                     size=n_oracle).T ** 2
+    se = np.sqrt(got_var / n + oracle.var(axis=1, ddof=1) / n_oracle)
+    assert np.all(np.abs(got_mean - oracle.mean(axis=1)) < 4 * se)
+    for mine, theirs in zip(g, oracle):
+        mine, theirs = np.sort(mine), np.sort(theirs)
+        grid = np.concatenate([mine, theirs])
+        gap = np.abs(np.searchsorted(mine, grid, side="right") / n
+                     - np.searchsorted(theirs, grid, side="right") / n_oracle)
+        assert gap.max() < 2.3 * math.sqrt(1 / n + 1 / n_oracle)
+
+
+def test_simulate_agrees_with_an_old_style_batch():
+    # The same law drawn the long way (complex gains with phases, a stable
+    # sort by |h|, complex noise, one stream) and detected by the argmin
+    # chain: every per-user SER, BER and pairwise rate within 3 combined
+    # 95% Wald half-widths.  Bounds fixed before the first run.
+    cfg = make_cfg((0.7, 0.2, 0.1))
+    n = 300_000
+    snrs = [0.0, 10.0, 20.0]
+    got = simulate(cfg, snrs, n, seed=23)
+    draws = _old_style_draw(cfg, n, 24)
+    for snr_db, stats in zip(snrs, got):
+        old, _, _ = _reference_batch(cfg, snr_db,
+                                     cfg.noise_var_for_snr(snr_db), draws)
+        want = {(r["user"], r["metric"]): r
+                for r in stats_rows(old, QPSK.bits_per_symbol)}
+        rows = stats_rows(stats, QPSK.bits_per_symbol)
+        assert {(r["user"], r["metric"]) for r in rows} == set(want)
+        for r in rows:
+            w = want[r["user"], r["metric"]]
+            width = math.hypot(r["ci_half_width"], w["ci_half_width"])
+            assert abs(r["value"] - w["value"]) <= 3 * width, (snr_db, r, w)
 
 
 @pytest.mark.parametrize("mode", ["uniform_random"])
@@ -710,8 +835,7 @@ def test_exact_zero_component_counts_as_non_negative():
 
 
 def test_simulate_peak_memory_stays_within_seven_batch_arrays():
-    # The batch is kept as gain-normalised noise (2 arrays of n x L floats)
-    # and sign bits; detection reuses per-block buffers.  The peak must
+    # The draw and the detection work in per-block buffers.  The peak must
     # stay below 7 float arrays of the batch's n x L size.
     cfg = make_cfg((0.7, 0.2, 0.1))
     simulate(cfg, [0.0, 20.0], 2_000, seed=1)  # imports and caches
@@ -727,9 +851,8 @@ def test_simulate_peak_memory_stays_within_seven_batch_arrays():
 
 @pytest.mark.parametrize("count", [simulate, sic_patterns])
 def test_peak_memory_stays_within_four_batch_arrays(count):
-    # A 1M-trial batch keeps three float arrays of its n x L size whole
-    # (the sorted inverse gains and the real parts of the noise) and
-    # streams everything else through blocks of BLOCK_ROWS rows.
+    # A 1M-trial batch streams through blocks of BLOCK_ROWS rows, so its
+    # peak stays below four float arrays of the batch's n x L size.
     cfg = make_cfg((0.7, 0.2, 0.1))
     count(cfg, [0.0, 20.0], 2_000, seed=1)  # imports and caches
     n = 1_000_000
@@ -740,6 +863,27 @@ def test_peak_memory_stays_within_four_batch_arrays(count):
     finally:
         tracemalloc.stop()
     assert peak < 4 * n * cfg.num_users * 8
+
+
+@pytest.mark.parametrize("count", [simulate, sic_patterns])
+def test_peak_memory_does_not_grow_with_the_batch(count):
+    # Bounds fixed before the first measurement.  A batch keeps nothing of
+    # its own size: the draw and the detection hold one block of
+    # BLOCK_ROWS rows at a time.  So a 1M-trial batch peaks no higher than
+    # a 250k-trial one, give or take one float column of a block, and
+    # both stay below 16 float arrays of a block's BLOCK_ROWS x L size.
+    cfg = make_cfg((0.7, 0.2, 0.1))
+    count(cfg, [0.0, 20.0], 2_000, seed=1)  # imports and caches
+    peaks = {}
+    for n in (250_000, 1_000_000):
+        tracemalloc.start()
+        try:
+            count(cfg, [0.0, 20.0], n, seed=1)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1_000_000] <= peaks[250_000] + sim.BLOCK_ROWS * 8
+    assert peaks[1_000_000] < 16 * sim.BLOCK_ROWS * cfg.num_users * 8
 
 
 @pytest.mark.parametrize("snr_db", [4000.0, -4000.0])
@@ -846,7 +990,7 @@ def test_sic_patterns_rejects_what_simulate_rejects(case, monkeypatch):
 
 
 def test_sic_patterns_peak_memory_stays_within_six_batch_arrays():
-    # As simulate, and one float array stricter: the drawing sets the peak.
+    # As simulate, and one float array stricter.
     cfg = make_cfg((0.7, 0.2, 0.1))
     sic_patterns(cfg, [0.0, 20.0], 2_000, seed=1)  # imports and caches
     n = 200_000
