@@ -32,11 +32,19 @@ imaginary part or both of the sent symbol scores no worse than it.
 Two counters share one batching path.  simulate runs every user's full chain
 and keeps every counter of SimStats; sic_patterns keeps only the SIC
 residual patterns (PatternCounts), which is all that weighted-mode
-hypothesis averaging reads, so it stops each user's chain before the
-own stage and counts user 1's patterns, its own symbols, once for all
-points.  Both validate, split trials into batches, seed them, spread
-them over workers and merge them in the same code, share the chain, the
-pattern key and its decoding, and give user for user the same patterns.
+hypothesis averaging reads, and counts user 1's patterns, its own
+symbols, once for all points.  For a few points it stops each later
+user's chain before the own stage.  For many, such as an allocation
+grid, it bins instead: along each axis the decisions of the stages
+before user u+1's own are a step function of the gain-normalised noise
+q that never steps down, and its steps sit at a few breakpoints per
+point and sign word, which a bisection over the float64 order finds
+exactly by running the chain itself.  Each trial's q is binned once
+against the breakpoints of every point, and every point's patterns are
+read from the counts of the bins (_BinTally).  Both counters validate,
+split trials into batches, seed them, spread them over workers and
+merge them in the same code, share the chain, the pattern key and its
+decoding, and give user for user the same patterns.
 
 Counters are plain integers so that merging partial runs is exact
 component-wise addition: a run split into batches gives byte-identical
@@ -83,6 +91,7 @@ __all__ = [
 DEFAULT_BATCH_SIZE = 1_000_000
 MIN_WEIGHT_TRIALS = 100_000
 BLOCK_ROWS = 1 << 16  # detector rows per block; counters do not depend on it
+MIN_BIN_STAGES = 20  # chain stages a binning pass must replace; measured
 
 
 @dataclass(frozen=True)
@@ -327,9 +336,10 @@ def _sic_chain(y, steps, u: int, work=None) -> np.ndarray:
     residual, a component that is exactly zero counting as non-negative;
     stages k < u then subtract steps[:, k] with the decided signs, and
     stage u is the user's own decision.  Overwrites y with the residual
-    of the own stage and returns the decisions per axis, shape (2, n):
+    of the own stage and returns the decisions per axis, shaped like y:
     bit k is set where stage k decided negative.  work, if given, is a
-    float scratch array shaped like y.
+    float scratch array shaped like y.  Points with steps of their own
+    run at once with steps of shape (2, L, P) and y of shape (2, n, P).
     """
     leaf = np.zeros(y.shape, dtype=np.min_scalar_type((2 << u) - 1))
     for k in range(u + 1):
@@ -367,7 +377,7 @@ def _run_batch(points, quadrant, n: int, seed: int, batch: int
     half = np.abs([[pts[0].real], [pts[0].imag]])
     keyed = np.zeros((len(points), L, 128), dtype=np.int64)
     tallies = [[_KeyTally(u) for u in range(L)] for _ in points]
-    for block in _blocks(points, n, seed, batch):
+    for block in _blocks(_plan(points), cfg, n, seed, batch):
         _detect_batch(block, half, keyed, tallies)
     return [_sim_stats(c, quadrant, snr_db, n, keyed[i],
                        [t.patterns(quadrant) for t in tallies[i]])
@@ -379,52 +389,77 @@ def _run_pattern_batch(points, quadrant, n: int, seed: int, batch: int
     """Residual patterns of one batch at each (config, SNR) point, in order.
 
     Draws the batch as _run_batch does and gives the same patterns, but
-    runs user u+1's chain only through the stages before its own and
     never builds the other counters.  User 1 has no earlier stage: its
-    patterns are its own symbols, counted once for every point.
+    patterns are its own symbols, counted once for every point.  User
+    u+1 is counted by _BinTally, which bins each trial once for all
+    points, when one binning pass replaces at least MIN_BIN_STAGES chain
+    stages (the points it holds times the u stages before the user's
+    own), and otherwise by running its chain through those stages, point
+    by point.
     """
-    L = points[0][0].num_users
+    cfg = points[0][0]
+    L = cfg.num_users
+    plan = _plan(points)
     own = _KeyTally(0)
     tallies = [[_KeyTally(u) for u in range(1, L)] for _ in points]
-    for _, sign_keys, chains in _blocks(points, n, seed, batch):
+    binned = {u: _BinTally(plan, u, n) for u in range(1, L)
+              if min(len(points), _pass_points(L, u)) * u >= MIN_BIN_STAGES}
+    chained = [u for u in range(1, L) if u not in binned]
+    for signs, q, sign_keys, chains in _blocks(plan, cfg, n, seed, batch):
         own.add(sign_keys[0])
-        for tally, chain in zip(tallies, chains):
-            for u, t in enumerate(tally, start=1):
-                leaf, _, _ = chain(u, u - 1)
-                t.add(_pattern_keys(sign_keys[u], leaf, u))
+        for bins in binned.values():
+            bins.add(signs, q)
+        if chained:
+            for tally, chain in zip(tallies, chains):
+                for u in chained:
+                    leaf, _, _ = chain(u, u - 1)
+                    tally[u - 1].add(_pattern_keys(sign_keys[u], leaf, u))
+    for u, bins in binned.items():
+        for tally, (keys, counts) in zip(tallies, bins.counts()):
+            tally[u - 1].add(keys, counts)
     own_patterns = own.patterns(quadrant)
     return [PatternCounts(snr_db=snr_db, trials=n, delta_pattern_counts=[
                 dict(own_patterns), *(t.patterns(quadrant) for t in tally)])
             for (_, snr_db), tally in zip(points, tallies)]
 
 
-def _blocks(points, n: int, seed: int, batch: int):
-    """Draw one batch and yield its blocks, each with its points' chains.
+def _plan(points):
+    """Per (config, SNR) point, in order, (steps, table, sigma).
 
-    Yields (signs, sign_keys, chains) for each block of _draw_batch:
-    sign_keys[u] is the symbol half of user u+1's pattern keys (see
-    _sign_key), and chains yields, point by point in order, chain(u,
-    last), which runs user u+1's SIC chain at that point (see _chain).
-    The superposition of the block's symbols is rebuilt only when the
-    config changes from the previous point.  It and the chain's buffers
-    are reused by the next point and block, so a chain's results must be
-    read before the next one runs.
+    steps is _axis_steps of the config, table[x, j] axis x of the
+    superposition of the symbols whose signs along x are the bits of j,
+    a signed sum of the steps, and sigma the noise scale at the SNR.
+    Points of one config share its steps and table.
     """
     plan, tables = [], {}
     for c, snr_db in points:
         if c not in tables:
             steps = _axis_steps(c)
-            # table[x, j]: axis x of the superposition of symbols whose
-            # signs along x are the bits of j, a signed sum of the steps
             j = np.arange(1 << c.num_users)[:, None]
             tables[c] = steps, steps @ (
                 1 - 2 * ((j >> np.arange(c.num_users)) & 1)).T
         plan.append((*tables[c], _noise_scale(c, snr_db)))
+    return plan
+
+
+def _blocks(plan, cfg: SystemConfig, n: int, seed: int, batch: int):
+    """Draw one batch and yield its blocks, each with its points' chains.
+
+    plan is _plan of the points, whose configs draw as cfg does.  Yields
+    (signs, q, sign_keys, chains) for each block (signs, q) of
+    _draw_batch: sign_keys[u] is the symbol half of user u+1's pattern
+    keys (see _sign_key), and chains yields, point by point in order,
+    chain(u, last), which runs user u+1's SIC chain at that point (see
+    _chain).  The superposition of the block's symbols is rebuilt only
+    when the config changes from the previous point.  It and the chain's
+    buffers are reused by the next point and block, so a chain's results
+    must be read before the next one runs.
+    """
     buffers = np.empty((3, 2, min(n, BLOCK_ROWS)))
-    for signs, q in _draw_batch(points[0][0], n, seed, batch):
+    for signs, q in _draw_batch(cfg, n, seed, batch):
         s, y, work = buffers[:, :, :signs.shape[1]]
         sign_keys = [_sign_key(signs, u) for u in range(q.shape[1])]
-        yield signs, sign_keys, _chains(plan, signs, q, s, y, work)
+        yield signs, q, sign_keys, _chains(plan, signs, q, s, y, work)
 
 
 def _chains(plan, signs, q, s, y, work):
@@ -569,7 +604,13 @@ class _KeyTally:
         self.keys = np.empty(0, dtype=_key_dtype(u))
         self.counts = np.empty(0, dtype=np.int64)
 
-    def add(self, keys) -> None:
+    def add(self, keys, counts=None) -> None:
+        """Count each of keys once, or counts[i] times where given."""
+        if counts is not None:
+            # only _BinTally gives counts; no pass holds a user past the
+            # fourth (see _pass_points), and their key spaces are dense
+            np.add.at(self.dense, keys, counts)
+            return
         if self.dense is not None:
             self.dense += np.bincount(keys, minlength=self.dense.size)
             return
@@ -606,6 +647,182 @@ class _KeyTally:
         return dict(zip(code[order].tolist(), counts[order].tolist()))
 
 
+def _pass_points(L: int, u: int) -> int:
+    """Most points one binning pass of user u+1 holds (see _BinTally).
+
+    Each point brings 2^u - 1 breakpoints per sign word.  A pass with B
+    of them per sign word bins each axis into 2^L (B + 1) codes, and its
+    table of the square of that many cells must fit in BLOCK_ROWS.
+    """
+    return max((math.isqrt(BLOCK_ROWS) >> L) - 1, 0) // ((1 << u) - 1)
+
+
+def _group_points(L: int, u: int) -> int:
+    """Most points one search of _BinTally serves.
+
+    Each pass of a search group keeps, per axis, a lookup table of 2^L
+    entries per breakpoint of the group.  With at most this many points
+    per group, the two hold no more than BLOCK_ROWS entries, the bound of
+    the pass's count table, so memory grows linearly with the points.
+    Positive wherever _pass_points is.
+    """
+    return (BLOCK_ROWS >> 2 * L + 1) // ((1 << u) - 1)
+
+
+def _cuts(n: int, most: int) -> list[tuple[int, int]]:
+    """Bounds of the fewest contiguous runs of at most `most` of n items,
+    as even as possible."""
+    parts = -(-n // most)
+    ends = [i * n // parts for i in range(parts + 1)]
+    return list(zip(ends, ends[1:]))
+
+
+def _positions(u: int) -> np.ndarray:
+    """pos[leaf]: the in-order position of the decisions of stages 0..u-1
+    in leaf (see _sic_chain).
+
+    Stage 0 gives the most significant of u binary digits and a
+    non-negative decision a 1, so the position never falls as y grows:
+    it is 0 where every stage decides negative and 2^u - 1 where none
+    does.  The map is its own inverse.
+    """
+    leaf = np.arange(1 << u)
+    pos = np.zeros_like(leaf)
+    for k in range(u):
+        pos |= ((~leaf >> k) & 1) << (u - 1 - k)
+    return pos
+
+
+def _flip(bits):
+    """int64 keys that order float64 bit patterns (as int64) as the floats,
+    -0.0 just below +0.0, and back: the map is its own inverse."""
+    return bits ^ ((bits >> 63) & np.int64(0x7FFF_FFFF_FFFF_FFFF))
+
+
+def _breakpoints(plan, u: int) -> np.ndarray:
+    """Exact thresholds on q of user u+1's SIC decisions, at every point.
+
+    Returns t, shape (2, 2^L, 2^u - 1, P), for the P points of plan (see
+    _plan): along axis x and for sign word j, the position (see
+    _positions) of stages 0..u-1 of the chain on y = fl(fl(sigma q) +
+    table[x, j]) at point p is at least k exactly when q >= t[x, j, k-1,
+    p], and NaN, which every stage decides as non-negative, sits above
+    every t.  Every stage is a monotone IEEE operation, so the position
+    never falls as q grows, and t is the first float at which it reaches
+    k.  A 64-step bisection over the order of the float64 bit patterns
+    finds it, running _sic_chain itself on every point at once, so that
+    binning and chain share one SIC model.
+    """
+    steps, table = (np.stack(a, axis=-1) for a in list(zip(*plan))[:2])
+    sigma = np.array([p[2] for p in plan])
+    J, K = table.shape[1], (1 << u) - 1
+    s = np.repeat(table, K, axis=1)  # (2, J K, P): row j K + k - 1
+    k = np.tile(np.arange(1, K + 1), J)[:, None]
+    pos = _positions(u)
+    # y is -inf at every stage for q = -inf (position 0) and +inf for
+    # q = +inf (position 2^u - 1), so lo < t_k <= hi holds from the start
+    lo, hi = (np.full(s.shape, _flip(np.float64(v).view(np.int64)))
+              for v in (-np.inf, np.inf))
+    for _ in range(64):
+        mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)  # no int64 overflow
+        y = np.multiply(_flip(mid).view(np.float64), sigma)
+        y += s
+        up = pos[_sic_chain(y, steps, u - 1)] >= k
+        hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
+    return _flip(hi).view(np.float64).reshape(2, J, K, len(plan))
+
+
+class _BinTally:
+    """User u+1's pattern keys at every point of a batch, from one binning
+    of each trial.
+
+    Along axis x, for sign word j (the trial's signs[x]) and at point p,
+    the decisions of stages 0..u-1 are fixed by how many of the
+    breakpoints t[x, j, :, p] (see _breakpoints) q[x, u] reaches.  The
+    points split into search groups of at most _group_points, and each
+    block bins q[x, u] once per trial and group against the sorted
+    breakpoints of the group's points and every sign word (union[x]).  A
+    pass, a run of at most _pass_points of the group's points, maps that
+    bin and j through its lookup tables to the trial's code (j, bin among
+    the pass's breakpoints for j) on each axis and counts the (code_re,
+    code_im) cells in a dense table of at most BLOCK_ROWS cells.
+    counts() reads every point's patterns from 2-D prefix sums of its
+    pass's table.
+    """
+
+    def __init__(self, plan, u: int, n: int):
+        t = _breakpoints(plan, u)
+        self.u, self.L = u, t.shape[1].bit_length() - 1
+        self.groups = []
+        for a, b in _cuts(len(plan), _group_points(self.L, u)):
+            union = [np.sort(t[x, ..., a:b], axis=None) for x in range(2)]
+            self.groups.append((union, [
+                self._pass(t[..., a + c:a + d], union, n)
+                for c, d in _cuts(b - a, _pass_points(self.L, u))]))
+
+    @staticmethod
+    def _pass(mine, union, n: int):
+        """(luts, edges, table) of a pass over the breakpoints mine."""
+        J, E = mine.shape[1], mine.shape[2] + 1
+        own = np.sort(mine.reshape(2, J, -1), axis=2)
+        bins = own.shape[2] + 1
+        # edges[x][p, j, k]: the first of the pass's bins for j at which
+        # point p's position reaches k; bin i holds own[x, j, i-1] <= q
+        # < own[x, j, i]
+        edges = np.empty((2, mine.shape[3], J, E + 1), dtype=np.intp)
+        edges[..., 0], edges[..., -1] = 0, bins
+        luts = []
+        for x in range(2):
+            # lut[g, j]: the code of a trial in bin g of union[x]
+            lut = np.zeros((union[x].size + 1, J), dtype=np.uint16)
+            for j in range(J):
+                lut[1:, j] = np.searchsorted(own[x, j], union[x], side="right")
+                edges[x, :, j, 1:-1] = 1 + np.searchsorted(
+                    own[x, j], mine[x, j].T, side="left")
+            lut += np.arange(J, dtype=np.uint16) * np.uint16(bins)
+            luts.append(lut.ravel())
+        luts[0] *= np.uint16(J * bins)  # cell = code_re * J bins + code_im
+        return luts, edges, np.zeros((J * bins) ** 2,
+                                     dtype=np.min_scalar_type(n))
+
+    def add(self, signs, q) -> None:
+        """Count the trials of one block of _draw_batch."""
+        for union, passes in self.groups:
+            index = []
+            for x in range(2):
+                g = np.searchsorted(union[x], q[x, self.u], side="right")
+                g <<= self.L
+                g |= signs[x]
+                index.append(g)
+            for (re, im), _, table in passes:
+                cell = re.take(index[0])
+                cell += im.take(index[1])
+                np.add(table, np.bincount(cell, minlength=table.size),
+                       out=table, casting="unsafe")
+
+    def counts(self):
+        """Yield, point by point, (keys, counts): user u+1's pattern keys
+        (see _pattern_keys) and the trials of each."""
+        u, J, E = self.u, 1 << self.L, 1 << self.u
+        jr, pr, ji, pi = np.indices((J, E, J, E)).reshape(4, -1)
+        leaf = _positions(u)  # its own inverse: the leaf of each position
+        keys = _pattern_keys(
+            _sign_key(np.array([jr, ji], dtype=np.min_scalar_type(J - 1)), u),
+            np.array([leaf[pr], leaf[pi]], dtype=np.min_scalar_type(E - 1)),
+            u)
+        j = np.arange(J)
+        for _, passes in self.groups:
+            for _, (re, im), table in passes:
+                bins = re[0, 0, -1]
+                sums = np.zeros((J, bins + 1, J, bins + 1), dtype=np.int64)
+                sums[:, 1:, :, 1:] = table.reshape(J, bins, J, bins).cumsum(
+                    1).cumsum(3)
+                corners = sums[j[:, None, None, None], re[:, :, :, None, None],
+                               j[:, None], im[:, None, None]]
+                for point in np.diff(np.diff(corners, axis=2), axis=4):
+                    yield keys, point.ravel()
+
+
 def _detect_batch(block, half, keyed, tallies) -> None:
     """Run every point's full SIC chains on one block and add its counters.
 
@@ -618,7 +835,7 @@ def _detect_batch(block, half, keyed, tallies) -> None:
     both scored no worse than a.  tallies[i][u] counts point i's pattern
     keys of user u+1.
     """
-    signs, sign_keys, chains = block
+    signs, _, sign_keys, chains = block
     # no point changes sent[u], user u+1's sent signs per axis, or axes[u],
     # the axes of its sent symbol a: +half where positive, -half elsewhere
     sent = [(signs & (1 << u)) != 0 for u in range(len(sign_keys))]
@@ -720,7 +937,11 @@ def sic_patterns(
     spreads them and shapes its result the same way, with a PatternCounts
     in place of each SimStats: its delta_pattern_counts equal simulate's,
     dict order included.  It is what sic_weight_tables needs, for a
-    fraction of the detection work: no user's own stage runs.
+    fraction of the detection work: no user's own stage runs.  When one
+    binning pass of a user holds enough of a call's (config, SNR) points
+    (see MIN_BIN_STAGES), as on an allocation grid, that user's earlier
+    stages do not run per point either: each trial is binned once
+    against exact per-point thresholds on its noise (see _BinTally).
     """
     return _run_batches(_run_pattern_batch, cfg, snr_db, trials, seed,
                         workers, batch_size)

@@ -28,6 +28,7 @@ from noma_pep import (
     superposed_signal,
     upsilon_factor,
 )
+from noma_pep.optimize import _descending_grid
 
 QPSK = qpsk_constellation(1.0)
 sim = importlib.import_module("noma_pep.simulate")
@@ -447,24 +448,52 @@ def test_blocked_batch_matches_reference_chain(L, mode, n):
         _assert_matches_reference(got, cfg, snr_db, n, seed, 2)
 
 
+def _binning_grid(name):
+    """(configs, SNRs) of a point list long enough that sic_patterns bins
+    every pattern user: the 49-point two-user fig4 grid (sigma_h^2 = 1,
+    30 dB), or a 40-point three-user grid whose user 2 takes two binning
+    passes and user 3 four."""
+    L, step, sigma_h_sq, snrs = {"fig4": (2, 0.01, 1.0, [30.0]),
+                                 "two-passes": (3, 0.04, 0.5, [20.0])}[name]
+    cfgs = [make_cfg(a, sigma_h_sq) for a in _descending_grid(L, step)]
+    points = len(cfgs) * len(snrs)
+    assert all(min(points, sim._pass_points(L, u)) * u >= sim.MIN_BIN_STAGES
+               for u in range(1, L))
+    assert (points > sim._pass_points(L, 1)) == (name == "two-passes")
+    return cfgs, snrs
+
+
+# The short point lists run the chain; the named grids bin (_binning_grid).
 @pytest.mark.parametrize("offset", [-1, 0, 1, 7])
-@pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
-def test_block_boundaries_match_reference_chain(L, offset):
+@pytest.mark.parametrize("L,grid", [
+    *(pytest.param(L, None, id=str(L)) for L in (1, 2, 3, 4, 5)),
+    pytest.param(2, "fig4", id="fig4-grid"),
+    pytest.param(3, "two-passes", id="L3-two-pass-grid")])
+def test_block_boundaries_match_reference_chain(L, grid, offset):
     # Batches one row short of a block, exactly one block, one row over,
     # and two blocks and seven rows; the config list repeats c1 after c2,
-    # so every block rebuilds c1's superposition.  At five users the last
-    # two users' key spaces exceed a block and are counted sparsely.
+    # so every block rebuilds c1's superposition.  At five users user 5's
+    # key space (2^18) exceeds a block and is counted sparsely; user 4's
+    # (2^14) does not.  A grid's patterns are checked at every point
+    # against _run_batch, and its first and last points against the
+    # reference chain.
     n = (2 if offset == 7 else 1) * sim.BLOCK_ROWS + offset
-    c1 = make_cfg(REFERENCE_ALPHA.get(L, (0.5, 0.25, 0.13, 0.08, 0.04)))
-    c2 = dataclasses.replace(c1, P=2.5)
-    points = [(c1, 5.0), (c2, 20.0), (c1, 30.0)]
-    quadrant = sim._quadrant_table(c1.constellation)
+    if grid is None:
+        c1 = make_cfg(REFERENCE_ALPHA.get(L, (0.5, 0.25, 0.13, 0.08, 0.04)))
+        c2 = dataclasses.replace(c1, P=2.5)
+        points = [(c1, 5.0), (c2, 20.0), (c1, 30.0)]
+    else:
+        cfgs, snrs = _binning_grid(grid)
+        points = [(c, s) for c in cfgs for s in snrs]
+    quadrant = sim._quadrant_table(points[0][0].constellation)
     seed = 500 + 10 * L + offset
     stats = sim._run_batch(points, quadrant, n, seed, L)
     counts = sim._run_pattern_batch(points, quadrant, n, seed, L)
     assert len(stats) == len(counts) == len(points)
-    for (cfg, snr_db), got, patterns in zip(points, stats, counts):
-        _assert_matches_reference(got, cfg, snr_db, n, seed, L)
+    for i, ((cfg, snr_db), got, patterns) in enumerate(
+            zip(points, stats, counts)):
+        if grid is None or i in (0, len(points) - 1):
+            _assert_matches_reference(got, cfg, snr_db, n, seed, L)
         _assert_same_patterns(patterns, got)
 
 
@@ -914,16 +943,24 @@ def _assert_same_patterns(got, want):
     ]
 
 
-@pytest.mark.parametrize("L", [1, 2, 3, 4])
-def test_sic_patterns_equal_simulate(L):
-    # Several allocations and SNRs in one call, over four batches.
-    base = make_cfg(REFERENCE_ALPHA[L])
-    cfgs = [base, dataclasses.replace(base, P=2.5)]
-    if L > 1:
-        a = REFERENCE_ALPHA[L]
-        cfgs.append(dataclasses.replace(
-            base, alpha=(a[0] + 0.05, a[1] - 0.05) + a[2:]))
-    snrs = [0.0, 15.0, 30.0]
+@pytest.mark.parametrize("L,grid", [
+    *(pytest.param(L, None, id=str(L)) for L in (1, 2, 3, 4)),
+    pytest.param(2, "fig4", id="fig4-grid"),
+    pytest.param(3, "two-passes", id="L3-two-pass-grid")])
+def test_sic_patterns_equal_simulate(L, grid):
+    # Several allocations and SNRs in one call, over four batches.  The
+    # short lists run the chain; the grids bin (see _binning_grid).
+    if grid is None:
+        base = make_cfg(REFERENCE_ALPHA[L])
+        cfgs = [base, dataclasses.replace(base, P=2.5)]
+        if L > 1:
+            a = REFERENCE_ALPHA[L]
+            cfgs.append(dataclasses.replace(
+                base, alpha=(a[0] + 0.05, a[1] - 0.05) + a[2:]))
+        snrs, one = [0.0, 15.0, 30.0], 1
+    else:
+        cfgs, snrs = _binning_grid(grid)
+        base, one = cfgs[0], 0
     got = sic_patterns(cfgs, snrs, 30_001, seed=21, batch_size=10_000)
     want = simulate(cfgs, snrs, 30_001, seed=21, batch_size=10_000)
     assert len(got) == len(cfgs)
@@ -933,21 +970,35 @@ def test_sic_patterns_equal_simulate(L):
             _assert_same_patterns(g, w)
     # A single configuration and SNR returns one PatternCounts.
     _assert_same_patterns(
-        sic_patterns(base, 15.0, 30_001, seed=21, batch_size=10_000),
-        want[0][1])
+        sic_patterns(base, snrs[one], 30_001, seed=21, batch_size=10_000),
+        want[0][one])
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("trials,batch_size", [(300_001, 100_000),
-                                               (30_001, 1_000_000)])
-def test_sic_patterns_batches_and_workers(trials, batch_size, workers):
+@pytest.mark.parametrize("trials,batch_size,grid", [
+    pytest.param(300_001, 100_000, None, id="300001-100000"),
+    pytest.param(30_001, 1_000_000, None, id="30001-1000000"),
+    pytest.param(300_001, 100_000, "fig4", id="300001-100000-fig4-grid"),
+    pytest.param(30_001, 1_000_000, "fig4", id="30001-1000000-fig4-grid"),
+    pytest.param(300_001, 100_000, "two-passes",
+                 id="300001-100000-L3-two-pass-grid"),
+    pytest.param(30_001, 1_000_000, "two-passes",
+                 id="30001-1000000-L3-two-pass-grid")])
+def test_sic_patterns_batches_and_workers(trials, batch_size, grid, workers):
     # Four batches, the last one row long, or one batch whose points
-    # spread over the workers.
-    base = make_cfg((0.7, 0.2, 0.1))
-    cfgs = [base, dataclasses.replace(base, alpha=(0.6, 0.3, 0.1))]
-    got = sic_patterns(cfgs, [5.0, 20.0], trials, seed=8, workers=workers,
+    # spread over the workers.  The grids bin (see _binning_grid).  Spread
+    # over two workers, each process bins its half of a grid, user 2 of
+    # the three-user grid in one pass instead of two, and the counts must
+    # not change.
+    if grid is None:
+        base = make_cfg((0.7, 0.2, 0.1))
+        cfgs = [base, dataclasses.replace(base, alpha=(0.6, 0.3, 0.1))]
+        snrs = [5.0, 20.0]
+    else:
+        cfgs, snrs = _binning_grid(grid)
+    got = sic_patterns(cfgs, snrs, trials, seed=8, workers=workers,
                        batch_size=batch_size)
-    want = simulate(cfgs, [5.0, 20.0], trials, seed=8, batch_size=batch_size)
+    want = simulate(cfgs, snrs, trials, seed=8, batch_size=batch_size)
     for counts, stats in zip(got, want):
         for g, w in zip(counts, stats):
             _assert_same_patterns(g, w)
@@ -1001,6 +1052,114 @@ def test_sic_patterns_peak_memory_stays_within_six_batch_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 6 * n * cfg.num_users * 8
+
+
+def test_binned_sic_patterns_stay_within_six_batch_arrays():
+    # The bound of the test above, for the 499-point default fig4 grid,
+    # which bins in eight passes.
+    cfgs = [make_cfg(a, 1.0) for a in _descending_grid(2, 0.001)]
+    sic_patterns(cfgs[:3], 30.0, 2_000, seed=1)  # imports and caches
+    n = 200_000
+    tracemalloc.start()
+    try:
+        sic_patterns(cfgs, 30.0, n, seed=20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * n * 2 * 8
+
+
+def _mixed_points(L, count, seed):
+    """count (config, SNR) points of L users, random allocations, at SNRs
+    from -10 dB, where sigma > 1 and sigma q can overflow, to 40 dB."""
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < count:
+        a = np.sort(rng.dirichlet(np.full(L, 2.0)))[::-1]
+        a[-1] = 1.0 - a[:-1].sum()
+        if np.all(np.diff(a) < 0) and a[-1] > 0:
+            snr_db = float(rng.choice([-10.0, 0.0, 12.5, 40.0]))
+            points.append((make_cfg(a), snr_db))
+    return points
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_breakpoints_are_where_the_chain_steps(L):
+    # At each breakpoint t_k of every point, sign word and pattern user,
+    # the in-order position of stages 0..u-1 is at least k, and at the
+    # float below t_k it is less than k.  The chain runs as the simulator
+    # runs it, on (2, n) samples of one point at a time.
+    points = _mixed_points(L, 6, 70 + L)
+    plan = sim._plan(points)
+    for u in range(1, L):
+        K = (1 << u) - 1
+        t = sim._breakpoints(plan, u)
+        assert t.shape == (2, 1 << L, K, len(points))
+        pos = sim._positions(u)
+        k = np.arange(1, K + 1)
+        for p, (steps, table, sigma) in enumerate(plan):
+            for q, reached in ((t[..., p], True),
+                               (np.nextafter(t[..., p], -np.inf), False)):
+                y = np.multiply(q, sigma).reshape(2, -1)
+                y += np.repeat(table, K, axis=1)
+                got = pos[sim._sic_chain(y, steps, u - 1)].reshape(q.shape)
+                assert np.all((got >= k) == reached), (u, p)
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_binning_gives_the_chain_keys_at_special_q(L):
+    # NaN, +-inf, +-0.0, q = +-1e308, for which sigma q overflows at
+    # -10 dB, every breakpoint, the float below each, and random q, with
+    # random sign words: one binned block must give every point and
+    # pattern user the keys of the chain on the same samples.
+    points = _mixed_points(L, 6, 80 + L)
+    plan = sim._plan(points)
+    rng = np.random.default_rng(90 + L)
+    for u in range(1, L):
+        t = sim._breakpoints(plan, u).ravel()
+        qu = np.concatenate([[np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308,
+                              -1e308], t, np.nextafter(t, -np.inf),
+                             10.0 * rng.standard_normal(500)])
+        q = rng.standard_normal((2, L, qu.size))
+        q[0, u], q[1, u] = qu, rng.permutation(qu)
+        signs = rng.integers(0, 1 << L, size=(2, qu.size)).astype(np.uint8)
+        bins = sim._BinTally(plan, u, qu.size)
+        bins.add(signs, q)
+        for (steps, table, sigma), (keys, counts) in zip(plan,
+                                                         bins.counts()):
+            with np.errstate(over="ignore"):
+                y = np.multiply(q[:, u], sigma)
+            y += np.take_along_axis(table, signs.astype(np.intp), axis=1)
+            want, got = sim._KeyTally(u), sim._KeyTally(u)
+            want.add(sim._pattern_keys(sim._sign_key(signs, u),
+                                       sim._sic_chain(y, steps, u - 1), u))
+            got.add(keys, counts)
+            np.testing.assert_array_equal(got.dense, want.dense)
+
+
+@pytest.mark.parametrize("L,count,binned", [
+    (2, 5, []), (2, 19, []), (2, 20, [2]),
+    (3, 5, []), (3, 9, []), (3, 10, [3]), (3, 19, [3]), (3, 20, [2, 3]),
+    (4, 20, []), (4, 64, [])])
+def test_binning_replaces_at_least_min_bin_stages(L, count, binned,
+                                                  monkeypatch):
+    # User u+1 is binned only when one pass replaces at least
+    # MIN_BIN_STAGES chain stages: its points times the u stages before
+    # the user's own.  The five SNRs of pep --sic-mode weighted at L = 3
+    # stay on the chain, and so does every list at four users, where a
+    # pass holds at most 15 points for user 2, 5 for user 3 and 2 for
+    # user 4.
+    made = []
+    real = sim._BinTally
+
+    def spy(plan, u, n):
+        made.append(u)
+        return real(plan, u, n)
+
+    monkeypatch.setattr(sim, "_BinTally", spy)
+    sic_patterns(make_cfg(REFERENCE_ALPHA[L]),
+                 list(np.linspace(0.0, 40.0, count)), 2_000, seed=1)
+    assert [u + 1 for u in made] == binned
 
 
 def test_weight_tables_equal_per_symbol_delta_weights():
