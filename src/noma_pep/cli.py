@@ -33,9 +33,10 @@ when a later flag shares its prefix.  Every subcommand takes --config,
 --out and --workers (which only a simulation uses).
 
 Exit codes: 0 success, 2 configuration error (including non-finite
-flag values, unknown config keys, empty SNR ranges, --workers below 1
-and --prior-deltas outside pattern mode), 3 numerical failure, 4
-infeasible optimization.
+flag values, unknown config keys, SNR ranges that are empty or too long
+to allocate, --workers below 1, --prior-deltas outside pattern mode and
+more than 16 simulated users), 3 numerical failure, 4 infeasible
+optimization.
 """
 
 from __future__ import annotations
@@ -155,7 +156,12 @@ def parse_snr_list(text: str) -> list[float]:
         if len(parts) != 3 or not parts[2] > 0:
             raise ValueError(f"bad SNR range {text!r}, expected start:stop:step")
         start, stop, step = parts
-        grid = [float(s) for s in np.arange(start, stop + step / 2, step)]
+        try:
+            points = np.arange(start, stop + step / 2, step)
+        except MemoryError:
+            raise ValueError(
+                f"SNR range {text!r} has too many points") from None
+        grid = [float(s) for s in points]
         if not grid:
             raise ValueError(f"SNR range {text!r} has no points")
     else:

@@ -49,7 +49,8 @@ def residual_tables(cfg: SystemConfig, sic_mode: str, prior_deltas=None,
 
       perfect   None: every residual is zero
       pattern   {first l-1 prior_deltas: 1.0}; needs at least L-1 deltas
-      weighted  sic_weight_tables of stats, a SimStats or PatternCounts
+      weighted  sic_weight_tables of stats, a PatternCounts (a SimStats
+                is one)
     """
     L, m = cfg.num_users, cfg.constellation.size
     if sic_mode == "perfect":
@@ -193,47 +194,44 @@ def union_bound_ber(
     return union_bound_from_pep(peps, constellation)
 
 
-def _weight_stats(problem: OptimizationProblem, grid, workers: int = 1):
-    """Simulated SIC residual patterns of every allocation in grid.
+def _sweep(problem: OptimizationProblem, grid, workers: int = 1):
+    """The SweepEntry of every allocation in grid, in order.
 
-    Weighted mode reads nothing else of a simulation.  One sic_patterns
-    call at problem.weights_seed covers the whole grid, so every point
-    detects the same draws; other modes need none (None per point).
+    Builds each allocation's SystemConfig once, which checks every alpha
+    (ValueError) before any simulation or quadrature.  Weighted mode
+    takes the SIC residual weights from one sic_patterns call at
+    problem.weights_seed over the whole grid, spread over `workers`
+    processes, so every point detects the same draws; other modes
+    simulate nothing.
     """
-    if problem.sic_mode != "weighted":
-        return [None] * len(grid)
-    return sic_patterns(
-        [replace(problem.cfg, alpha=tuple(a)) for a in grid],
-        problem.snr_db, problem.weights_trials, problem.weights_seed,
-        workers=workers,
-    )
-
-
-def _per_user_bounds_and_peps(problem: OptimizationProblem, alpha, stats):
-    """Union bound and worst-pair PEP for every user at one grid point.
-
-    Weighted mode takes the SIC residual weight tables from stats, the
-    point's simulated residual patterns (see _weight_stats).
-    """
-    cfg = replace(problem.cfg, alpha=tuple(alpha))
-    table = pep_table(cfg, problem.snr_db, residual_tables(
-        cfg, problem.sic_mode, problem.prior_deltas, stats))
-    bounds = [union_bound_from_pep(peps, cfg.constellation) for peps in table]
-    return bounds, [float(peps.max()) for peps in table]
+    cfgs = [replace(problem.cfg, alpha=tuple(float(x) for x in a))
+            for a in grid]
+    counts = [None] * len(cfgs)
+    if problem.sic_mode == "weighted":
+        counts = sic_patterns(cfgs, problem.snr_db, problem.weights_trials,
+                              problem.weights_seed, workers=workers)
+    entries = []
+    for cfg, patterns in zip(cfgs, counts):
+        table = pep_table(cfg, problem.snr_db, residual_tables(
+            cfg, problem.sic_mode, problem.prior_deltas, patterns))
+        bounds = [union_bound_from_pep(peps, cfg.constellation)
+                  for peps in table]
+        worst = tuple(float(peps.max()) for peps in table)
+        entries.append(SweepEntry(
+            alpha=cfg.alpha, psi=float(np.mean(bounds)), pep_per_user=worst,
+            feasible=all(p <= problem.p_th for p in worst)))
+    return entries
 
 
 def objective_psi(problem: OptimizationProblem, alpha):
     """User-averaged union-bound BER at one power allocation.
 
-    Weighted mode estimates the residual weights from a simulation seeded
-    with problem.weights_seed, so the value equals solve's sweep entry
-    at the same allocation.  Every mode checks alpha as a SystemConfig
+    Equals solve's sweep entry at the same allocation; weighted mode
+    estimates the residual weights from a simulation seeded with
+    problem.weights_seed.  Every mode checks alpha as a SystemConfig
     does (ValueError) before any simulation or quadrature.
     """
-    a = tuple(float(x) for x in alpha)
-    (stats,) = _weight_stats(problem, [a])
-    bounds, _ = _per_user_bounds_and_peps(problem, a, stats)
-    return float(np.mean(bounds))
+    return _sweep(problem, [alpha])[0].psi
 
 
 def _descending_grid(L: int, step: float):
@@ -268,9 +266,9 @@ def _descending_grid(L: int, step: float):
                 break
             rec(prefix + [k], rest, slots - 1)
 
+    # every level counts k down, so the points come in descending alpha_1,
+    # then alpha_2, ...
     rec([], n, L)
-    # Deterministic order: descending alpha_1, then alpha_2, ...
-    out.sort(key=lambda a: tuple(-x for x in a))
     return out
 
 
@@ -285,18 +283,8 @@ def solve(problem: OptimizationProblem, workers: int = 1) -> OptimizationResult:
     points' errors are correlated), spread over `workers` processes; the
     result does not depend on the worker count.
     """
-    L = problem.cfg.num_users
-    grid = _descending_grid(L, problem.grid_step)
-    entries = []
-    for alpha, stats in zip(grid, _weight_stats(problem, grid, workers)):
-        bounds, worst = _per_user_bounds_and_peps(problem, alpha, stats)
-        psi = float(np.mean(bounds))
-        feasible = all(p <= problem.p_th for p in worst)
-        entries.append(
-            SweepEntry(
-                alpha=alpha, psi=psi, pep_per_user=tuple(worst), feasible=feasible
-            )
-        )
+    entries = _sweep(problem, _descending_grid(
+        problem.cfg.num_users, problem.grid_step), workers)
     feasible_entries = [e for e in entries if e.feasible]
     if not feasible_entries:
         return OptimizationResult(

@@ -29,10 +29,11 @@ other alphabet.  For the pairwise counters the own stage keeps three
 bits per trial: whether the hypothesis that flips the real part, the
 imaginary part or both of the sent symbol scores no worse than it.
 
-Two counters share one batching path.  simulate runs every user's full chain
-and keeps every counter of SimStats; sic_patterns keeps only the SIC
-residual patterns (PatternCounts), which is all that weighted-mode
-hypothesis averaging reads, and counts user 1's patterns, its own
+Two counters share one batching path and one result type.  sic_patterns
+keeps only the SIC residual patterns (PatternCounts), which is all that
+weighted-mode hypothesis averaging reads; simulate runs every user's full
+chain and returns a SimStats, a PatternCounts with the detection
+counters besides.  sic_patterns counts user 1's patterns, its own
 symbols, once for all points.  For a few points it stops each later
 user's chain before the own stage.  For many, such as an allocation
 grid, it bins instead: along each axis the decisions of the stages
@@ -62,8 +63,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -92,6 +92,7 @@ DEFAULT_BATCH_SIZE = 1_000_000
 MIN_WEIGHT_TRIALS = 100_000
 BLOCK_ROWS = 1 << 16  # detector rows per block; counters do not depend on it
 MIN_BIN_STAGES = 20  # chain stages a binning pass must replace; measured
+MAX_USERS = 16  # user L's pattern keys take 4L - 2 bits of a uint64
 
 
 @dataclass(frozen=True)
@@ -161,9 +162,48 @@ def linear_snr(snr_db: float, P: float = 1.0) -> float:
     return ratio
 
 
-@dataclass
-class SimStats:
-    """Accumulated counters of one simulation run.
+@dataclass(kw_only=True)
+class PatternCounts:
+    """SIC residual patterns of one run, as sic_patterns counts them.
+
+    delta_pattern_counts[u]   map from an encoded (own symbol, SIC stage
+                              decisions) key at user u+1 to its count;
+                              keyed by the user's own transmitted symbol
+                              because SIC error directions correlate
+                              with it through the uncancelled own signal
+
+    sic_patterns gives, dict order included, the delta_pattern_counts of
+    simulate with the same arguments.  SimStats, simulate's result, adds
+    the detection counters.  The fields of both are keyword-only, so a
+    positional construction fails instead of reordering them.
+    """
+
+    snr_db: float
+    trials: int
+    delta_pattern_counts: list[dict[int, int]]
+
+    def merge(self, other: PatternCounts) -> PatternCounts:
+        """The counts of both runs, self's pattern codes first."""
+        if (len(self.delta_pattern_counts), self.snr_db) != (
+            len(other.delta_pattern_counts),
+            other.snr_db,
+        ):
+            raise ValueError(
+                "cannot merge counts from different configurations")
+        patterns = []
+        for a, b in zip(self.delta_pattern_counts, other.delta_pattern_counts):
+            d = dict(a)
+            for code, cnt in b.items():
+                d[code] = d.get(code, 0) + cnt
+            patterns.append(d)
+        return replace(self, trials=self.trials + other.trials,
+                       delta_pattern_counts=patterns)
+
+
+@dataclass(kw_only=True)
+class SimStats(PatternCounts):
+    """Accumulated counters of one simulation run: the residual patterns
+    of PatternCounts plus
 
     detected_counts[u, a, b]  trials where user u+1 sent symbol a and the
                               full SIC detector output b (rows sum to the
@@ -173,22 +213,14 @@ class SimStats:
                               user u+1 (b != a; not mutually exclusive
                               across b, so rows do not sum to trials)
     bit_errors[u]             bit errors of user u+1's detected symbols
-    delta_pattern_counts[u]   map from an encoded (own symbol, SIC stage
-                              decisions) key at user u+1 to its count;
-                              keyed by the user's own transmitted symbol
-                              because SIC error directions correlate
-                              with it through the uncancelled own signal
 
     The user count, alphabet size, transmit counts and symbol errors are
     exact integer sums of detected_counts.
     """
 
-    snr_db: float
-    trials: int
     detected_counts: np.ndarray
     pairwise_counts: np.ndarray
     bit_errors: np.ndarray
-    delta_pattern_counts: list[dict[int, int]]
 
     @property
     def num_users(self) -> int:
@@ -209,57 +241,13 @@ class SimStats:
         d = self.detected_counts
         return d.sum(axis=(1, 2)) - np.trace(d, axis1=1, axis2=2)
 
-    def merge(self, other: "SimStats") -> "SimStats":
-        if (self.detected_counts.shape, self.snr_db) != (
-            other.detected_counts.shape,
-            other.snr_db,
-        ):
-            raise ValueError("cannot merge stats from different configurations")
-        return SimStats(
-            snr_db=self.snr_db,
-            trials=self.trials + other.trials,
+    def merge(self, other: SimStats) -> SimStats:
+        return replace(
+            super().merge(other),
             detected_counts=self.detected_counts + other.detected_counts,
             pairwise_counts=self.pairwise_counts + other.pairwise_counts,
             bit_errors=self.bit_errors + other.bit_errors,
-            delta_pattern_counts=_merged_patterns(self, other),
         )
-
-
-@dataclass
-class PatternCounts:
-    """SIC residual patterns of one run, as sic_patterns counts them.
-
-    delta_pattern_counts has SimStats' meaning and equals, dict order
-    included, that of simulate with the same arguments.
-    """
-
-    snr_db: float
-    trials: int
-    delta_pattern_counts: list[dict[int, int]]
-
-    def merge(self, other: "PatternCounts") -> "PatternCounts":
-        if (len(self.delta_pattern_counts), self.snr_db) != (
-            len(other.delta_pattern_counts),
-            other.snr_db,
-        ):
-            raise ValueError(
-                "cannot merge counts from different configurations")
-        return PatternCounts(
-            snr_db=self.snr_db,
-            trials=self.trials + other.trials,
-            delta_pattern_counts=_merged_patterns(self, other),
-        )
-
-
-def _merged_patterns(mine, theirs) -> list[dict[int, int]]:
-    """Per-user sums of two runs' pattern counts, mine's codes first."""
-    patterns = []
-    for a, b in zip(mine.delta_pattern_counts, theirs.delta_pattern_counts):
-        d = dict(a)
-        for code, cnt in b.items():
-            d[code] = d.get(code, 0) + cnt
-        patterns.append(d)
-    return patterns
 
 
 @dataclass(frozen=True)
@@ -915,8 +903,9 @@ def simulate(
     process drawing the same batch.  Raises ValueError before any draw when an
     SNR is not finite or out of range for a configuration (see
     linear_snr), a sequence is empty, the configurations differ in
-    more than alpha and P, or the alphabet cannot be sliced per axis (see
-    _quadrant_table), and for fewer than one trial, worker or batch row.
+    more than alpha and P, there are more than MAX_USERS users, or the
+    alphabet cannot be sliced per axis (see _quadrant_table), and for
+    fewer than one trial, worker or batch row.
     """
     return _run_batches(_run_batch, cfg, snr_db, trials, seed, workers,
                         batch_size)
@@ -977,6 +966,9 @@ def _run_batches(run, cfg, snr_db, trials, seed, workers, batch_size):
     if any(d != drawn[0] for d in drawn):
         raise ValueError(
             "configurations of one call may differ only in alpha and P")
+    if cfgs[0].num_users > MAX_USERS:
+        raise ValueError(f"the simulator counts at most {MAX_USERS} users, "
+                         f"got {cfgs[0].num_users}")
     quadrant = _quadrant_table(cfgs[0].constellation)
     sizes = []
     left = trials
@@ -995,6 +987,8 @@ def _run_batches(run, cfg, snr_db, trials, seed, workers, batch_size):
     args = [(run, chunk, quadrant, nb, seed, i)
             for i, nb in enumerate(sizes) for chunk in chunks]
     if workers > 1 and len(args) > 1:
+        # loaded here, so that a run in one process never loads it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
             results = list(pool.map(_call, args))
     else:
@@ -1109,7 +1103,7 @@ def decode_delta_pattern(
 
 
 def sic_delta_weights(
-    stats: SimStats | PatternCounts, l: int, constellation: Constellation,
+    stats: PatternCounts, l: int, constellation: Constellation,
     tx: int | None = None
 ):
     """Normalized weights of the prior-delta patterns observed at user l.
@@ -1122,8 +1116,8 @@ def sic_delta_weights(
 
     Patterns that differ only in which symbol pair produced the same
     delta value are aggregated, since the error statistic depends on the
-    delta alone.  Weights sum to 1.  stats is a SimStats or a
-    PatternCounts.
+    delta alone.  Weights sum to 1.  stats is a PatternCounts, such as
+    a SimStats.
     """
     _check_weight_trials(stats)
     tables = _residual_counts(stats.delta_pattern_counts[l - 1], l - 1,
@@ -1131,14 +1125,13 @@ def sic_delta_weights(
     return _normalised(tables.get(tx, {}), l, tx)
 
 
-def sic_weight_tables(stats: SimStats | PatternCounts,
-                      constellation: Constellation):
+def sic_weight_tables(stats: PatternCounts, constellation: Constellation):
     """Residual weight tables of every user and transmitted symbol.
 
     Maps (l, tx) to sic_delta_weights(stats, l, constellation, tx=tx),
     the table weighted-mode hypothesis averaging takes for the pairs of
     user l that transmit tx, decoding each pattern code once.  stats is
-    a SimStats or a PatternCounts.
+    a PatternCounts, such as a SimStats.
     """
     _check_weight_trials(stats)
     weights = {}

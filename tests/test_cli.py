@@ -273,6 +273,29 @@ def test_benchmark_workloads_parse(monkeypatch):
         assert flags.command == workload.argv(1)[0], name
 
 
+def test_unallocatable_snr_range_exits_2(tmp_path, capsys):
+    # 1e17 points would take 711 PiB, more than any address space, so
+    # numpy fails before it allocates anything.
+    rc = main(["diversity", "--users", "2", "--snr-db", "0:1e17:1",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--users", "17", "--trials", "1000"],
+    ["pep", "--users", "17", "--sic-mode", "weighted"],
+])
+def test_more_than_16_simulated_users_exits_2(tmp_path, capsys, argv):
+    rc = main(argv + ["--snr-db", "10", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "at most 16 users" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_invalid_alpha_exits_2(tmp_path, capsys):
     rc = main(["pep", "--users", "2", "--alpha", "0.7,0.2",
                "--out", str(tmp_path)])
@@ -504,3 +527,15 @@ def test_cli_import_leaves_scipy_special_unloaded():
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # Only a run spread over processes loads the pool.
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys, noma_pep.cli; print(sorted(set(sys.modules) & "
+            "{'concurrent.futures.process', 'multiprocessing'}))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

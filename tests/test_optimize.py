@@ -86,14 +86,20 @@ def test_objective_average_lower_bound():
     assert abs(psi - np.mean(per_user)) < 1e-15
 
 
-def test_objective_validates_alpha():
+def test_objective_validates_alpha(monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before checking alpha")
+
+    monkeypatch.setattr(optimize, "sic_patterns", no_simulation)
     problem = make_problem()
     with pytest.raises(ValueError):
         objective_psi(problem, (0.8, 0.1))
     with pytest.raises(ValueError):
         objective_psi(problem, (0.8, 0.2, 0.0))
-    # every mode rejects an allocation that is not strictly descending
-    for mode, deltas in (("perfect", None), ("pattern", (0j,))):
+    # every mode rejects an allocation that is not strictly descending,
+    # weighted mode before it simulates
+    for mode, deltas in (("perfect", None), ("pattern", (0j,)),
+                         ("weighted", None)):
         problem = make_problem(sic_mode=mode, prior_deltas=deltas)
         with pytest.raises(ValueError, match="descending"):
             objective_psi(problem, (0.2, 0.8))
@@ -129,6 +135,13 @@ def test_descending_grid_three_users():
     assert all(a[0] > a[1] > a[2] > 0 for a in grid)
     assert all(abs(sum(a) - 1) < 1e-12 for a in grid)
     assert len(set(grid)) == len(grid)
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_descending_grid_order(L):
+    # descending alpha_1, then alpha_2, ...: the order of solve's sweep
+    grid = _descending_grid(L, 0.01)
+    assert grid == sorted(grid, reverse=True)
 
 
 def test_solve_vacuous_threshold_returns_unconstrained_min():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import importlib
 import math
@@ -265,6 +266,15 @@ def test_more_power_helps_user_one():
         stats = simulate(cfg, snr, 300_000, seed=13)
         bers.append(bit_error_rate(stats, 1, 2))
     assert bers[0] > bers[1] > bers[2]
+
+
+@pytest.mark.parametrize("cls, extra", [
+    (PatternCounts, 0), (SimStats, 3)])
+def test_result_types_are_keyword_only(cls, extra):
+    # A positional construction would silently reorder fields.
+    assert issubclass(SimStats, PatternCounts)
+    with pytest.raises(TypeError):
+        cls(10.0, 1, [{}], *[np.zeros(1)] * extra)
 
 
 def test_merge_rejects_mismatched_runs():
@@ -687,12 +697,13 @@ def test_config_list_equals_separate_calls(workers, mode, trials, batch_size,
 def test_one_batch_spreads_points_over_workers(monkeypatch):
     pools = []
 
-    class RecordingPool(sim.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     cfg = make_cfg((0.8, 0.2))
     cfgs = [cfg, dataclasses.replace(cfg, alpha=(0.9, 0.1))]
     simulate(cfgs, [5.0, 15.0], 2_000, seed=3, workers=2)
@@ -733,6 +744,29 @@ def test_simulate_rejects_bad_snr_before_drawing(snr_db, monkeypatch):
     cfg = make_cfg((0.8, 0.2))
     with pytest.raises(ValueError, match="SNR"):
         simulate(cfg, snr_db, 2_000, seed=1)
+
+
+@pytest.mark.parametrize("counter, batch", [
+    (simulate, "_run_batch"), (sic_patterns, "_run_pattern_batch")])
+def test_counters_reject_more_than_16_users_before_drawing(counter, batch,
+                                                          monkeypatch):
+    # User 17's pattern keys would need 66 bits.
+    def no_draws(*args):
+        raise AssertionError("the counter drew a batch")
+
+    monkeypatch.setattr(sim, batch, no_draws)
+    cfg = make_cfg(np.arange(17, 0, -1) / 153)
+    with pytest.raises(ValueError, match="at most 16 users"):
+        counter(cfg, 10.0, 2_000, seed=1, workers=1)
+
+
+@pytest.mark.parametrize("counter", [simulate, sic_patterns])
+def test_counters_run_16_users(counter):
+    cfg = make_cfg(np.arange(16, 0, -1) / 136)
+    result = counter(cfg, 10.0, 2_000, seed=1)
+    assert result.trials == 2_000
+    assert [sum(d.values()) for d in result.delta_pattern_counts] == [
+        2_000] * 16
 
 
 @pytest.mark.parametrize("workers", [0, -3])
