@@ -36,7 +36,8 @@ Exit codes: 0 success, 2 configuration error (including non-finite
 flag values, unknown config keys, SNR ranges that are empty or too long
 to allocate, --workers below 1, --prior-deltas outside pattern mode and
 more than 16 simulated users), 3 numerical failure, 4 infeasible
-optimization.
+optimization.  The --out directory is made when the first CSV is
+written, so a run that exits 2 or 3 before that creates none.
 """
 
 from __future__ import annotations
@@ -128,9 +129,11 @@ def _manifest_value(v):
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    """Write one CSV, making its directory first if it is missing."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -495,8 +498,10 @@ def main(argv=None) -> int:
     started = time.time()
     try:
         settings = _resolve(flags)
+        # write_csv makes the directory, so a run that fails before its
+        # first CSV leaves no empty --out directory behind; every
+        # subcommand writes a CSV before it returns
         out = Path(settings["out"])
-        out.mkdir(parents=True, exist_ok=True)
         result = SUBCOMMANDS[flags.command][0](settings, out)
     except (ValueError, EnumerationCapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,18 +5,21 @@ passes the sum through each user's ordered Rayleigh channel plus AWGN, and
 runs the sequential minimum-distance SIC receiver at every user.  SIC
 decision errors propagate; there is no genie correction.
 
-A batch runs as a pipeline over blocks of BLOCK_ROWS trials and keeps
-nothing of its own size.  Batch i of a run seeded s draws from three
-Generators that SeedSequence(s, spawn_key=(i,)) spawns, one each for the
-gains, the symbols and the noise, so no two batches of one run or of
-neighbouring seeds share a stream.  Each block draws its rows of every
-stream: the ordered gain magnitudes |h| as Renyi's sums of exponentials
-(no sort, no channel phase), the symbols as per-axis sign bits, and the
-noise, from which it builds the gain-normalised noise q = z/|h| of every
-user and detects every SNR point and every allocation (alpha, P) of the
-call on it while it is in cache.  Neither q nor the signs depend on the
-SNR or on the allocation, so one batch serves every point (common random
-numbers), and only the detection runs per point.  The coherent receiver
+A batch runs as a pipeline over blocks of BLOCK_ROWS trials (more on a
+binned grid, see _run_pattern_batch) and keeps nothing of its own size.
+At 2^14 rows each (2, b) float array of a block is 256 KiB, so a
+block's working set stays in a per-core L2 cache.  Batch i of a run
+seeded s draws from three Generators that SeedSequence(s, spawn_key=(i,))
+spawns, one each for the gains, the symbols and the noise, so no two
+batches of one run or of neighbouring seeds share a stream.  Each block
+draws its rows of every stream: the ordered gain magnitudes |h| as
+Renyi's sums of exponentials (no sort, no channel phase), the symbols as
+per-axis sign bits, and the noise, from which it builds the
+gain-normalised noise q = z/|h| of every user and detects every SNR
+point and every allocation (alpha, P) of the call on it while it is in
+cache.  Neither q nor the signs depend on the SNR or on the allocation,
+so one batch serves every point (common random numbers), and only the
+detection runs per point.  The coherent receiver
 sees r/h = s + sigma z e^{-j phi}/|h|, and z e^{-j phi} has the law of z,
 so the per-user samples y = s + sigma q have the law of r/h.  Along each
 axis the superposition s is a signed sum of the steps sqrt(alpha_k P) a
@@ -54,8 +57,9 @@ streams of spawn key (i,) of the seed, and an SNR point or an
 allocation gives the same counters alone or in a list.  Every counter
 builds up block by block in state that does not grow with the batch:
 residual patterns are counted in a dense table when a user's key space
-is no larger than a block, and otherwise over the keys that occur,
-never over the M^(2L) code space.
+has at most TABLE_CELLS keys, and otherwise over the keys that occur,
+never over the M^(2L) code space.  The rows of a block and the cells of
+a table are separate constants: neither changes a counter.
 """
 
 from __future__ import annotations
@@ -90,7 +94,8 @@ __all__ = [
 
 DEFAULT_BATCH_SIZE = 1_000_000
 MIN_WEIGHT_TRIALS = 100_000
-BLOCK_ROWS = 1 << 16  # detector rows per block; counters do not depend on it
+BLOCK_ROWS = 1 << 14  # detector rows per block; counters do not depend on it
+TABLE_CELLS = 1 << 16  # cells of one dense count table (_KeyTally, _BinTally)
 MIN_BIN_STAGES = 20  # chain stages a binning pass must replace; measured
 MAX_USERS = 16  # user L's pattern keys take 4L - 2 bits of a uint64
 
@@ -365,7 +370,7 @@ def _run_batch(points, quadrant, n: int, seed: int, batch: int
     half = np.abs([[pts[0].real], [pts[0].imag]])
     keyed = np.zeros((len(points), L, 128), dtype=np.int64)
     tallies = [[_KeyTally(u) for u in range(L)] for _ in points]
-    for block in _blocks(_plan(points), cfg, n, seed, batch):
+    for block in _blocks(_plan(points), cfg, n, seed, batch, BLOCK_ROWS):
         _detect_batch(block, half, keyed, tallies)
     return [_sim_stats(c, quadrant, snr_db, n, keyed[i],
                        [t.patterns(quadrant) for t in tallies[i]])
@@ -383,7 +388,9 @@ def _run_pattern_batch(points, quadrant, n: int, seed: int, batch: int
     points, when one binning pass replaces at least MIN_BIN_STAGES chain
     stages (the points it holds times the u stages before the user's
     own), and otherwise by running its chain through those stages, point
-    by point.
+    by point.  A block has at least as many rows as the largest binned
+    pass table has cells, so that adding a block's bincount to a table
+    costs no more than binning its rows.
     """
     cfg = points[0][0]
     L = cfg.num_users
@@ -393,7 +400,9 @@ def _run_pattern_batch(points, quadrant, n: int, seed: int, batch: int
     binned = {u: _BinTally(plan, u, n) for u in range(1, L)
               if min(len(points), _pass_points(L, u)) * u >= MIN_BIN_STAGES}
     chained = [u for u in range(1, L) if u not in binned]
-    for signs, q, sign_keys, chains in _blocks(plan, cfg, n, seed, batch):
+    rows = max([BLOCK_ROWS, *(bins.cells for bins in binned.values())])
+    for signs, q, sign_keys, chains in _blocks(plan, cfg, n, seed, batch,
+                                               rows):
         own.add(sign_keys[0])
         for bins in binned.values():
             bins.add(signs, q)
@@ -430,21 +439,22 @@ def _plan(points):
     return plan
 
 
-def _blocks(plan, cfg: SystemConfig, n: int, seed: int, batch: int):
+def _blocks(plan, cfg: SystemConfig, n: int, seed: int, batch: int,
+            rows: int):
     """Draw one batch and yield its blocks, each with its points' chains.
 
     plan is _plan of the points, whose configs draw as cfg does.  Yields
-    (signs, q, sign_keys, chains) for each block (signs, q) of
-    _draw_batch: sign_keys[u] is the symbol half of user u+1's pattern
-    keys (see _sign_key), and chains yields, point by point in order,
+    (signs, q, sign_keys, chains) for each block (signs, q) of `rows`
+    rows of _draw_batch: sign_keys[u] is the symbol half of user u+1's
+    pattern keys (see _sign_key), and chains yields, point by point in order,
     chain(u, last), which runs user u+1's SIC chain at that point (see
     _chain).  The superposition of the block's symbols is rebuilt only
     when the config changes from the previous point.  It and the chain's
     buffers are reused by the next point and block, so a chain's results
     must be read before the next one runs.
     """
-    buffers = np.empty((3, 2, min(n, BLOCK_ROWS)))
-    for signs, q in _draw_batch(cfg, n, seed, batch):
+    buffers = np.empty((3, 2, min(n, rows)))
+    for signs, q in _draw_batch(cfg, n, seed, batch, rows):
         s, y, work = buffers[:, :, :signs.shape[1]]
         sign_keys = [_sign_key(signs, u) for u in range(q.shape[1])]
         yield signs, q, sign_keys, _chains(plan, signs, q, s, y, work)
@@ -476,10 +486,11 @@ def _chain(q, s, sigma: float, steps, y, work, u: int, last: int):
     return _sic_chain(y, steps, last, work), y, work
 
 
-def _draw_batch(cfg: SystemConfig, n: int, seed: int, batch: int):
+def _draw_batch(cfg: SystemConfig, n: int, seed: int, batch: int,
+                rows: int):
     """Draw batch `batch` of a run seeded `seed`, one block at a time.
 
-    Yields (signs, q) for each block of BLOCK_ROWS trials, the last one
+    Yields (signs, q) for each block of `rows` trials, the last one
     possibly shorter.  signs, shape (2, b), has bit k of signs[0]
     (signs[1]) set when user k+1's symbol has a negative real (imaginary)
     part; q, shape (2, L, b), is the gain-normalised noise z/|h|: the real
@@ -493,7 +504,7 @@ def _draw_batch(cfg: SystemConfig, n: int, seed: int, batch: int):
     stream is drawn one block of rows at a time, and numpy's Generator
     gives the same numbers in row blocks as in one call, so a batch is a
     pure function of (channel, constellation, n, seed, batch) and does not
-    depend on BLOCK_ROWS; nothing of the batch's size is kept.
+    depend on the rows of a block; nothing of the batch's size is kept.
 
     The ordered gain magnitudes come without a sort (_gain_magnitudes),
     and the channel phase is not drawn: the coherent receiver sees
@@ -506,14 +517,14 @@ def _draw_batch(cfg: SystemConfig, n: int, seed: int, batch: int):
     L = cfg.num_users
     m = cfg.constellation.size
     pts = cfg.constellation.points_array()
-    rows = min(n, BLOCK_ROWS)
+    rows = min(n, rows)
     signs = np.empty((2, rows), dtype=np.min_scalar_type((1 << L) - 1))
     bits = [[(negative << k).astype(signs.dtype) for k in range(L)]
             for negative in (pts.real < 0, pts.imag < 0)]
     e, h = np.empty((rows, L)), np.empty((L, rows))
     z, q = np.empty((rows, L, 2)), np.empty((2, L, rows))
-    for start in range(0, n, BLOCK_ROWS):
-        b = min(BLOCK_ROWS, n - start)
+    for start in range(0, n, rows):
+        b = min(rows, n - start)
         eb, hb, zb, qb, sb = e[:b], h[:, :b], z[:b], q[:, :, :b], signs[:, :b]
         _gain_magnitudes(gains, cfg.channel.sigma_h_sq, eb, hb)
         tx = symbols.integers(0, m, size=(b, L))
@@ -578,16 +589,16 @@ def _pattern_keys(sign_key, leaf, u: int):
 class _KeyTally:
     """Running count of user u+1's pattern keys over the blocks of a batch.
 
-    A key space no larger than a block is counted densely with bincount;
-    a larger one (five users or more) merges each block's np.unique into
-    sorted (key, count) arrays, so that its memory grows with the keys
-    that occur, not with the M^(2L) code space.
+    A key space of at most TABLE_CELLS keys is counted densely with
+    bincount; a larger one (five users or more) merges each block's
+    np.unique into sorted (key, count) arrays, so that its memory grows
+    with the keys that occur, not with the M^(2L) code space.
     """
 
     def __init__(self, u: int):
         self.u = u
         size = 1 << 4 * u + 2
-        self.dense = (np.zeros(size, dtype=np.int64) if size <= BLOCK_ROWS
+        self.dense = (np.zeros(size, dtype=np.int64) if size <= TABLE_CELLS
                       else None)
         self.keys = np.empty(0, dtype=_key_dtype(u))
         self.counts = np.empty(0, dtype=np.int64)
@@ -640,9 +651,9 @@ def _pass_points(L: int, u: int) -> int:
 
     Each point brings 2^u - 1 breakpoints per sign word.  A pass with B
     of them per sign word bins each axis into 2^L (B + 1) codes, and its
-    table of the square of that many cells must fit in BLOCK_ROWS.
+    table of the square of that many cells must fit in TABLE_CELLS.
     """
-    return max((math.isqrt(BLOCK_ROWS) >> L) - 1, 0) // ((1 << u) - 1)
+    return max((math.isqrt(TABLE_CELLS) >> L) - 1, 0) // ((1 << u) - 1)
 
 
 def _group_points(L: int, u: int) -> int:
@@ -650,11 +661,11 @@ def _group_points(L: int, u: int) -> int:
 
     Each pass of a search group keeps, per axis, a lookup table of 2^L
     entries per breakpoint of the group.  With at most this many points
-    per group, the two hold no more than BLOCK_ROWS entries, the bound of
+    per group, the two hold no more than TABLE_CELLS entries, the bound of
     the pass's count table, so memory grows linearly with the points.
     Positive wherever _pass_points is.
     """
-    return (BLOCK_ROWS >> 2 * L + 1) // ((1 << u) - 1)
+    return (TABLE_CELLS >> 2 * L + 1) // ((1 << u) - 1)
 
 
 def _cuts(n: int, most: int) -> list[tuple[int, int]]:
@@ -733,9 +744,9 @@ class _BinTally:
     pass, a run of at most _pass_points of the group's points, maps that
     bin and j through its lookup tables to the trial's code (j, bin among
     the pass's breakpoints for j) on each axis and counts the (code_re,
-    code_im) cells in a dense table of at most BLOCK_ROWS cells.
-    counts() reads every point's patterns from 2-D prefix sums of its
-    pass's table.
+    code_im) cells in a dense table of at most TABLE_CELLS cells, the
+    largest of which has `cells` cells.  counts() reads every point's
+    patterns from 2-D prefix sums of its pass's table.
     """
 
     def __init__(self, plan, u: int, n: int):
@@ -747,6 +758,8 @@ class _BinTally:
             self.groups.append((union, [
                 self._pass(t[..., a + c:a + d], union, n)
                 for c, d in _cuts(b - a, _pass_points(self.L, u))]))
+        self.cells = max(table.size for _, passes in self.groups
+                         for _, _, table in passes)
 
     @staticmethod
     def _pass(mine, union, n: int):

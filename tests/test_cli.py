@@ -289,18 +289,21 @@ def test_unallocatable_snr_range_exits_2(tmp_path, capsys):
     ["pep", "--users", "17", "--sic-mode", "weighted"],
 ])
 def test_more_than_16_simulated_users_exits_2(tmp_path, capsys, argv):
-    rc = main(argv + ["--snr-db", "10", "--out", str(tmp_path)])
+    rc = main(argv + ["--snr-db", "10", "--out", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
     assert "at most 16 users" in err and "Traceback" not in err
-    assert not list(tmp_path.glob("*.csv"))
+    # the subcommand rejects this after the settings resolve; a failed
+    # run makes no --out directory
+    assert not (tmp_path / "out").exists()
 
 
 def test_invalid_alpha_exits_2(tmp_path, capsys):
     rc = main(["pep", "--users", "2", "--alpha", "0.7,0.2",
-               "--out", str(tmp_path)])
+               "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_malformed_config_exits_2(tmp_path):
@@ -316,8 +319,9 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch):
 
     monkeypatch.setattr(optimize, "average_pep", boom)
     rc = main(["pep", "--users", "1", "--alpha", "1.0", "--snr-db", "10",
-               "--out", str(tmp_path)])
+               "--out", str(tmp_path / "out")])
     assert rc == 3
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, csv_name", [("pep", "pep.csv"),

@@ -412,7 +412,8 @@ REFERENCE_ALPHA = {1: (1.0,), 2: (0.8, 0.2), 3: (0.7, 0.2, 0.1),
 
 
 def _assert_same_stats(got, want):
-    for f in dataclasses.fields(SimStats):
+    assert type(got) is type(want)
+    for f in dataclasses.fields(want):
         a, b = getattr(got, f.name), getattr(want, f.name)
         if isinstance(b, np.ndarray):
             assert a.dtype == b.dtype, f.name
@@ -441,7 +442,7 @@ def _assert_matches_reference(got, cfg, snr_db, n, seed, batch):
 @pytest.mark.parametrize("mode", ["uniform_random"])
 @pytest.mark.parametrize("L", [1, 2, 3, 4])
 def test_blocked_batch_matches_reference_chain(L, mode, n):
-    # 100_003 rows span two detector blocks, the second one partial.
+    # 100_003 rows span several detector blocks, the last one partial.
     cfg = make_cfg(REFERENCE_ALPHA[L])
     quadrant = sim._quadrant_table(cfg.constellation)
     snrs = (0.0, 20.0, 40.0)
@@ -483,18 +484,22 @@ def test_block_boundaries_match_reference_chain(L, grid, offset):
     # Batches one row short of a block, exactly one block, one row over,
     # and two blocks and seven rows; the config list repeats c1 after c2,
     # so every block rebuilds c1's superposition.  At five users user 5's
-    # key space (2^18) exceeds a block and is counted sparsely; user 4's
-    # (2^14) does not.  A grid's patterns are checked at every point
-    # against _run_batch, and its first and last points against the
-    # reference chain.
-    n = (2 if offset == 7 else 1) * sim.BLOCK_ROWS + offset
+    # key space (2^18) exceeds TABLE_CELLS and is counted sparsely; user
+    # 4's (2^14) does not.  A grid draws blocks of its largest pass
+    # table's cells, and its boundaries are taken there.  A grid's
+    # patterns are checked at every point against _run_batch, and its
+    # first and last points against the reference chain.
     if grid is None:
         c1 = make_cfg(REFERENCE_ALPHA.get(L, (0.5, 0.25, 0.13, 0.08, 0.04)))
         c2 = dataclasses.replace(c1, P=2.5)
         points = [(c1, 5.0), (c2, 20.0), (c1, 30.0)]
+        rows = sim.BLOCK_ROWS
     else:
         cfgs, snrs = _binning_grid(grid)
         points = [(c, s) for c in cfgs for s in snrs]
+        plan = sim._plan(points)
+        rows = max(sim._BinTally(plan, u, 1).cells for u in range(1, L))
+    n = (2 if offset == 7 else 1) * rows + offset
     quadrant = sim._quadrant_table(points[0][0].constellation)
     seed = 500 + 10 * L + offset
     stats = sim._run_batch(points, quadrant, n, seed, L)
@@ -505,6 +510,40 @@ def test_block_boundaries_match_reference_chain(L, grid, offset):
         if grid is None or i in (0, len(points) - 1):
             _assert_matches_reference(got, cfg, snr_db, n, seed, L)
         _assert_same_patterns(patterns, got)
+
+
+@pytest.mark.parametrize("rows", [1_000, 1 << 16])
+@pytest.mark.parametrize("run", ["simulate", "binned-grid", "chained-list"])
+def test_counters_do_not_depend_on_the_row_block(run, rows, monkeypatch):
+    # A batch is a pure function of its seed, whatever rows a block has:
+    # blocks of 1,000 and 2^16 rows give the default block's counters,
+    # dict order included.  n is a multiple of none of the block sizes.
+    # A binned run draws blocks of at least the cells of its largest pass
+    # table: the fig4 grid's one pass holds 4 sign words x 50 bins per
+    # axis, 200^2 cells.  Five SNRs at three users run the chain.
+    n = 100_003
+    if run == "binned-grid":
+        cfgs, snrs = _binning_grid("fig4")
+        want_rows = max(rows, 200 ** 2)
+    else:
+        cfgs, snrs = [make_cfg((0.7, 0.2, 0.1))], [0.0, 10.0, 20.0, 30.0, 40.0]
+        want_rows = rows
+    count = simulate if run == "simulate" else sic_patterns
+    want = count(cfgs, snrs, n, seed=8)
+    drawn = []
+    real = sim._draw_batch
+
+    def spy(cfg, n, seed, batch, rows):
+        drawn.append(rows)
+        return real(cfg, n, seed, batch, rows)
+
+    monkeypatch.setattr(sim, "_draw_batch", spy)
+    monkeypatch.setattr(sim, "BLOCK_ROWS", rows)
+    got = count(cfgs, snrs, n, seed=8)
+    assert drawn == [want_rows]
+    for got_cfg, want_cfg in zip(got, want, strict=True):
+        for a, b in zip(got_cfg, want_cfg, strict=True):
+            _assert_same_stats(a, b)
 
 
 def _reference_run(cfg, snr_db, sizes, seed):
@@ -575,7 +614,8 @@ def test_generator_streams_the_same_in_row_blocks(draw, dtype, tail):
 def _batch_draws(cfg, n, seed, batch):
     """Copies of every block that sim._draw_batch yields, concatenated."""
     blocks = [(signs.copy(), q.copy())
-              for signs, q in sim._draw_batch(cfg, n, seed, batch)]
+              for signs, q in sim._draw_batch(cfg, n, seed, batch,
+                                              sim.BLOCK_ROWS)]
     return (np.concatenate([b[0] for b in blocks], axis=1),
             np.concatenate([b[1] for b in blocks], axis=2))
 
@@ -926,6 +966,9 @@ def test_peak_memory_stays_within_four_batch_arrays(count):
     finally:
         tracemalloc.stop()
     assert peak < 4 * n * cfg.num_users * 8
+    # blocks sized for a per-core L2 cache keep it below 8 MiB; blocks of
+    # 2^16 rows peaked at 18.3 MiB (simulate) and 15.5 MiB (sic_patterns)
+    assert peak < 8 << 20
 
 
 @pytest.mark.parametrize("count", [simulate, sic_patterns])
