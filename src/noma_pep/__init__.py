@@ -62,7 +62,6 @@ from .simulate import (
     bit_error_rate,
     empirical_detection_prob,
     empirical_pep,
-    sic_delta_weights,
     sic_detect,
     sic_patterns,
     sic_weight_tables,

@@ -34,10 +34,12 @@ when a later flag shares its prefix.  Every subcommand takes --config,
 
 Exit codes: 0 success, 2 configuration error (including non-finite
 flag values, unknown config keys, SNR ranges that are empty or too long
-to allocate, --workers below 1, --prior-deltas outside pattern mode and
-more than 16 simulated users), 3 numerical failure, 4 infeasible
-optimization.  The --out directory is made when the first CSV is
-written, so a run that exits 2 or 3 before that creates none.
+to allocate, --workers below 1, --prior-deltas outside pattern mode,
+more than 16 simulated users, and fewer weight-estimation trials than
+simulate.MIN_WEIGHT_TRIALS, which a run that builds weight tables checks
+before it simulates), 3 numerical failure, 4 infeasible optimization.
+The --out directory is made when the first CSV is written, so a run that
+exits 2 or 3 before that creates none.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ from .pep import EnumerationCapError, NumericalError
 from .pep import average_pep  # noqa: F401
 from .simulate import (
     SystemConfig,
+    _require_weight_trials,
     empirical_pep,
     linear_snr,
     sic_patterns,
@@ -153,25 +156,22 @@ def parse_config_file(path: str) -> dict:
 
 def parse_snr_list(text: str) -> list[float]:
     """Accept '0,5,10' or 'start:stop:step' (stop inclusive, at least one
-    point)."""
-    if ":" in text:
-        parts = [float(p) for p in text.split(":")]
-        if len(parts) != 3 or not parts[2] > 0:
-            raise ValueError(f"bad SNR range {text!r}, expected start:stop:step")
-        start, stop, step = parts
-        try:
-            points = np.arange(start, stop + step / 2, step)
-        except MemoryError:
-            raise ValueError(
-                f"SNR range {text!r} has too many points") from None
-        grid = [float(s) for s in points]
-        if not grid:
-            raise ValueError(f"SNR range {text!r} has no points")
-    else:
-        grid = [float(p) for p in text.split(",")]
-    if not all(math.isfinite(s) for s in grid):
+    point), every value finite."""
+    values = [float(p) for p in text.split(":" if ":" in text else ",")]
+    if not all(math.isfinite(v) for v in values):
         raise ValueError(f"SNR values must be finite, got {text!r}")
-    return grid
+    if ":" not in text:
+        return values
+    if len(values) != 3 or not values[2] > 0:
+        raise ValueError(f"bad SNR range {text!r}, expected start:stop:step")
+    start, stop, step = values
+    try:
+        points = np.arange(start, stop + step / 2, step)
+    except MemoryError:
+        raise ValueError(f"SNR range {text!r} has too many points") from None
+    if not points.size:
+        raise ValueError(f"SNR range {text!r} has no points")
+    return [float(s) for s in points]
 
 
 def parse_alpha(text: str) -> tuple[float, ...]:
@@ -219,6 +219,7 @@ def cmd_pep(s: dict, out: Path) -> list[str]:
     pairs = list(itertools.permutations(range(cfg.constellation.size), 2))
     stats_by_snr = [None] * len(snrs)
     if sic_mode == "weighted":
+        _require_weight_trials(s["trials"])
         stats_by_snr = sic_patterns(cfg, snrs, s["trials"], s["seed"],
                                     workers=s["workers"])
     rows = []
@@ -287,7 +288,8 @@ def cmd_bound(s: dict, out: Path) -> list[str]:
 
 
 def cmd_optimize(s: dict, out: Path, prefix="optimize"):
-    cfg = _system(s)
+    # the search sets alpha at every grid point; this one only fixes L
+    cfg = _system({**s, "alpha": _default_alpha(s["users"])})
     problem = OptimizationProblem(
         cfg=cfg,
         snr_db=s["snr_db"],
@@ -334,6 +336,7 @@ def cmd_fig2(s: dict, out: Path) -> list[str]:
     cfg = _system(s)
     snrs = s["snr_db"]
     tx, rx = DESIGNATED_PAIR
+    _require_weight_trials(s["trials"])
     per_user_rows = {l: [] for l in range(1, cfg.num_users + 1)}
     for snr, stats in zip(snrs, simulate(cfg, snrs, s["trials"], s["seed"],
                                          workers=s["workers"])):
@@ -376,7 +379,8 @@ SIM_KEYS = ("trials", "weights_trials", "seed")  # read only by a simulation
 
 
 def _base(users=3, alpha=None, sigma_h_sq=0.5) -> dict:
-    """The system and the run settings, which every subcommand reads."""
+    """The system and the run settings, which every subcommand reads
+    (optimize and fig4 drop alpha, which their search sets)."""
     return {
         "users": Setting(users, int),
         "alpha": Setting(alpha or (lambda s: _default_alpha(s["users"])),
@@ -407,7 +411,9 @@ def _sim(trials, seed) -> dict:
 
 
 def _optimize(sigma_h_sq) -> dict:
-    return {**_base(users=2, sigma_h_sq=sigma_h_sq),
+    settings = _base(users=2, sigma_h_sq=sigma_h_sq)
+    del settings["alpha"]  # the search sets alpha at every grid point
+    return {**settings,
             "snr_db": Setting(30.0, float), "pth": Setting(1e-3, float),
             "grid_step": Setting(1e-3, float), **_sic("weighted"),
             "weights_trials": Setting(1_000_000, int),

@@ -21,7 +21,8 @@ import numpy as np
 
 from .constellation import Constellation, bit_errors
 from .pep import average_pep
-from .simulate import SystemConfig, linear_snr, sic_patterns, sic_weight_tables
+from .simulate import (SystemConfig, _require_weight_trials, linear_snr,
+                       sic_patterns, sic_weight_tables)
 # unused here, but bench/tests/test_bench_harness.py::_bindings reads
 # optimize.simulate, which the benchmark tracer wraps and restores
 from .simulate import simulate  # noqa: F401
@@ -85,7 +86,8 @@ class OptimizationProblem:
                    a seeded simulation, keeping the search deterministic
     prior_deltas   pattern-mode SIC residuals, at least L-1 of them; user
                    l uses the first l-1
-    weights_trials simulated trials per grid point in weighted mode
+    weights_trials simulated trials per grid point in weighted mode, at
+                   least MIN_WEIGHT_TRIALS there
     weights_seed   weighted-mode simulation seed; every grid point is
                    simulated from it, so the grid points share their
                    draws (common random numbers)
@@ -109,7 +111,9 @@ class OptimizationProblem:
             raise ValueError(
                 f"grid_step must lie in (0, 0.01], got {self.grid_step}"
             )
-        if self.sic_mode != "weighted":  # weighted tables need a simulation
+        if self.sic_mode == "weighted":  # checked before any simulation
+            _require_weight_trials(self.weights_trials)
+        else:
             residual_tables(self.cfg, self.sic_mode, self.prior_deltas)
 
 

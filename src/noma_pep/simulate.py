@@ -51,15 +51,19 @@ merge them in the same code, share the chain, the pattern key and its
 decoding, and give user for user the same patterns.
 
 Counters are plain integers so that merging partial runs is exact
-component-wise addition: a run split into batches gives byte-identical
-results for any worker count, because batch i always draws from the
-streams of spawn key (i,) of the seed, and an SNR point or an
-allocation gives the same counters alone or in a list.  Every counter
+component-wise addition.  A run is split into batches of BATCH_TRIALS
+trials, the last one possibly shorter, and batch i always draws from
+the streams of spawn key (i,) of the seed, so a run is a function of
+its configurations, SNRs, trials and seed alone: it gives byte-identical
+results for any worker count, and an SNR point or an allocation gives
+the same counters alone or in a list.  Every counter
 builds up block by block in state that does not grow with the batch:
 residual patterns are counted in a dense table when a user's key space
 has at most TABLE_CELLS keys, and otherwise over the keys that occur,
 never over the M^(2L) code space.  The rows of a block and the cells of
-a table are separate constants: neither changes a counter.
+a table are separate constants: neither changes a counter.  What the
+simulator reads of the alphabet, axis by axis, it reads from one
+validated record (_slicer).
 """
 
 from __future__ import annotations
@@ -68,6 +72,7 @@ import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,12 +92,11 @@ __all__ = [
     "empirical_pep",
     "empirical_detection_prob",
     "bit_error_rate",
-    "sic_delta_weights",
     "sic_weight_tables",
     "stats_rows",
 ]
 
-DEFAULT_BATCH_SIZE = 1_000_000
+BATCH_TRIALS = 1_000_000  # trials per batch; unlike BLOCK_ROWS, sets counters
 MIN_WEIGHT_TRIALS = 100_000
 BLOCK_ROWS = 1 << 14  # detector rows per block; counters do not depend on it
 TABLE_CELLS = 1 << 16  # cells of one dense count table (_KeyTally, _BinTally)
@@ -276,49 +280,65 @@ def superposed_signal(cfg: SystemConfig, symbol_indices: np.ndarray) -> np.ndarr
     return pts[np.asarray(symbol_indices)] @ coeff
 
 
+class _Slicer(NamedTuple):
+    """What the SIC simulator reads of an alphabet, axis by axis.
+
+    quadrant[2 * (re < 0) + (im < 0)]  symbol index of each quadrant
+    negative[x, a]                      1 where axis x (real, imaginary)
+                                        of point a is negative, else 0
+    magnitude[x, 0]                     |axis x| of every point
+    """
+
+    quadrant: np.ndarray
+    negative: np.ndarray
+    magnitude: np.ndarray
+
+
 @functools.lru_cache(maxsize=8)
-def _quadrant_table(constellation: Constellation) -> np.ndarray:
-    """Symbol index of each quadrant, keyed 2*(re < 0) + (im < 0).
+def _slicer(constellation: Constellation) -> _Slicer:
+    """The _Slicer of an alphabet.
 
     Slicing each axis of the gain-normalised residual by sign is the
     minimum-distance decision only when the alphabet has one point per
     quadrant and the points mirror each other across both axes, as QPSK
     does; any other alphabet raises ValueError, on every call, since
-    only accepted alphabets are cached.  The table is read-only because
-    every caller of one alphabet shares it.
+    only accepted alphabets are cached.  The arrays are read-only because
+    every caller of one alphabet shares them.
     """
     pts = constellation.points_array()
-    re, im = np.abs(pts.real), np.abs(pts.imag)
-    key = 2 * (pts.real < 0) + (pts.imag < 0)
+    negative = np.array([pts.real < 0, pts.imag < 0], dtype=np.int64)
+    magnitude = np.abs([pts.real, pts.imag])
+    key = 2 * negative[0] + negative[1]
     if (
         pts.size != 4
         or sorted(key.tolist()) != [0, 1, 2, 3]
-        or not (re[0] > 0 and np.all(re == re[0]))
-        or not (im[0] > 0 and np.all(im == im[0]))
+        or not np.all(magnitude > 0)
+        or not np.all(magnitude == magnitude[:, :1])
     ):
         raise ValueError(
             "the SIC simulator slices each axis by sign and needs one "
             "point per quadrant, mirrored across both axes (QPSK)"
         )
-    table = np.empty(4, dtype=np.int64)
-    table[key] = np.arange(4)
-    table.flags.writeable = False
-    return table
+    quadrant = np.empty(4, dtype=np.int64)
+    quadrant[key] = np.arange(4)
+    slicer = _Slicer(quadrant, negative, magnitude[:, :1].copy())
+    for table in slicer:
+        table.flags.writeable = False
+    return slicer
 
 
 def _axis_steps(cfg: SystemConfig) -> np.ndarray:
     """Per-axis SIC steps of cfg, shape (2, L).
 
     steps[0, k] and steps[1, k] are sqrt(alpha_k P) times the magnitude of
-    the real and of the imaginary part of the points of an alphabet that
-    _quadrant_table accepts.  Along each axis of y = r/h, user k+1's
-    signal is +steps[:, k] or -steps[:, k]: the superposition is a signed
-    sum of the steps, SIC stage k subtracts its step with the sign it
-    decided, and the stage thresholds are the partial sums.
+    the real and of the imaginary part of the points (see _slicer).
+    Along each axis of y = r/h, user k+1's signal is +steps[:, k] or
+    -steps[:, k]: the superposition is a signed sum of the steps, SIC
+    stage k subtracts its step with the sign it decided, and the stage
+    thresholds are the partial sums.
     """
-    p = cfg.constellation.points_array()[0]
-    coeff = np.sqrt(np.asarray(cfg.alpha) * cfg.P)
-    return np.array([abs(p.real) * coeff, abs(p.imag) * coeff])
+    return (_slicer(cfg.constellation).magnitude
+            * np.sqrt(np.asarray(cfg.alpha) * cfg.P))
 
 
 def _sic_chain(y, steps, u: int, work=None) -> np.ndarray:
@@ -354,8 +374,7 @@ def _stage_symbols(quadrant, re, im, k: int):
     return quadrant[2 * ((re >> k) & 1) + ((im >> k) & 1)]
 
 
-def _run_batch(points, quadrant, n: int, seed: int, batch: int
-               ) -> list[SimStats]:
+def _run_batch(points, n: int, seed: int, batch: int) -> list[SimStats]:
     """Counters of batch `batch` (n trials) of a run seeded `seed`, at each
     (config, SNR) point, in order.
 
@@ -366,18 +385,17 @@ def _run_batch(points, quadrant, n: int, seed: int, batch: int
     """
     cfg = points[0][0]
     L = cfg.num_users
-    pts = cfg.constellation.points_array()
-    half = np.abs([[pts[0].real], [pts[0].imag]])
+    slicer = _slicer(cfg.constellation)
     keyed = np.zeros((len(points), L, 128), dtype=np.int64)
     tallies = [[_KeyTally(u) for u in range(L)] for _ in points]
     for block in _blocks(_plan(points), cfg, n, seed, batch, BLOCK_ROWS):
-        _detect_batch(block, half, keyed, tallies)
-    return [_sim_stats(c, quadrant, snr_db, n, keyed[i],
-                       [t.patterns(quadrant) for t in tallies[i]])
+        _detect_batch(block, slicer.magnitude, keyed, tallies)
+    return [_sim_stats(c, snr_db, n, keyed[i],
+                       [t.patterns(slicer.quadrant) for t in tallies[i]])
             for i, (c, snr_db) in enumerate(points)]
 
 
-def _run_pattern_batch(points, quadrant, n: int, seed: int, batch: int
+def _run_pattern_batch(points, n: int, seed: int, batch: int
                        ) -> list[PatternCounts]:
     """Residual patterns of one batch at each (config, SNR) point, in order.
 
@@ -414,6 +432,7 @@ def _run_pattern_batch(points, quadrant, n: int, seed: int, batch: int
     for u, bins in binned.items():
         for tally, (keys, counts) in zip(tallies, bins.counts()):
             tally[u - 1].add(keys, counts)
+    quadrant = _slicer(cfg.constellation).quadrant
     own_patterns = own.patterns(quadrant)
     return [PatternCounts(snr_db=snr_db, trials=n, delta_pattern_counts=[
                 dict(own_patterns), *(t.patterns(quadrant) for t in tally)])
@@ -516,11 +535,10 @@ def _draw_batch(cfg: SystemConfig, n: int, seed: int, batch: int,
         np.random.SeedSequence(seed, spawn_key=(batch,)).spawn(3))
     L = cfg.num_users
     m = cfg.constellation.size
-    pts = cfg.constellation.points_array()
     rows = min(n, rows)
     signs = np.empty((2, rows), dtype=np.min_scalar_type((1 << L) - 1))
     bits = [[(negative << k).astype(signs.dtype) for k in range(L)]
-            for negative in (pts.real < 0, pts.imag < 0)]
+            for negative in _slicer(cfg.constellation).negative]
     e, h = np.empty((rows, L)), np.empty((L, rows))
     z, q = np.empty((rows, L, 2)), np.empty((2, L, rows))
     for start in range(0, n, rows):
@@ -824,23 +842,24 @@ class _BinTally:
                     yield keys, point.ravel()
 
 
-def _detect_batch(block, half, keyed, tallies) -> None:
+def _detect_batch(block, magnitude, keyed, tallies) -> None:
     """Run every point's full SIC chains on one block and add its counters.
 
-    block is one item of _blocks, and half the magnitudes of the axes of
-    the alphabet's points, shape (2, 1).  keyed[i, u, e] counts point i's
-    trials of user u+1 with event key e.  From bit 0 up, e holds the real
-    and the imaginary sign of the sent symbol a (a set bit is negative),
-    those of the own decision d, and three bits set when the hypothesis
-    that differs from a in the real part, in the imaginary part or in
-    both scored no worse than a.  tallies[i][u] counts point i's pattern
+    block is one item of _blocks, and magnitude the magnitudes of the
+    axes of the alphabet's points, shape (2, 1) (see _slicer).
+    keyed[i, u, e] counts point i's trials of user u+1 with event key e.
+    From bit 0 up, e holds the real and the imaginary sign of the sent
+    symbol a (a set bit is negative), those of the own decision d, and
+    three bits set when the hypothesis that differs from a in the real
+    part, in the imaginary part or in both scored no worse than a.  tallies[i][u] counts point i's pattern
     keys of user u+1.
     """
     signs, _, sign_keys, chains = block
     # no point changes sent[u], user u+1's sent signs per axis, or axes[u],
-    # the axes of its sent symbol a: +half where positive, -half elsewhere
+    # the axes of its sent symbol a: +magnitude where positive, -magnitude
+    # elsewhere
     sent = [(signs & (1 << u)) != 0 for u in range(len(sign_keys))]
-    axes = [b * (-2.0 * half) + half for b in sent]
+    axes = [b * (-2.0 * magnitude) + magnitude for b in sent]
     for chain, point_keyed, point_tallies in zip(chains, keyed, tallies):
         for u, tally in enumerate(point_tallies):
             leaf, y, work = chain(u, u)
@@ -856,11 +875,11 @@ def _detect_batch(block, half, keyed, tallies) -> None:
             tally.add(_pattern_keys(sign_keys[u], leaf, u))
 
 
-def _sim_stats(cfg, quadrant, snr_db, n: int, keyed, patterns) -> SimStats:
+def _sim_stats(cfg, snr_db, n: int, keyed, patterns) -> SimStats:
     """The SimStats of one point from its event counts (see _detect_batch)."""
     L = keyed.shape[0]
     m = cfg.constellation.size
-    pts = cfg.constellation.points_array()
+    quadrant, neg, _ = _slicer(cfg.constellation)
     # events[u, a, d, f]: the keyed counts by sent symbol, decision and
     # the three hypothesis bits.  flips[a, b] is 1, 2 or 3 when b differs
     # from a in the real part, the imaginary part or both, and b beat a
@@ -869,7 +888,6 @@ def _sim_stats(cfg, quadrant, snr_db, n: int, keyed, patterns) -> SimStats:
     events = np.zeros((L, m, m, 8), dtype=np.int64)
     events[:, _stage_symbols(quadrant, e, e >> 1, 0),
            _stage_symbols(quadrant, e >> 2, e >> 3, 0), e >> 4] = keyed
-    neg = np.array([pts.real < 0, pts.imag < 0], dtype=np.int64)
     flips = (neg[0, :, None] != neg[0]) + 2 * (neg[1, :, None] != neg[1])
     mask = (flips[..., None] > 0) & (
         (np.arange(8) >> np.maximum(flips - 1, 0)[..., None]) & 1 == 1)
@@ -891,13 +909,12 @@ def simulate(
     trials: int,
     seed: int,
     workers: int = 1,
-    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> SimStats | list:
     """Run `trials` superposition/SIC trials at one SNR or at each of several.
 
     With a single snr_db, returns its SimStats.  With a sequence, returns
     one SimStats per entry, in order, each equal field for field to a
-    separate call with the same trials, seed and batch_size.  The points
+    separate call with the same trials and seed.  The points
     share every batch's draws (common random numbers), so the batch is
     drawn once and only the detection runs per point.
 
@@ -907,21 +924,20 @@ def simulate(
     to a separate call.  The configurations share the draws too: only
     the superposition and the detection run per configuration.
 
-    Deterministic for fixed (cfg, snr_db, trials, seed, batch_size):
-    trials are split into fixed batches and batch i draws from
-    SeedSequence(seed, spawn_key=(i,)), so the result is independent of
-    the worker count, and no batch repeats one of another seed.  Several
-    batches are spread over `workers` processes; a single batch with
-    several (configuration, SNR) points spreads the points instead, each
-    process drawing the same batch.  Raises ValueError before any draw when an
-    SNR is not finite or out of range for a configuration (see
-    linear_snr), a sequence is empty, the configurations differ in
-    more than alpha and P, there are more than MAX_USERS users, or the
-    alphabet cannot be sliced per axis (see _quadrant_table), and for
-    fewer than one trial, worker or batch row.
+    Deterministic for fixed (cfg, snr_db, trials, seed): trials are split
+    into batches of BATCH_TRIALS, the last one possibly shorter, and
+    batch i draws from SeedSequence(seed, spawn_key=(i,)), so the result
+    is independent of the worker count, and no batch repeats one of
+    another seed.  Several batches are spread over `workers` processes; a
+    single batch with several (configuration, SNR) points spreads the
+    points instead, each process drawing the same batch.  Raises
+    ValueError before any draw when an SNR is not finite or out of range
+    for a configuration (see linear_snr), a sequence is empty, the
+    configurations differ in more than alpha and P, there are more than
+    MAX_USERS users, or the alphabet cannot be sliced per axis (see
+    _slicer), and for fewer than one trial or worker.
     """
-    return _run_batches(_run_batch, cfg, snr_db, trials, seed, workers,
-                        batch_size)
+    return _run_batches(_run_batch, cfg, snr_db, trials, seed, workers)
 
 
 def sic_patterns(
@@ -930,7 +946,6 @@ def sic_patterns(
     trials: int,
     seed: int,
     workers: int = 1,
-    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> PatternCounts | list:
     """SIC residual patterns of the trials simulate would run.
 
@@ -946,13 +961,13 @@ def sic_patterns(
     against exact per-point thresholds on its noise (see _BinTally).
     """
     return _run_batches(_run_pattern_batch, cfg, snr_db, trials, seed,
-                        workers, batch_size)
+                        workers)
 
 
-def _run_batches(run, cfg, snr_db, trials, seed, workers, batch_size):
+def _run_batches(run, cfg, snr_db, trials, seed, workers):
     """Validate, batch, seed, spread and merge a run of the counter `run`.
 
-    run(points, quadrant, n, seed, batch) counts batch number `batch` of
+    run(points, n, seed, batch) counts batch number `batch` of
     a run seeded `seed` at every (config, SNR) point; _run_batch and
     _run_pattern_batch are the two counters.
     """
@@ -971,8 +986,6 @@ def _run_batches(run, cfg, snr_db, trials, seed, workers, batch_size):
             c.noise_var_for_snr(s)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
     drawn = [(c.channel, c.constellation) for c in cfgs]
@@ -982,12 +995,9 @@ def _run_batches(run, cfg, snr_db, trials, seed, workers, batch_size):
     if cfgs[0].num_users > MAX_USERS:
         raise ValueError(f"the simulator counts at most {MAX_USERS} users, "
                          f"got {cfgs[0].num_users}")
-    quadrant = _quadrant_table(cfgs[0].constellation)
-    sizes = []
-    left = trials
-    while left > 0:
-        sizes.append(min(batch_size, left))
-        left -= batch_size
+    _slicer(cfgs[0].constellation)  # an alphabet it cannot slice raises
+    sizes = [min(BATCH_TRIALS, trials - start)
+             for start in range(0, trials, BATCH_TRIALS)]
 
     # With several batches each task is one batch at every point.  A
     # single batch is split into at most `workers` contiguous chunks of
@@ -997,7 +1007,7 @@ def _run_batches(run, cfg, snr_db, trials, seed, workers, batch_size):
     parts = min(workers, len(points)) if len(sizes) == 1 else 1
     chunks = [points[k * len(points) // parts:(k + 1) * len(points) // parts]
               for k in range(parts)]
-    args = [(run, chunk, quadrant, nb, seed, i)
+    args = [(run, chunk, nb, seed, i)
             for i, nb in enumerate(sizes) for chunk in chunks]
     if workers > 1 and len(args) > 1:
         # loaded here, so that a run in one process never loads it
@@ -1035,7 +1045,7 @@ def sic_detect(r: complex, h: complex, cfg: SystemConfig, l: int):
     """
     if not 1 <= l <= cfg.num_users:
         raise ValueError(f"user index {l} out of range 1..{cfg.num_users}")
-    quadrant = _quadrant_table(cfg.constellation)
+    quadrant = _slicer(cfg.constellation).quadrant
     r, h = complex(r), complex(h)
     # y = r/h = r * conj(h) / |h|^2, the simulator's y for a real
     # positive h; a zero gain gives NaN, which every stage decides as
@@ -1098,92 +1108,50 @@ def bit_error_rate(stats: SimStats, l: int, bits_per_symbol: int) -> float:
     return int(stats.bit_errors[l - 1]) / (stats.trials * bits_per_symbol)
 
 
-def decode_delta_pattern(
-    code: int, stages: int, constellation: Constellation
-) -> tuple[int, tuple[complex, ...]]:
-    """Expand an encoded key into (own symbol index, delta values)."""
-    pts = constellation.points_array()
-    m = constellation.size
-    own = code % m
-    code //= m
-    deltas = []
-    for _ in range(stages):
-        pair = code % (m * m)
-        code //= m * m
-        tx, det = divmod(pair, m)
-        deltas.append(complex(pts[tx] - pts[det]))
-    return own, tuple(deltas)
-
-
-def sic_delta_weights(
-    stats: PatternCounts, l: int, constellation: Constellation,
-    tx: int | None = None
-):
-    """Normalized weights of the prior-delta patterns observed at user l.
-
-    With tx given, weights are conditioned on user l having transmitted
-    that symbol; SIC error directions correlate strongly with the own
-    symbol, so hypothesis averaging should use the table conditioned on
-    the pair's transmitted symbol.  With tx=None the marginal table over
-    all transmitted symbols is returned.
-
-    Patterns that differ only in which symbol pair produced the same
-    delta value are aggregated, since the error statistic depends on the
-    delta alone.  Weights sum to 1.  stats is a PatternCounts, such as
-    a SimStats.
-    """
-    _check_weight_trials(stats)
-    tables = _residual_counts(stats.delta_pattern_counts[l - 1], l - 1,
-                              constellation, by_own=tx is not None)
-    return _normalised(tables.get(tx, {}), l, tx)
-
-
 def sic_weight_tables(stats: PatternCounts, constellation: Constellation):
     """Residual weight tables of every user and transmitted symbol.
 
-    Maps (l, tx) to sic_delta_weights(stats, l, constellation, tx=tx),
-    the table weighted-mode hypothesis averaging takes for the pairs of
-    user l that transmit tx, decoding each pattern code once.  stats is
-    a PatternCounts, such as a SimStats.
+    Maps (l, tx) to the table that weighted-mode hypothesis averaging
+    takes for the pairs of user l that transmit tx: the weight of each
+    pattern of the deltas pts[sent] - pts[decided] of SIC stages 1..l-1,
+    over the trials in which user l sent tx.  SIC error directions
+    correlate strongly with the own symbol through the uncancelled own
+    signal, so the tables are conditioned on it.  Patterns that differ
+    only in which symbol pairs produced the same deltas are merged, since
+    the error statistic depends on the deltas alone; each table keeps its
+    patterns in the order of their first pattern code, and its weights
+    sum to 1.  stats is a PatternCounts, such as a SimStats, of at least
+    MIN_WEIGHT_TRIALS trials; each pattern code is decoded once.
     """
-    _check_weight_trials(stats)
+    _require_weight_trials(stats.trials)
+    pts = constellation.points_array()
+    m = constellation.size
+    # delta[tx m + det]: the residual of a stage that sent tx, decided det
+    delta = (pts[:, None] - pts).ravel()
     weights = {}
     for u, counts in enumerate(stats.delta_pattern_counts):
-        tables = _residual_counts(counts, u, constellation, by_own=True)
-        for tx in range(constellation.size):
-            weights[u + 1, tx] = _normalised(tables.get(tx, {}), u + 1, tx)
+        # a code is the own symbol, then one base-m^2 digit per stage
+        codes = np.fromiter(counts, dtype=np.int64, count=len(counts))
+        stages = codes[:, None] // m // (m * m) ** np.arange(u) % (m * m)
+        tables = [{} for _ in range(m)]
+        for own, deltas, cnt in zip((codes % m).tolist(),
+                                    delta[stages].tolist(), counts.values()):
+            table, pattern = tables[own], tuple(deltas)
+            table[pattern] = table.get(pattern, 0.0) + cnt
+        for tx, table in enumerate(tables):
+            total = sum(table.values())
+            if total == 0:
+                raise ValueError(
+                    f"no trials with symbol {tx} transmitted by user {u + 1}")
+            weights[u + 1, tx] = {pat: c / total for pat, c in table.items()}
     return weights
 
 
-def _check_weight_trials(stats) -> None:
-    if stats.trials < MIN_WEIGHT_TRIALS:
-        raise ValueError(
-            f"need at least {MIN_WEIGHT_TRIALS} trials for weight estimation, "
-            f"got {stats.trials}"
-        )
-
-
-def _residual_counts(counts: dict[int, int], u: int,
-                     constellation: Constellation, by_own: bool):
-    """Trials per residual pattern of user u+1's pattern counts.
-
-    Returns {own symbol: {pattern: count}} when by_own, else {None:
-    {pattern: count}} over every own symbol; patterns keep the order in
-    which their first code comes.
-    """
-    tables: dict = {}
-    for code, cnt in counts.items():
-        own, pattern = decode_delta_pattern(code, u, constellation)
-        table = tables.setdefault(own if by_own else None, {})
-        table[pattern] = table.get(pattern, 0.0) + cnt
-    return tables
-
-
-def _normalised(table: dict, l: int, tx: int | None) -> dict:
-    total = sum(table.values())
-    if total == 0:
-        raise ValueError(f"no trials with symbol {tx} transmitted by user {l}")
-    return {pat: cnt / total for pat, cnt in table.items()}
+def _require_weight_trials(trials: int) -> None:
+    """Raise ValueError unless trials suffice for sic_weight_tables."""
+    if trials < MIN_WEIGHT_TRIALS:
+        raise ValueError(f"need at least {MIN_WEIGHT_TRIALS} trials for "
+                         f"weight estimation, got {trials}")
 
 
 def stats_rows(stats: SimStats, bits_per_symbol: int) -> list[dict]:

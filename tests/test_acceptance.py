@@ -36,7 +36,7 @@ from noma_pep import (
     pep_user1_closed,
     qpsk_constellation,
     sample_ordered_channels,
-    sic_delta_weights,
+    sic_weight_tables,
     simulate,
     solve,
 )
@@ -71,10 +71,10 @@ def test_criterion_1_analytic_vs_simulation():
     for snr, stats in zip(SNR_GRID, simulate(cfg, SNR_GRID, trials,
                                              seed=1001)):
         model = ch.with_noise(cfg.noise_var_for_snr(snr))
+        tables = sic_weight_tables(stats, QPSK)
         for l in (1, 2, 3):
-            weights = sic_delta_weights(stats, l, QPSK, tx=tx)
             analytic = average_pep(l, 3, tx, rx, ALPHA3, 1.0, model, QPSK,
-                                   residuals=weights)
+                                   residuals=tables[l, tx])
             est = empirical_pep(stats, l, tx, rx)
             rel = abs(analytic - est.pep) / est.pep if est.pep > 0 else math.inf
             within_rel = est.pep >= 1e-5 and rel <= 0.10

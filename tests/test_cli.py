@@ -179,6 +179,8 @@ UNREAD_FLAGS = (
     + [(c, f) for c in ("diversity", "fig3", "bound")
        for f in ("--seed", "--trials", "--sic-mode", "--prior-deltas")]
     + [("optimize", "--trials"), ("fig4", "--trials")]
+    # the search sets alpha at every grid point
+    + [("optimize", "--alpha"), ("fig4", "--alpha")]
 )
 
 
@@ -237,6 +239,17 @@ def test_empty_snr_range_exits_2(tmp_path, capsys, command):
                "--out", str(tmp_path)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("snr_db", ["0:nan:5", "0:inf:5", "-inf:0:5",
+                                    "0:10:inf"])
+def test_non_finite_snr_range_exits_2(tmp_path, capsys, snr_db):
+    # checked before numpy sizes the range, as a comma list is
+    rc = main(["diversity", "--users", "2", f"--snr-db={snr_db}",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "SNR values must be finite" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -336,11 +349,13 @@ def test_non_finite_power_exits_3(tmp_path, capsys, command, csv_name):
     assert not (tmp_path / csv_name).exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "pep", "diversity", "fig4"])
-@pytest.mark.parametrize("flag, value", [("--power", "nan"),
-                                         ("--alpha", "nan,0.2"),
-                                         ("--sigma-h-sq", "nan"),
-                                         ("--snr-db", "nan")])
+# fig4 takes no --alpha (see UNREAD_FLAGS)
+@pytest.mark.parametrize("flag, value, command", [
+    (flag, value, command)
+    for flag, value in (("--power", "nan"), ("--alpha", "nan,0.2"),
+                        ("--sigma-h-sq", "nan"), ("--snr-db", "nan"))
+    for command in ("simulate", "pep", "diversity", "fig4")
+    if (command, flag) != ("fig4", "--alpha")])
 def test_non_finite_flag_exits_2(tmp_path, capsys, command, flag, value):
     args = [command, "--users", "2", "--out", str(tmp_path)]
     if command in ("simulate", "pep"):
@@ -354,7 +369,7 @@ def test_non_finite_flag_exits_2(tmp_path, capsys, command, flag, value):
 
 
 def test_optimize_infeasible_exits_4(tmp_path, capsys):
-    rc = main(["optimize", "--users", "2", "--alpha", "0.8,0.2",
+    rc = main(["optimize", "--users", "2",
                "--snr-db", "10", "--pth", "1e-12", "--grid-step", "0.01",
                "--sic-mode", "perfect", "--out", str(tmp_path)])
     assert rc == 4
@@ -366,7 +381,7 @@ def test_optimize_infeasible_exits_4(tmp_path, capsys):
 
 
 def test_optimize_feasible_summary(tmp_path):
-    rc = main(["optimize", "--users", "2", "--alpha", "0.8,0.2",
+    rc = main(["optimize", "--users", "2",
                "--sigma-h-sq", "1.0", "--snr-db", "30", "--pth", "1e-3",
                "--grid-step", "0.01", "--sic-mode", "perfect",
                "--out", str(tmp_path)])
@@ -377,6 +392,27 @@ def test_optimize_feasible_summary(tmp_path):
     low = float(records["window_low"][2])
     high = float(records["window_high"][2])
     assert 0.5 < low < high < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig4", "--weights-trials", "99999"],
+    ["optimize", "--weights-trials", "99999"],
+    ["pep", "--users", "3", "--sic-mode", "weighted", "--trials", "99999",
+     "--snr-db", "0:40:1"],
+    ["fig2", "--trials", "99999"],
+], ids=["fig4", "optimize", "pep", "fig2"])
+def test_too_few_weight_trials_exit_2_before_simulating(tmp_path, capsys,
+                                                       monkeypatch, argv):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before checking the trials")
+
+    for module in (cli, optimize):
+        monkeypatch.setattr(module, "sic_patterns", no_simulation)
+    monkeypatch.setattr(cli, "simulate", no_simulation)
+    rc = main(argv + ["--out", str(tmp_path)])
+    assert rc == 2
+    assert "need at least 100000 trials" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_fig3_recipe(tmp_path):

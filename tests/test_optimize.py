@@ -106,6 +106,11 @@ def test_objective_validates_alpha(monkeypatch):
 
 
 def test_problem_validation():
+    # weighted mode checks its trials before any simulation; a mode that
+    # simulates nothing takes any count
+    with pytest.raises(ValueError, match="at least 100000 trials"):
+        make_problem(sic_mode="weighted", weights_trials=99_999)
+    make_problem(sic_mode="perfect", weights_trials=5)
     with pytest.raises(ValueError):
         make_problem(p_th=0.0)
     with pytest.raises(ValueError):

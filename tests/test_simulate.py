@@ -20,7 +20,6 @@ from noma_pep import (
     pep_quadrature,
     qpsk_constellation,
     sample_ordered_channels,
-    sic_delta_weights,
     sic_detect,
     sic_patterns,
     sic_weight_tables,
@@ -95,10 +94,11 @@ def test_seed_determinism():
     assert not np.array_equal(a.detected_counts, c.detected_counts)
 
 
-def test_worker_count_invariance():
+def test_worker_count_invariance(monkeypatch):
+    monkeypatch.setattr(sim, "BATCH_TRIALS", 100_000)  # three batches
     cfg = make_cfg((0.8, 0.2))
-    a = simulate(cfg, 10.0, 300_000, seed=9, workers=1, batch_size=100_000)
-    b = simulate(cfg, 10.0, 300_000, seed=9, workers=2, batch_size=100_000)
+    a = simulate(cfg, 10.0, 300_000, seed=9, workers=1)
+    b = simulate(cfg, 10.0, 300_000, seed=9, workers=2)
     assert np.array_equal(a.pairwise_counts, b.pairwise_counts)
     assert np.array_equal(a.detected_counts, b.detected_counts)
     assert np.array_equal(a.bit_errors, b.bit_errors)
@@ -126,12 +126,9 @@ def test_noiseless_sic_all_correct():
     stats = simulate(cfg, 300.0, 1_000, seed=5)
     assert int(stats.symbol_errors.sum()) == 0
     assert int(stats.bit_errors.sum()) == 0
-    for u in range(3):
-        weights = sic_delta_weights(
-            simulate(cfg, 300.0, 100_000, seed=5), u + 1, QPSK
-        )
-        zero_pattern = tuple(0j for _ in range(u))
-        assert weights[zero_pattern] > 0.999999
+    tables = sic_weight_tables(simulate(cfg, 300.0, 100_000, seed=5), QPSK)
+    for (l, tx), weights in tables.items():
+        assert weights[tuple(0j for _ in range(l - 1))] > 0.999999
 
 
 def test_sic_detect_noiseless_scalar():
@@ -209,25 +206,20 @@ def test_empirical_pep_zero_events():
 def test_delta_weights_basics():
     cfg = make_cfg((0.7, 0.2, 0.1))
     stats = simulate(cfg, 40.0, 200_000, seed=4)
-    w1 = sic_delta_weights(stats, 1, QPSK)
-    assert w1 == {(): 1.0}
     tables = sic_weight_tables(stats, QPSK)
-    assert set(tables) == {(l, tx) for l in (1, 2, 3) for tx in range(4)}
-    for l in (2, 3):
-        w = sic_delta_weights(stats, l, QPSK)
+    assert list(tables) == [(l, tx) for l in (1, 2, 3) for tx in range(4)]
+    for (l, tx), w in tables.items():
         assert abs(sum(w.values()) - 1.0) < 1e-12
+        if l == 1:
+            assert w == {(): 1.0}
         assert w[tuple(0j for _ in range(l - 1))] > 0.99
-        for tx in range(4):
-            wt = sic_delta_weights(stats, l, QPSK, tx=tx)
-            assert abs(sum(wt.values()) - 1.0) < 1e-12
-            assert tables[(l, tx)] == wt
 
 
 def test_delta_weights_need_enough_trials():
     cfg = make_cfg((0.8, 0.2))
     stats = simulate(cfg, 10.0, 1_000, seed=4)
-    with pytest.raises(ValueError):
-        sic_delta_weights(stats, 2, QPSK)
+    with pytest.raises(ValueError, match="at least 100000 trials"):
+        sic_weight_tables(stats, QPSK)
 
 
 def test_weighted_average_pep_tracks_simulation():
@@ -237,8 +229,9 @@ def test_weighted_average_pep_tracks_simulation():
     snr_db = 20.0
     stats = simulate(cfg, snr_db, 1_000_000, seed=6)
     model = cfg.channel.with_noise(cfg.noise_var_for_snr(snr_db))
+    tables = sic_weight_tables(stats, QPSK)
     for l in (2, 3):
-        w = sic_delta_weights(stats, l, QPSK, tx=0)
+        w = tables[l, 0]
         analytic = average_pep(l, 3, 0, 1, cfg.alpha, 1.0, model, QPSK,
                                residuals=w)
         est = empirical_pep(stats, l, 0, 1)
@@ -353,7 +346,8 @@ def _reference_batch(cfg, snr_db, sigma_n_sq, draws):
     by the minimum of the full distance metric row on r = h s + sigma_n
     z, and counts pairwise events one hypothesis at a time.  Returns the
     SimStats plus its own per-symbol transmit counts and symbol error
-    counts, which SimStats derives from detected_counts.
+    counts, which SimStats derives from detected_counts, and decisions[u],
+    shape (n, u), the symbol indices that user u+1's stages 1..u decided.
     """
     h, tx_idx, z = draws
     n, L = tx_idx.shape
@@ -365,6 +359,7 @@ def _reference_batch(cfg, snr_db, sigma_n_sq, draws):
 
     tx_counts = np.zeros((L, m), dtype=np.int64)
     symbol_errors = np.zeros(L, dtype=np.int64)
+    decisions = [None] * L
     stats = SimStats(
         snr_db=snr_db,
         trials=n,
@@ -377,7 +372,7 @@ def _reference_batch(cfg, snr_db, sigma_n_sq, draws):
     for u in range(L):
         hu = h[:, u]
         residual = hu * s + noise[:, u]
-        det = np.empty((n, u), dtype=np.int64)
+        det = decisions[u] = np.empty((n, u), dtype=np.int64)
         for k in range(u):
             dk = np.argmin(metrics_of(residual, coeff[k] * hu, pts), axis=1)
             residual = residual - coeff[k] * hu * pts[dk]
@@ -404,7 +399,7 @@ def _reference_batch(cfg, snr_db, sigma_n_sq, draws):
         stats.delta_pattern_counts[u] = {
             int(c): int(counts[c]) for c in np.nonzero(counts)[0]
         }
-    return stats, tx_counts, symbol_errors
+    return stats, tx_counts, symbol_errors, decisions
 
 
 REFERENCE_ALPHA = {1: (1.0,), 2: (0.8, 0.2), 3: (0.7, 0.2, 0.1),
@@ -426,7 +421,7 @@ def _assert_same_stats(got, want):
 
 
 def _assert_matches_reference(got, cfg, snr_db, n, seed, batch):
-    want, tx_counts, symbol_errors = _reference_batch(
+    want, tx_counts, symbol_errors, _ = _reference_batch(
         cfg, snr_db, cfg.noise_var_for_snr(snr_db),
         _reference_draw(cfg, n, seed, batch))
     _assert_same_stats(got, want)
@@ -444,16 +439,15 @@ def _assert_matches_reference(got, cfg, snr_db, n, seed, batch):
 def test_blocked_batch_matches_reference_chain(L, mode, n):
     # 100_003 rows span several detector blocks, the last one partial.
     cfg = make_cfg(REFERENCE_ALPHA[L])
-    quadrant = sim._quadrant_table(cfg.constellation)
     snrs = (0.0, 20.0, 40.0)
     for snr_db in snrs:
         seed = 1000 * L + int(snr_db)
-        (got,) = sim._run_batch([(cfg, snr_db)], quadrant, n, seed, 0)
+        (got,) = sim._run_batch([(cfg, snr_db)], n, seed, 0)
         _assert_matches_reference(got, cfg, snr_db, n, seed, 0)
     # One call detects every SNR from the same draws; each point must
     # equal a reference batch drawn afresh at that SNR, seed and batch.
     seed = 1000 * L + 99
-    shared = sim._run_batch([(cfg, s) for s in snrs], quadrant, n, seed, 2)
+    shared = sim._run_batch([(cfg, s) for s in snrs], n, seed, 2)
     assert len(shared) == len(snrs)
     for snr_db, got in zip(snrs, shared):
         _assert_matches_reference(got, cfg, snr_db, n, seed, 2)
@@ -500,10 +494,9 @@ def test_block_boundaries_match_reference_chain(L, grid, offset):
         plan = sim._plan(points)
         rows = max(sim._BinTally(plan, u, 1).cells for u in range(1, L))
     n = (2 if offset == 7 else 1) * rows + offset
-    quadrant = sim._quadrant_table(points[0][0].constellation)
     seed = 500 + 10 * L + offset
-    stats = sim._run_batch(points, quadrant, n, seed, L)
-    counts = sim._run_pattern_batch(points, quadrant, n, seed, L)
+    stats = sim._run_batch(points, n, seed, L)
+    counts = sim._run_pattern_batch(points, n, seed, L)
     assert len(stats) == len(counts) == len(points)
     for i, ((cfg, snr_db), got, patterns) in enumerate(
             zip(points, stats, counts)):
@@ -551,7 +544,7 @@ def _reference_run(cfg, snr_db, sizes, seed):
     given sizes."""
     total = None
     for i, n in enumerate(sizes):
-        stats, _, _ = _reference_batch(
+        stats, *_ = _reference_batch(
             cfg, snr_db, cfg.noise_var_for_snr(snr_db),
             _reference_draw(cfg, n, seed, i))
         total = stats if total is None else total.merge(stats)
@@ -559,15 +552,15 @@ def _reference_run(cfg, snr_db, sizes, seed):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_batches_spanning_blocks_match_reference_chain(workers):
-    # Three batches of two blocks each, the last batch partial: the
+def test_batches_spanning_blocks_match_reference_chain(workers,
+                                                       monkeypatch):
+    # Three batches of several blocks each, the last batch partial: the
     # merged counters equal the reference chain's batch by batch.
+    monkeypatch.setattr(sim, "BATCH_TRIALS", 100_000)
     cfg = make_cfg((0.7, 0.2, 0.1))
     snrs = [10.0, 25.0]
-    got = simulate(cfg, snrs, 250_001, seed=31, workers=workers,
-                   batch_size=100_000)
-    counts = sic_patterns(cfg, snrs, 250_001, seed=31, workers=workers,
-                          batch_size=100_000)
+    got = simulate(cfg, snrs, 250_001, seed=31, workers=workers)
+    counts = sic_patterns(cfg, snrs, 250_001, seed=31, workers=workers)
     for snr_db, stats, patterns in zip(snrs, got, counts):
         _assert_same_stats(
             stats, _reference_run(cfg, snr_db, [100_000, 100_000, 50_001], 31))
@@ -620,7 +613,7 @@ def _batch_draws(cfg, n, seed, batch):
             np.concatenate([b[1] for b in blocks], axis=2))
 
 
-def test_neighbouring_seeds_do_not_share_batches():
+def test_neighbouring_seeds_do_not_share_batches(monkeypatch):
     # Seeding batch i with seed + i would make batch 1 of seed s repeat
     # batch 0 of seed s + 1; spawned streams keep them apart.
     cfg = make_cfg((0.8, 0.2))
@@ -631,7 +624,8 @@ def test_neighbouring_seeds_do_not_share_batches():
     assert not np.any(q == next_q)
     # The same through simulate: the second batch of a two-batch run
     # (its counters less those of the first) is not a run at seed s + 1.
-    two = simulate(cfg, 10.0, 2 * n, seed=s, batch_size=n)
+    monkeypatch.setattr(sim, "BATCH_TRIALS", n)
+    two = simulate(cfg, 10.0, 2 * n, seed=s)
     first = simulate(cfg, 10.0, n, seed=s)
     following = simulate(cfg, 10.0, n, seed=s + 1)
     second = two.detected_counts - first.detected_counts
@@ -682,7 +676,7 @@ def test_simulate_agrees_with_an_old_style_batch():
     got = simulate(cfg, snrs, n, seed=23)
     draws = _old_style_draw(cfg, n, 24)
     for snr_db, stats in zip(snrs, got):
-        old, _, _ = _reference_batch(cfg, snr_db,
+        old, *_ = _reference_batch(cfg, snr_db,
                                      cfg.noise_var_for_snr(snr_db), draws)
         want = {(r["user"], r["metric"]): r
                 for r in stats_rows(old, QPSK.bits_per_symbol)}
@@ -696,36 +690,36 @@ def test_simulate_agrees_with_an_old_style_batch():
 
 @pytest.mark.parametrize("mode", ["uniform_random"])
 @pytest.mark.parametrize("workers", [1, 2])
-def test_snr_list_equals_separate_calls(workers, mode):
+def test_snr_list_equals_separate_calls(workers, mode, monkeypatch):
     # 25_001 trials in batches of 10_000 make three batches, the last one
     # partial; 20 dB appears twice.
+    monkeypatch.setattr(sim, "BATCH_TRIALS", 10_000)
     cfg = make_cfg((0.7, 0.2, 0.1))
     snrs = [20.0, 0.0, 35.0, 20.0]
-    got = simulate(cfg, snrs, 25_001, seed=17, workers=workers,
-                   batch_size=10_000)
+    got = simulate(cfg, snrs, 25_001, seed=17, workers=workers)
     assert isinstance(got, list) and len(got) == len(snrs)
     for snr_db, stats in zip(snrs, got):
-        want = simulate(cfg, snr_db, 25_001, seed=17, batch_size=10_000)
+        want = simulate(cfg, snr_db, 25_001, seed=17)
         _assert_same_stats(stats, want)
 
 
 @pytest.mark.parametrize("snr_db", [20.0, [20.0, 0.0, 35.0]])
-@pytest.mark.parametrize("trials,batch_size", [(25_001, 10_000),
-                                               (25_001, 1_000_000)])
+@pytest.mark.parametrize("trials,batch_trials", [(25_001, 10_000),
+                                                 (25_001, 1_000_000)])
 @pytest.mark.parametrize("mode", ["uniform_random"])
 @pytest.mark.parametrize("workers", [1, 2])
-def test_config_list_equals_separate_calls(workers, mode, trials, batch_size,
-                                           snr_db):
+def test_config_list_equals_separate_calls(workers, mode, trials,
+                                           batch_trials, snr_db, monkeypatch):
     # Three batches (the last one partial) or one batch; the allocations
     # differ in alpha and P and one of them appears twice.
+    monkeypatch.setattr(sim, "BATCH_TRIALS", batch_trials)
     base = make_cfg((0.7, 0.2, 0.1))
     cfgs = [base, dataclasses.replace(base, alpha=(0.6, 0.3, 0.1)),
             dataclasses.replace(base, P=2.5), base]
-    got = simulate(cfgs, snr_db, trials, seed=17, workers=workers,
-                   batch_size=batch_size)
+    got = simulate(cfgs, snr_db, trials, seed=17, workers=workers)
     assert isinstance(got, list) and len(got) == len(cfgs)
     for cfg, result in zip(cfgs, got):
-        want = simulate(cfg, snr_db, trials, seed=17, batch_size=batch_size)
+        want = simulate(cfg, snr_db, trials, seed=17)
         if isinstance(snr_db, list):
             assert isinstance(result, list) and len(result) == len(snr_db)
             for stats, expected in zip(result, want):
@@ -860,25 +854,33 @@ def test_simulator_rejects_alphabets_it_cannot_slice(points):
 
 
 def test_quadrant_table_is_shared_and_read_only():
-    table = sim._quadrant_table(QPSK)
-    assert sim._quadrant_table(qpsk_constellation(1.0)) is table
-    with pytest.raises(ValueError, match="read-only"):
-        table[0] = 3
+    # The alphabet record (quadrant map, negative bits, axis magnitudes)
+    # is cached per alphabet and read-only.
+    slicer = sim._slicer(QPSK)
+    assert sim._slicer(qpsk_constellation(1.0)) is slicer
+    for table in slicer:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 3
     # A rejected alphabet is not cached: it raises on every call.
     rotated = _alphabet((1, 1j, -1, -1j))
     for _ in range(2):
         with pytest.raises(ValueError, match="quadrant"):
-            sim._quadrant_table(rotated)
+            sim._slicer(rotated)
 
 
 def test_quadrant_table_matches_minimum_distance():
     pts = QPSK.points_array()
-    table = sim._quadrant_table(QPSK)
+    quadrant, negative, magnitude = sim._slicer(QPSK)
     for j, p in enumerate(pts):
-        assert table[2 * (p.real < 0) + (p.imag < 0)] == j
-    # A rectangle with one point per quadrant slices the same way.
-    rect = _alphabet((2 + 1j, -2 + 1j, -2 - 1j, 2 - 1j))
-    np.testing.assert_array_equal(sim._quadrant_table(rect), table)
+        assert quadrant[2 * (p.real < 0) + (p.imag < 0)] == j
+        assert negative[:, j].tolist() == [p.real < 0, p.imag < 0]
+        assert magnitude[:, 0].tolist() == [abs(p.real), abs(p.imag)]
+    # A rectangle with one point per quadrant slices the same way, with
+    # its own magnitude on each axis.
+    rect = sim._slicer(_alphabet((2 + 1j, -2 + 1j, -2 - 1j, 2 - 1j)))
+    np.testing.assert_array_equal(rect.quadrant, quadrant)
+    np.testing.assert_array_equal(rect.negative, negative)
+    assert rect.magnitude[0, 0] == 2 * rect.magnitude[1, 0]
 
 
 def test_axis_steps_hand_values():
@@ -1024,9 +1026,10 @@ def _assert_same_patterns(got, want):
     *(pytest.param(L, None, id=str(L)) for L in (1, 2, 3, 4)),
     pytest.param(2, "fig4", id="fig4-grid"),
     pytest.param(3, "two-passes", id="L3-two-pass-grid")])
-def test_sic_patterns_equal_simulate(L, grid):
+def test_sic_patterns_equal_simulate(L, grid, monkeypatch):
     # Several allocations and SNRs in one call, over four batches.  The
     # short lists run the chain; the grids bin (see _binning_grid).
+    monkeypatch.setattr(sim, "BATCH_TRIALS", 10_000)
     if grid is None:
         base = make_cfg(REFERENCE_ALPHA[L])
         cfgs = [base, dataclasses.replace(base, P=2.5)]
@@ -1038,8 +1041,8 @@ def test_sic_patterns_equal_simulate(L, grid):
     else:
         cfgs, snrs = _binning_grid(grid)
         base, one = cfgs[0], 0
-    got = sic_patterns(cfgs, snrs, 30_001, seed=21, batch_size=10_000)
-    want = simulate(cfgs, snrs, 30_001, seed=21, batch_size=10_000)
+    got = sic_patterns(cfgs, snrs, 30_001, seed=21)
+    want = simulate(cfgs, snrs, 30_001, seed=21)
     assert len(got) == len(cfgs)
     for counts, stats in zip(got, want):
         assert len(counts) == len(snrs)
@@ -1047,12 +1050,12 @@ def test_sic_patterns_equal_simulate(L, grid):
             _assert_same_patterns(g, w)
     # A single configuration and SNR returns one PatternCounts.
     _assert_same_patterns(
-        sic_patterns(base, snrs[one], 30_001, seed=21, batch_size=10_000),
+        sic_patterns(base, snrs[one], 30_001, seed=21),
         want[0][one])
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("trials,batch_size,grid", [
+@pytest.mark.parametrize("trials,batch_trials,grid", [
     pytest.param(300_001, 100_000, None, id="300001-100000"),
     pytest.param(30_001, 1_000_000, None, id="30001-1000000"),
     pytest.param(300_001, 100_000, "fig4", id="300001-100000-fig4-grid"),
@@ -1061,21 +1064,22 @@ def test_sic_patterns_equal_simulate(L, grid):
                  id="300001-100000-L3-two-pass-grid"),
     pytest.param(30_001, 1_000_000, "two-passes",
                  id="30001-1000000-L3-two-pass-grid")])
-def test_sic_patterns_batches_and_workers(trials, batch_size, grid, workers):
+def test_sic_patterns_batches_and_workers(trials, batch_trials, grid, workers,
+                                          monkeypatch):
     # Four batches, the last one row long, or one batch whose points
     # spread over the workers.  The grids bin (see _binning_grid).  Spread
     # over two workers, each process bins its half of a grid, user 2 of
     # the three-user grid in one pass instead of two, and the counts must
     # not change.
+    monkeypatch.setattr(sim, "BATCH_TRIALS", batch_trials)
     if grid is None:
         base = make_cfg((0.7, 0.2, 0.1))
         cfgs = [base, dataclasses.replace(base, alpha=(0.6, 0.3, 0.1))]
         snrs = [5.0, 20.0]
     else:
         cfgs, snrs = _binning_grid(grid)
-    got = sic_patterns(cfgs, snrs, trials, seed=8, workers=workers,
-                       batch_size=batch_size)
-    want = simulate(cfgs, snrs, trials, seed=8, batch_size=batch_size)
+    got = sic_patterns(cfgs, snrs, trials, seed=8, workers=workers)
+    want = simulate(cfgs, snrs, trials, seed=8)
     for counts, stats in zip(got, want):
         for g, w in zip(counts, stats):
             _assert_same_patterns(g, w)
@@ -1095,7 +1099,6 @@ def _bad_calls():
         "other channel": {**call, "cfg": [base, other]},
         "no trial": {**call, "trials": 0},
         "no worker": {**call, "workers": 0},
-        "no batch row": {**call, "batch_size": 0},
         "SNR overflow": {**call, "snr_db": [10.0, 4000.0]},
         "SNR not finite": {**call, "snr_db": math.nan},
         "not QPSK": {**call, "cfg": rotated},
@@ -1241,16 +1244,48 @@ def test_binning_replaces_at_least_min_bin_stages(L, count, binned,
 
 def test_weight_tables_equal_per_symbol_delta_weights():
     # At 5 dB user 3 sees many residual patterns for every own symbol.
+    # The tables of sic_patterns equal those of simulate, table and
+    # pattern order included, one per user and own symbol, in that order.
     cfg = make_cfg((0.7, 0.2, 0.1))
     stats = simulate(cfg, 5.0, 150_000, seed=12)
     counts = sic_patterns(cfg, 5.0, 150_000, seed=12)
     tables = sic_weight_tables(counts, QPSK)
-    want = [((l, tx), sic_delta_weights(stats, l, QPSK, tx=tx))
-            for l in (1, 2, 3) for tx in range(4)]
-    assert list(tables) == [key for key, _ in want]
-    for (key, table), (_, expected) in zip(tables.items(), want):
-        assert list(table.items()) == list(expected.items()), key
+    assert list(tables) == [(l, tx) for l in (1, 2, 3) for tx in range(4)]
     assert len(tables[3, 0]) > 4
-    assert list(sic_weight_tables(stats, QPSK).items()) == list(tables.items())
-    marginal = sic_delta_weights(counts, 3, QPSK)
-    assert marginal == sic_delta_weights(stats, 3, QPSK)
+    assert tables[3, 0] != tables[3, 1]  # conditioned on the own symbol
+    assert [list(t.items()) for t in sic_weight_tables(stats, QPSK).values()
+            ] == [list(t.items()) for t in tables.values()]
+
+
+@pytest.mark.parametrize("L", [3, 4])
+def test_weight_tables_decode_the_reference_chain(L):
+    # An oracle that never builds a pattern code: the reference chain's
+    # per-trial symbols and stage decisions, each delta pts[sent] -
+    # pts[decided], grouped by the user's own symbol.  Counts are
+    # integers, so the weights must be exactly equal.  At 0 dB every user
+    # sees many patterns.
+    cfg = make_cfg(REFERENCE_ALPHA[L])
+    n, seed, snr_db = 100_003, 60 + L, 0.0
+    draws = _reference_draw(cfg, n, seed, 0)
+    _, _, _, decisions = _reference_batch(
+        cfg, snr_db, cfg.noise_var_for_snr(snr_db), draws)
+    sent = draws[1]
+    pts = QPSK.points_array()
+    (counts,) = sim._run_pattern_batch([(cfg, snr_db)], n, seed, 0)
+    tables = sic_weight_tables(counts, QPSK)
+    for u in range(L):
+        rows, trials = np.unique(
+            np.column_stack([sent[:, :u + 1], decisions[u]]), axis=0,
+            return_counts=True)
+        want = {}
+        for row, k in zip(rows, trials.tolist()):
+            own, tx, det = int(row[u]), row[:u], row[u + 1:]
+            pattern = tuple(complex(d) for d in pts[tx] - pts[det])
+            table = want.setdefault(own, {})
+            table[pattern] = table.get(pattern, 0) + k
+        for own, table in want.items():
+            total = sum(table.values())
+            assert tables[u + 1, own] == {p: k / total
+                                          for p, k in table.items()}, (u, own)
+        assert sorted(want) == [0, 1, 2, 3]
+    assert len(tables[L, 0]) > 10
