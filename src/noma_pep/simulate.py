@@ -8,7 +8,12 @@ decision errors propagate; there is no genie correction.
 A batch runs as a pipeline over blocks of BLOCK_ROWS trials (more on a
 binned grid, see _run_pattern_batch) and keeps nothing of its own size.
 At 2^14 rows each (2, b) float array of a block is 256 KiB, so a
-block's working set stays in a per-core L2 cache.  Batch i of a run
+block's working set stays in a per-core L2 cache.  One helper thread
+per batch draws the blocks one ahead of the detection, into a ring of
+SLOTS preallocated buffers (see _ahead); numpy's draws and ufunc loops
+release the GIL, so drawing block i+1 overlaps detecting block i.  Only
+the helper reads the batch's streams, in block order, so the counters
+do not depend on the thread either.  Batch i of a run
 seeded s draws from three Generators that SeedSequence(s, spawn_key=(i,))
 spawns, one each for the gains, the symbols and the noise, so no two
 batches of one run or of neighbouring seeds share a stream.  Each block
@@ -68,8 +73,10 @@ validated record (_slicer).
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -99,6 +106,7 @@ __all__ = [
 BATCH_TRIALS = 1_000_000  # trials per batch; unlike BLOCK_ROWS, sets counters
 MIN_WEIGHT_TRIALS = 100_000
 BLOCK_ROWS = 1 << 14  # detector rows per block; counters do not depend on it
+SLOTS = 2  # blocks of a batch in flight: one detected, the next one drawn
 TABLE_CELLS = 1 << 16  # cells of one dense count table (_KeyTally, _BinTally)
 MIN_BIN_STAGES = 20  # chain stages a binning pass must replace; measured
 MAX_USERS = 16  # user L's pattern keys take 4L - 2 bits of a uint64
@@ -464,19 +472,69 @@ def _blocks(plan, cfg: SystemConfig, n: int, seed: int, batch: int,
 
     plan is _plan of the points, whose configs draw as cfg does.  Yields
     (signs, q, sign_keys, chains) for each block (signs, q) of `rows`
-    rows of _draw_batch: sign_keys[u] is the symbol half of user u+1's
-    pattern keys (see _sign_key), and chains yields, point by point in order,
-    chain(u, last), which runs user u+1's SIC chain at that point (see
-    _chain).  The superposition of the block's symbols is rebuilt only
+    rows of _draw_batch; a helper thread draws block i+1 while block i
+    is detected (see _ahead).  sign_keys[u] is the symbol half of user
+    u+1's pattern keys (see _sign_key), and chains yields, point by
+    point in order, chain(u, last), which runs user u+1's SIC chain at
+    that point (see _chain).  The superposition of the block's symbols is rebuilt only
     when the config changes from the previous point.  It and the chain's
     buffers are reused by the next point and block, so a chain's results
-    must be read before the next one runs.
+    must be read before the next one runs, and a block's signs and q
+    before the next block is asked for.
     """
     buffers = np.empty((3, 2, min(n, rows)))
-    for signs, q in _draw_batch(cfg, n, seed, batch, rows):
+    for signs, q in _ahead(_draw_batch(cfg, n, seed, batch, rows)):
         s, y, work = buffers[:, :, :signs.shape[1]]
         sign_keys = [_sign_key(signs, u) for u in range(q.shape[1])]
         yield signs, q, sign_keys, _chains(plan, signs, q, s, y, work)
+
+
+def _ahead(blocks):
+    """Yield the items of the generator `blocks`, drawn on a helper thread.
+
+    The helper draws item i+1 while the caller works on item i, but not
+    item i+2 before the caller asks for item i+1, so at most SLOTS items
+    are drawn and not yet released: a ring of SLOTS buffers that the
+    items fill in turn is never overwritten while it is read.  Only the
+    helper advances `blocks`, in order.  An exception on the helper is
+    raised here, with its own type, in place of the next item.  When the
+    caller stops early, by an exception or by closing this generator,
+    the helper stops after the item it is drawing and is joined before
+    this generator ends, so no thread outlives it.  numpy's draws and
+    ufunc loops release the GIL, so the two threads overlap.
+    """
+    free = threading.Semaphore(SLOTS)
+    ready = threading.Semaphore(0)
+    drawn = collections.deque()
+    stop = threading.Event()
+
+    def draw():
+        try:
+            while free.acquire() and not stop.is_set():
+                drawn.append(next(blocks))
+                ready.release()
+        except BaseException as exc:
+            # for the caller to raise; StopIteration marks the end
+            drawn.append(exc)
+            ready.release()
+
+    helper = threading.Thread(target=draw, name="noma-pep-draw",
+                              daemon=True)
+    helper.start()
+    try:
+        while True:
+            ready.acquire()
+            item = drawn.popleft()
+            if isinstance(item, StopIteration):
+                return
+            if isinstance(item, BaseException):
+                raise item
+            yield item
+            free.release()
+    finally:
+        stop.set()
+        free.release()
+        helper.join()
 
 
 def _chains(plan, signs, q, s, y, work):
@@ -515,7 +573,10 @@ def _draw_batch(cfg: SystemConfig, n: int, seed: int, batch: int,
     part; q, shape (2, L, b), is the gain-normalised noise z/|h|: the real
     and the imaginary parts of each user's standard-normal noise over the
     magnitude of its ordered gain.  Neither depends on the SNR or on
-    (alpha, P).  Both are buffers that the next block overwrites.
+    (alpha, P).  Block i is written into slot i % SLOTS of a ring of
+    preallocated (signs, q) buffers, so block i + SLOTS overwrites it and
+    a reader may hold SLOTS blocks at once (see _ahead); a batch of one
+    block allocates one slot.
 
     The batch's SeedSequence(seed, spawn_key=(batch,)) spawns three
     Generators, for the gains, the symbols and the noise, so batches of
@@ -536,40 +597,44 @@ def _draw_batch(cfg: SystemConfig, n: int, seed: int, batch: int,
     L = cfg.num_users
     m = cfg.constellation.size
     rows = min(n, rows)
-    signs = np.empty((2, rows), dtype=np.min_scalar_type((1 << L) - 1))
-    bits = [[(negative << k).astype(signs.dtype) for k in range(L)]
+    dtype = np.min_scalar_type((1 << L) - 1)
+    ring = [(np.empty((2, rows), dtype=dtype), np.empty((2, L, rows)))
+            for _ in range(min(SLOTS, -(-n // rows)))]
+    bits = [[(negative << k).astype(dtype) for k in range(L)]
             for negative in _slicer(cfg.constellation).negative]
-    e, h = np.empty((rows, L)), np.empty((L, rows))
-    z, q = np.empty((rows, L, 2)), np.empty((2, L, rows))
-    for start in range(0, n, rows):
+    e, z = np.empty((rows, L)), np.empty((rows, L, 2))
+    for i, start in enumerate(range(0, n, rows)):
         b = min(rows, n - start)
-        eb, hb, zb, qb, sb = e[:b], h[:, :b], z[:b], q[:, :, :b], signs[:, :b]
-        _gain_magnitudes(gains, cfg.channel.sigma_h_sq, eb, hb)
+        signs, q = ring[i % len(ring)]
+        eb, zb, qb, sb = e[:b], z[:b], q[:, :, :b], signs[:, :b]
+        gain = _gain_magnitudes(gains, cfg.channel.sigma_h_sq, eb)
         tx = symbols.integers(0, m, size=(b, L))
         sb[...] = 0
         for x in range(2):
             for k in range(L):
                 sb[x] += bits[x][k][tx[:, k]]
+        del tx  # not held while the block is detected
         noise.standard_normal(out=zb)
-        np.divide(zb.T, hb, out=qb)
+        np.divide(zb.T, gain, out=qb)
         yield sb, qb
 
 
-def _gain_magnitudes(rng, sigma_h_sq: float, e, h):
-    """Fill h, shape (L, b), with the ordered gain magnitudes of b trials.
+def _gain_magnitudes(rng, sigma_h_sq: float, e):
+    """The ordered gain magnitudes of b trials, shape (L, b), in place.
 
     Each |h|^2 is exponential with mean 2 sigma_h^2, and by Renyi's
     (1953) form of the order statistics the k-th smallest of L of them
     is sum_{i<=k} w_i E_i, with w_i = 2 sigma_h^2/(L-i+1) and i.i.d.
     standard exponentials E_i.  rng draws the E_i into e, shape (b, L),
-    in one call, and the terms are added in user order.  Returns h.
+    in one call; e is then scaled, its columns are summed in user order
+    and its square root taken, all in place.  Returns the view e.T.
     """
-    L = h.shape[0]
+    L = e.shape[1]
     rng.standard_exponential(out=e)
-    np.multiply(e.T, (2.0 * sigma_h_sq / np.arange(L, 0, -1))[:, None], out=h)
+    e *= 2.0 * sigma_h_sq / np.arange(L, 0, -1)
     for k in range(1, L):
-        h[k] += h[k - 1]
-    return np.sqrt(h, out=h)
+        e[:, k] += e[:, k - 1]
+    return np.sqrt(e, out=e).T
 
 
 def _noise_scale(cfg: SystemConfig, snr_db: float) -> float:

@@ -540,8 +540,10 @@ def test_prior_deltas_outside_pattern_mode_exits_2(tmp_path, monkeypatch,
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulate called")
 
-    monkeypatch.setattr(cli, "simulate", no_simulation)
-    monkeypatch.setattr(optimize, "simulate", no_simulation)
+    # default-mode optimize simulates its weights through sic_patterns
+    for module in (cli, optimize):
+        monkeypatch.setattr(module, "simulate", no_simulation)
+        monkeypatch.setattr(module, "sic_patterns", no_simulation)
     rc = main(argv + ["--prior-deltas", "5j", "--out", str(tmp_path)])
     assert rc == 2
     assert "--prior-deltas is read only in pattern mode" in (

@@ -2,6 +2,9 @@ import concurrent.futures
 import dataclasses
 import importlib
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -633,6 +636,105 @@ def test_neighbouring_seeds_do_not_share_batches(monkeypatch):
     assert not np.array_equal(second, following.detected_counts)
 
 
+class _Failed(Exception):
+    """Raised by a monkeypatched simulator step."""
+
+
+def _counting(real, fail_at=None):
+    """real, counting its calls in .calls and raising _Failed on call
+    number fail_at (from 1), if given."""
+    def step(*args):
+        step.calls += 1
+        if step.calls == fail_at:
+            raise _Failed(f"call {fail_at}")
+        return real(*args)
+
+    step.calls = 0
+    return step
+
+
+@pytest.mark.parametrize("count", [simulate, sic_patterns])
+@pytest.mark.parametrize("call", [1, 3])
+def test_draw_failure_reaches_the_caller_and_joins_the_helper(count, call,
+                                                              monkeypatch):
+    # The helper thread draws the blocks.  An exception there, on the
+    # first block or mid-batch, reaches the caller with its own type, in
+    # place of a short batch, and leaves no thread behind.
+    monkeypatch.setattr(sim, "_gain_magnitudes",
+                        _counting(sim._gain_magnitudes, call))
+    threads = threading.active_count()
+    with pytest.raises(_Failed, match=f"call {call}"):
+        count(make_cfg((0.7, 0.2, 0.1)), [0.0, 20.0], 5 * sim.BLOCK_ROWS,
+              seed=1)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("count,step", [(simulate, "_detect_batch"),
+                                        (sic_patterns, "_pattern_keys")])
+def test_detection_failure_stops_and_joins_the_helper(count, step,
+                                                      monkeypatch):
+    # An exception in the detection of block 0 or 1 stops the helper
+    # within a block of it, instead of drawing the rest of the batch.
+    monkeypatch.setattr(sim, step, _counting(getattr(sim, step), 2))
+    draws = _counting(sim._gain_magnitudes)
+    monkeypatch.setattr(sim, "_gain_magnitudes", draws)
+    threads = threading.active_count()
+    with pytest.raises(_Failed):
+        count(make_cfg((0.7, 0.2, 0.1)), [0.0, 20.0], 10 * sim.BLOCK_ROWS,
+              seed=1)
+    assert threading.active_count() == threads
+    assert draws.calls <= 1 + sim.SLOTS
+
+
+def test_blocks_are_drawn_one_ahead_and_closing_joins_the_helper(
+        monkeypatch):
+    # While the caller holds block i, the helper may draw block i+1 into
+    # the other slot of the ring, but not block i+2, which would
+    # overwrite block i: a held block keeps its values however long it is
+    # held.  Closing the generator early stops and joins the helper.
+    cfg = make_cfg((0.7, 0.2, 0.1))
+    rows, n = sim.BLOCK_ROWS, 6 * sim.BLOCK_ROWS
+    want_signs, want_q = _batch_draws(cfg, n, 4, 0)
+    draws = _counting(sim._gain_magnitudes)
+    monkeypatch.setattr(sim, "_gain_magnitudes", draws)
+    threads = threading.active_count()
+    blocks = sim._blocks(sim._plan([(cfg, 10.0)]), cfg, n, 4, 0, rows)
+    for i, (signs, q, _, _) in enumerate(blocks):
+        time.sleep(0.02)  # time for the helper to run ahead
+        assert draws.calls <= i + sim.SLOTS
+        np.testing.assert_array_equal(signs,
+                                      want_signs[:, i * rows:(i + 1) * rows])
+        np.testing.assert_array_equal(q, want_q[..., i * rows:(i + 1) * rows])
+        if i == 2:
+            break
+    assert threading.active_count() == threads + 1
+    blocks.close()
+    assert threading.active_count() == threads
+    assert draws.calls <= 2 + sim.SLOTS
+    simulate(cfg, 10.0, n, seed=4)
+    assert threading.active_count() == threads
+
+
+def test_helpers_under_stress_keep_every_counter(monkeypatch):
+    # Three counters at once, each with its own helper: six threads on
+    # fewer cores, switching every microsecond.  Every block of 1,000 rows
+    # is still detected once, in order, from the slot it was drawn into,
+    # so each run equals the reference chain.
+    monkeypatch.setattr(sim, "BLOCK_ROWS", 1_000)
+    cfg, n, seeds = make_cfg((0.7, 0.2, 0.1)), 30_001, [41, 42, 43]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(len(seeds)) as pool:
+            runs = [pool.submit(simulate, cfg, 10.0, n, seed)
+                    for seed in seeds]
+            got = [run.result(timeout=120) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    for seed, stats in zip(seeds, got):
+        _assert_same_stats(stats, _reference_run(cfg, 10.0, [n], seed))
+
+
 def test_renyi_gains_have_the_ordered_exponential_law():
     # Bounds fixed before the first run.  4e5 trials of L = 4 users at
     # sigma_h^2 = 0.7.  Means within 4 standard errors of the exact
@@ -645,7 +747,7 @@ def test_renyi_gains_have_the_ordered_exponential_law():
     # distance below 2.3 sqrt(1/n1 + 1/n2), a false alarm rate below 1e-4.
     L, sigma_h_sq, n, n_oracle = 4, 0.7, 400_000, 200_000
     g = sim._gain_magnitudes(np.random.default_rng(11), sigma_h_sq,
-                             np.empty((n, L)), np.empty((L, n))) ** 2
+                             np.empty((n, L))) ** 2
     w = 2 * sigma_h_sq / np.arange(L, 0, -1)
     mean, var = np.cumsum(w), np.cumsum(w ** 2)
     assert np.all(np.diff(g, axis=0) >= 0)  # ascending by user
