@@ -28,10 +28,9 @@ channel = ChannelModel(num_users=3, sigma_h_sq=0.5)
 cfg = SystemConfig(alpha=ALPHA, P=1.0, channel=channel, constellation=QPSK)
 
 print("Closed form sanity check (single weakest user):")
-model = channel.with_noise(1e-2)
 beta = math.sqrt(ALPHA[0]) * 2.0
-ups = math.sqrt(2 * 1e-2) * math.sqrt(2.0)
-quadrature = pep_quadrature(1, 3, beta, ups, model)
+ups = math.sqrt(2 * 1e-2) * math.sqrt(2.0)  # noise variance 1e-2
+quadrature = pep_quadrature(1, 3, beta, ups, channel)
 closed = pep_user1_closed(beta, ups, math.sqrt(2 * 0.5 / 3))
 print(f"  quadrature {quadrature:.6e}  closed form {closed:.6e}")
 print()

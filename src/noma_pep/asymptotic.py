@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .pep import NumericalError
+
 __all__ = [
     "chernoff_conditional",
     "chernoff_average",
@@ -86,7 +88,8 @@ def pep_upper_bound(
                  inconsistent across k
 
     The sum cancels catastrophically at high SNR, so it is taken exactly
-    in rationals of the float inputs and rounded once.  Cross-check
+    in rationals of the float inputs and rounded once; NumericalError is
+    raised when the exact value is too large for a float.  Cross-check
     against chernoff_average, which integrates the bound without the
     linearization.
     """
@@ -118,7 +121,12 @@ def pep_upper_bound(
             else:
                 term *= inv_b
             total += term
-    return float(a_l * total / g)
+    try:
+        return float(a_l * total / g)
+    except OverflowError:
+        raise NumericalError(
+            f"the {form} high-SNR bound of user {l} of {L} is too large "
+            "for a float") from None
 
 
 def effective_diversity(

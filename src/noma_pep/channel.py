@@ -3,13 +3,15 @@
 Users are indexed by channel strength: user 1 owns the weakest of the L
 i.i.d. complex Gaussian gains, user L the strongest.  The Rayleigh scale
 convention throughout is f(x) = (x / sigma_h_sq) * exp(-x^2 / (2 sigma_h_sq)),
-so E[|h|^2] = 2 * sigma_h_sq.
+so E[|h|^2] = 2 * sigma_h_sq.  The channel model is the fading law
+alone: the receiver noise comes from the SNR, sigma_n^2 = P / 10**(snr_db/10)
+(SystemConfig.noise_var_for_snr).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,16 +25,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Rayleigh fading parameters shared by all L users.
+    """Rayleigh fading law shared by all L users.
 
     num_users    L
     sigma_h_sq   Rayleigh density parameter; E[|h|^2] = 2*sigma_h_sq
-    noise_var    receiver noise variance sigma_n^2 (total, both dimensions)
+
+    It holds no noise level: every caller states that as an SNR.
     """
 
     num_users: int
     sigma_h_sq: float = 0.5
-    noise_var: float = 1.0
 
     def __post_init__(self):
         if self.num_users < 1:
@@ -41,13 +43,6 @@ class ChannelModel:
             raise ValueError(
                 f"sigma_h_sq must be finite and positive, got {self.sigma_h_sq}"
             )
-        if not 0 < self.noise_var < math.inf:
-            raise ValueError(
-                f"noise_var must be finite and positive, got {self.noise_var}"
-            )
-
-    def with_noise(self, noise_var: float) -> "ChannelModel":
-        return replace(self, noise_var=noise_var)
 
 
 def _check_user(l: int, L: int):

@@ -199,8 +199,7 @@ def _system(s: dict) -> SystemConfig:
     users, alpha, power = s["users"], s["alpha"], s["power"]
     if len(alpha) != users:
         raise ValueError(f"--alpha has {len(alpha)} entries for {users} users")
-    channel = ChannelModel(num_users=users, sigma_h_sq=s["sigma_h_sq"],
-                           noise_var=1.0)
+    channel = ChannelModel(num_users=users, sigma_h_sq=s["sigma_h_sq"])
     return SystemConfig(
         alpha=tuple(alpha),
         P=power,

@@ -39,6 +39,8 @@ __all__ = [
     "solve",
 ]
 
+MAX_GRID_POINTS = 100_000  # allocations one search may enumerate
+
 
 def residual_tables(cfg: SystemConfig, sic_mode: str, prior_deltas=None,
                     stats=None):
@@ -111,6 +113,16 @@ class OptimizationProblem:
             raise ValueError(
                 f"grid_step must lie in (0, 0.01], got {self.grid_step}"
             )
+        # C(n-1, L-1) counts the ways to write n steps as L positive
+        # parts in order, and each grid point is L! of them, so this
+        # bounds the grid from above; tightly: 83,083 for the 82,834
+        # points of L = 3, step 0.001
+        L, steps = self.cfg.num_users, 1.0 / self.grid_step
+        if math.isinf(steps) or math.comb(round(steps) - 1, L - 1) \
+                > MAX_GRID_POINTS * math.factorial(L):
+            raise ValueError(
+                f"grid_step {self.grid_step} gives {L} users more than "
+                f"{MAX_GRID_POINTS} allocations to search")
         if self.sic_mode == "weighted":  # checked before any simulation
             _require_weight_trials(self.weights_trials)
         else:
@@ -141,18 +153,20 @@ def pep_table(cfg: SystemConfig, snr_db: float, residuals=None) -> np.ndarray:
     """PEP of every user and ordered symbol pair at one SNR.
 
     Entry [l-1, tx, rx] is average_pep of user l's (tx, rx) pair with the
-    noise of cfg.noise_var_for_snr(snr_db); the diagonal is 0.  residuals
-    maps (l, tx) to the residual table of user l's pairs that transmit
-    tx (see residual_tables); None is perfect SIC.
+    noise variance cfg.noise_var_for_snr(snr_db); the diagonal is 0.
+    residuals maps (l, tx) to the residual table of user l's pairs that
+    transmit tx (see residual_tables); None is perfect SIC.
     """
     L, m = cfg.num_users, cfg.constellation.size
-    model = cfg.channel.with_noise(cfg.noise_var_for_snr(snr_db))
+    sigma_n_sq = cfg.noise_var_for_snr(snr_db)
     table = np.zeros((L, m, m))
     for l in range(1, L + 1):
         for tx, rx in permutations(range(m), 2):
             table[l - 1, tx, rx] = average_pep(
-                l, L, tx, rx, cfg.alpha, cfg.P, model, cfg.constellation,
+                l, L, tx, rx, cfg.alpha, cfg.P, cfg.channel,
+                cfg.constellation,
                 None if residuals is None else residuals[l, tx],
+                sigma_n_sq=sigma_n_sq,
             )
     return table
 
@@ -183,17 +197,19 @@ def union_bound_ber(
 ) -> float:
     """Union bound on user l's bit error rate at the given SNR.
 
+    model is the fading law; the noise variance is P / 10**(snr_db/10).
     residuals is user l's one residual table for every pair (None is
     perfect SIC); bounds with a table per transmitted symbol are
     computed by objective_psi and solve.
     """
     a = tuple(float(x) for x in alpha)
-    noisy = model.with_noise(P / linear_snr(snr_db, P))
+    sigma_n_sq = P / linear_snr(snr_db, P)
     m = constellation.size
     peps = np.zeros((m, m))
     for tx, rx in permutations(range(m), 2):
         peps[tx, rx] = average_pep(
-            l, noisy.num_users, tx, rx, a, P, noisy, constellation, residuals,
+            l, model.num_users, tx, rx, a, P, model, constellation, residuals,
+            sigma_n_sq=sigma_n_sq,
         )
     return union_bound_from_pep(peps, constellation)
 

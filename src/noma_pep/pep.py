@@ -286,6 +286,8 @@ def average_pep(
     model: ChannelModel,
     constellation: Constellation,
     residuals=None,
+    *,
+    sigma_n_sq: float,
 ) -> float:
     """Pairwise error probability of user l averaged over hypotheses.
 
@@ -296,6 +298,9 @@ def average_pep(
     residuals maps a tuple of l-1 complex residuals x_k - x_hat_k to its
     probability (the weights sum to 1); None means perfect SIC, the
     all-zero pattern with weight 1.
+    sigma_n_sq is the receiver noise variance, which the SNR sets:
+    P / 10**(snr_db/10) (SystemConfig.noise_var_for_snr).  model gives
+    only the fading law.
     """
     if tx == rx:
         raise ValueError("tx and rx indices coincide; not a pairwise error event")
@@ -323,7 +328,7 @@ def average_pep(
     if not math.isclose(weight_sum, 1.0, abs_tol=1e-9):
         raise ValueError(f"residual weights must sum to 1, got {weight_sum}")
     dlt = complex(pts[tx] - pts[rx])
-    ups = upsilon_factor(dlt, model.noise_var)
+    ups = upsilon_factor(dlt, sigma_n_sq)
     amp = np.sqrt(a * P)
 
     # beta is affine in the symbols: the own term, one term per weaker

@@ -119,7 +119,9 @@ class SystemConfig:
     alpha          power allocation coefficients, strictly descending,
                    summing to 1 (user 1 = weakest channel, most power)
     P              total transmit power
-    channel        fading model; channel.num_users must equal len(alpha)
+    channel        fading law; channel.num_users must equal len(alpha).
+                   The noise variance is not part of the system: an SNR
+                   sets it (noise_var_for_snr)
     constellation  shared symbol alphabet of unit average power, so that
                    P alone sets the transmit power; every user draws its
                    symbols uniformly from it

@@ -70,11 +70,11 @@ def test_criterion_1_analytic_vs_simulation():
     print("snr_db user  empirical      analytic       rel_diff  within")
     for snr, stats in zip(SNR_GRID, simulate(cfg, SNR_GRID, trials,
                                              seed=1001)):
-        model = ch.with_noise(cfg.noise_var_for_snr(snr))
         tables = sic_weight_tables(stats, QPSK)
         for l in (1, 2, 3):
-            analytic = average_pep(l, 3, tx, rx, ALPHA3, 1.0, model, QPSK,
-                                   residuals=tables[l, tx])
+            analytic = average_pep(l, 3, tx, rx, ALPHA3, 1.0, ch, QPSK,
+                                   residuals=tables[l, tx],
+                                   sigma_n_sq=cfg.noise_var_for_snr(snr))
             est = empirical_pep(stats, l, tx, rx)
             rel = abs(analytic - est.pep) / est.pep if est.pep > 0 else math.inf
             within_rel = est.pep >= 1e-5 and rel <= 0.10
@@ -94,13 +94,13 @@ def test_criterion_1_analytic_vs_simulation():
     assert elapsed <= 600, f"runtime {elapsed:.0f}s exceeds 10 minutes"
 
 
-def _pair_averaged_curve(l, snrs, model_for):
+def _pair_averaged_curve(l, snrs, model):
     pairs = [(a, b) for a in range(4) for b in range(4) if a != b]
     peps = []
     for snr in snrs:
-        model = model_for(snr)
         peps.append(float(np.mean([
-            average_pep(l, 3, a, b, ALPHA3, 1.0, model, QPSK)
+            average_pep(l, 3, a, b, ALPHA3, 1.0, model, QPSK,
+                        sigma_n_sq=10 ** (-snr / 10))
             for a, b in pairs
         ])))
     return np.asarray(snrs), np.asarray(peps)
@@ -110,13 +110,9 @@ def test_criterion_2_diversity_convergence():
     """Finite-difference effective diversity of the quadrature curves at
     35 -> 40 dB lies within 0.25 of the user order."""
     ch = ChannelModel(num_users=3, sigma_h_sq=0.5)
-
-    def model_for(snr):
-        return ch.with_noise(10 ** (-snr / 10))
-
     results = {}
     for l in (1, 2, 3):
-        snrs, peps = _pair_averaged_curve(l, [35.0, 40.0], model_for)
+        snrs, peps = _pair_averaged_curve(l, [35.0, 40.0], ch)
         results[l] = effective_diversity(snrs, peps, "finite_difference")[-1]
     ok = all(abs(results[l] - l) <= 0.25 for l in (1, 2, 3))
     _report(2, ok, "effective diversity at 35->40 dB: "
@@ -305,10 +301,10 @@ def test_criterion_6_bound_dominance():
                         + 2 * (d * interf).real
                     hyps.add((l, round(float(beta), 12), abs(d) ** 2))
     in_region = out_region = 0
+    model = ChannelModel(num_users=3, sigma_h_sq=0.5)
     for snr in (20.0, 25.0, 30.0, 35.0, 40.0):
         sn2 = 10 ** (-snr / 10)
         gbar = 2 * 0.5 / sn2
-        model = ChannelModel(num_users=3, sigma_h_sq=0.5, noise_var=sn2)
         for l, beta, dsq in hyps:
             ups = math.sqrt(2 * sn2 * dsq)
             q = pep_quadrature(l, 3, beta, ups, model)

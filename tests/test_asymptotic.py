@@ -277,15 +277,14 @@ def test_noma_curve_diversity_monotone():
     alpha = (0.7, 0.2, 0.1)
     snrs = [20.0, 25.0, 30.0, 35.0, 40.0]
     pairs = [(a, b) for a in range(4) for b in range(4) if a != b]
+    model = ChannelModel(num_users=3, sigma_h_sq=0.5)
     for l in (1, 2, 3):
         peps = []
         for snr in snrs:
-            model = ChannelModel(
-                num_users=3, sigma_h_sq=0.5, noise_var=10 ** (-snr / 10)
-            )
             peps.append(
                 float(np.mean([
-                    average_pep(l, 3, a, b, alpha, 1.0, model, c)
+                    average_pep(l, 3, a, b, alpha, 1.0, model, c,
+                                sigma_n_sq=10 ** (-snr / 10))
                     for a, b in pairs
                 ]))
             )

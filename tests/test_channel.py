@@ -146,5 +146,3 @@ def test_model_validation():
         ChannelModel(num_users=0)
     with pytest.raises(ValueError):
         ChannelModel(num_users=1, sigma_h_sq=0.0)
-    with pytest.raises(ValueError):
-        ChannelModel(num_users=1, noise_var=-1.0)

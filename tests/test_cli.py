@@ -560,6 +560,15 @@ def test_high_snr_bounds_stay_positive(tmp_path):
                                                 if float(r[3]) <= 0]
 
 
+@pytest.mark.parametrize("power", ["1e120", "1e160", "1e308"])
+def test_bound_too_large_for_a_float_exits_3(tmp_path, capsys, power):
+    # the verbatim bound is exact in rationals; its float overflows
+    out = tmp_path / "out"
+    assert main(["bound", "--power", power, "--out", str(out)]) == 3
+    assert "too large for a float" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_import_leaves_scipy_special_unloaded():
     src = Path(cli.__file__).resolve().parents[1]
     code = ("import sys, noma_pep, noma_pep.cli; "

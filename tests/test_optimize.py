@@ -121,6 +121,32 @@ def test_problem_validation():
         make_problem(sic_mode="pattern", prior_deltas=())
 
 
+@pytest.mark.parametrize("alpha, grid_step, points", [
+    ((0.8, 0.2), 0.001, 499), ((0.7, 0.2, 0.1), 0.01, 784),
+    ((0.4, 0.3, 0.2, 0.1), 0.01, 5_952), ((0.7, 0.2, 0.1), 0.001, 82_834)])
+def test_grid_cap_accepts_the_searched_grids(alpha, grid_step, points):
+    # points: the size of _descending_grid(len(alpha), grid_step)
+    assert points <= optimize.MAX_GRID_POINTS
+    make_problem(alpha=alpha, grid_step=grid_step)
+
+
+@pytest.mark.parametrize("alpha, grid_step", [
+    ((0.8, 0.2), 1e-9), ((0.8, 0.2), 5e-324), ((0.4, 0.3, 0.2, 0.1), 0.001)])
+def test_grid_cap_rejects_a_grid_before_building_it(monkeypatch, tmp_path,
+                                                    alpha, grid_step):
+    def boom(*args):
+        raise AssertionError("the grid was enumerated")
+
+    monkeypatch.setattr(optimize, "_descending_grid", boom)
+    with pytest.raises(ValueError, match="allocations"):
+        make_problem(alpha=alpha, grid_step=grid_step)
+    out = tmp_path / "out"
+    assert main(["optimize", "--users", str(len(alpha)), "--grid-step",
+                 str(grid_step), "--sic-mode", "perfect",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_descending_grid_two_users():
     grid = _descending_grid(2, 0.01)
     assert all(len(a) == 2 for a in grid)
@@ -248,7 +274,7 @@ def test_pep_table_equals_per_pair_average_pep(alpha, mode):
         weights = sic_weight_tables(stats, QPSK)
     table = pep_table(cfg, snr_db, residual_tables(cfg, mode, deltas, stats))
     assert table.shape == (L, 4, 4)
-    model = cfg.channel.with_noise(cfg.noise_var_for_snr(snr_db))
+    sigma_n_sq = cfg.noise_var_for_snr(snr_db)
     for l in range(1, L + 1):
         for tx in range(4):
             assert table[l - 1, tx, tx] == 0.0
@@ -260,8 +286,8 @@ def test_pep_table_equals_per_pair_average_pep(alpha, mode):
                     residuals = {deltas[: l - 1]: 1.0}
                 elif mode == "weighted":
                     residuals = weights[l, tx]
-                expected = average_pep(l, L, tx, rx, alpha, 1.0, model, QPSK,
-                                       residuals)
+                expected = average_pep(l, L, tx, rx, alpha, 1.0, cfg.channel,
+                                       QPSK, residuals, sigma_n_sq=sigma_n_sq)
                 assert table[l - 1, tx, rx] == expected, (l, tx, rx)
 
 

@@ -241,11 +241,11 @@ def test_high_snr_user_ordering():
     c = qpsk_constellation(1.0)
     alpha = (0.7, 0.2, 0.1)
     for snr_db in (30.0, 40.0):
-        model = ChannelModel(
-            num_users=3, sigma_h_sq=0.5, noise_var=10 ** (-snr_db / 10)
-        )
+        model = ChannelModel(num_users=3, sigma_h_sq=0.5)
         peps = [
-            average_pep(l, 3, 0, 1, alpha, 1.0, model, c) for l in (1, 2, 3)
+            average_pep(l, 3, 0, 1, alpha, 1.0, model, c,
+                        sigma_n_sq=10 ** (-snr_db / 10))
+            for l in (1, 2, 3)
         ]
         assert peps[0] > peps[1] > peps[2]
 
@@ -260,9 +260,9 @@ def test_quadrature_negative_beta():
 
 def test_average_pep_last_user_singleton():
     c = qpsk_constellation(1.0)
-    model = ChannelModel(num_users=3, sigma_h_sq=0.5, noise_var=1e-2)
+    model = ChannelModel(num_users=3, sigma_h_sq=0.5)
     alpha = (0.7, 0.2, 0.1)
-    got = average_pep(3, 3, 0, 1, alpha, 1.0, model, c)
+    got = average_pep(3, 3, 0, 1, alpha, 1.0, model, c, sigma_n_sq=1e-2)
     beta = math.sqrt(0.1) * 2.0
     ups = upsilon_factor(c.points[0] - c.points[1], 1e-2)
     assert abs(got - pep_quadrature(3, 3, beta, ups, model)) < 1e-12
@@ -273,64 +273,75 @@ def test_average_pep_rotation_symmetry():
     # (mod 4) under the fixed Gray layout, so tuple-averaged PEP values
     # are identical for rotated pairs.
     c = qpsk_constellation(1.0)
-    model = ChannelModel(num_users=2, sigma_h_sq=0.5, noise_var=1e-2)
+    model = ChannelModel(num_users=2, sigma_h_sq=0.5)
     alpha = (0.8, 0.2)
-    base = average_pep(1, 2, 0, 1, alpha, 1.0, model, c)
+    base = average_pep(1, 2, 0, 1, alpha, 1.0, model, c, sigma_n_sq=1e-2)
     for k in (1, 2, 3):
-        rot = average_pep(1, 2, k, (k + 1) % 4, alpha, 1.0, model, c)
+        rot = average_pep(1, 2, k, (k + 1) % 4, alpha, 1.0, model, c,
+                          sigma_n_sq=1e-2)
         assert abs(rot - base) < 1e-12
 
 
 def test_average_pep_below_half_above_zero_db():
     c = qpsk_constellation(1.0)
     alpha = (0.7, 0.2, 0.1)
+    model = ChannelModel(num_users=3, sigma_h_sq=0.5)
     for snr_db in (1.0, 10.0, 20.0):
-        model = ChannelModel(
-            num_users=3, sigma_h_sq=0.5, noise_var=10 ** (-snr_db / 10)
-        )
         for l in (1, 2, 3):
-            v = average_pep(l, 3, 0, 1, alpha, 1.0, model, c)
+            v = average_pep(l, 3, 0, 1, alpha, 1.0, model, c,
+                            sigma_n_sq=10 ** (-snr_db / 10))
             assert 0.0 < v < 0.5
 
 
 def test_average_pep_rejects_degenerate_pair():
     c = qpsk_constellation(1.0)
-    model = ChannelModel(num_users=2, sigma_h_sq=0.5, noise_var=1e-2)
+    model = ChannelModel(num_users=2, sigma_h_sq=0.5)
     with pytest.raises(ValueError):
-        average_pep(1, 2, 0, 0, (0.8, 0.2), 1.0, model, c)
+        average_pep(1, 2, 0, 0, (0.8, 0.2), 1.0, model, c, sigma_n_sq=1e-2)
+
+
+def test_average_pep_needs_the_noise_variance():
+    # the channel model holds no noise level, so none can be assumed
+    c = qpsk_constellation(1.0)
+    model = ChannelModel(num_users=2, sigma_h_sq=0.5)
+    with pytest.raises(TypeError, match="sigma_n_sq"):
+        average_pep(1, 2, 0, 1, (0.8, 0.2), 1.0, model, c)
 
 
 def test_average_pep_enumeration_cap(monkeypatch):
     c = qpsk_constellation(1.0)
-    model = ChannelModel(num_users=3, sigma_h_sq=0.5, noise_var=1e-2)
+    model = ChannelModel(num_users=3, sigma_h_sq=0.5)
     monkeypatch.setattr(pep_mod, "ENUMERATION_CAP", 10)
     with pytest.raises(EnumerationCapError):
-        average_pep(1, 3, 0, 1, (0.7, 0.2, 0.1), 1.0, model, c)
+        average_pep(1, 3, 0, 1, (0.7, 0.2, 0.1), 1.0, model, c,
+                    sigma_n_sq=1e-2)
 
 
 def test_average_pep_weighted_validation():
     c = qpsk_constellation(1.0)
-    model = ChannelModel(num_users=2, sigma_h_sq=0.5, noise_var=1e-2)
+    model = ChannelModel(num_users=2, sigma_h_sq=0.5)
     with pytest.raises(ValueError, match="empty"):
-        average_pep(2, 2, 0, 1, (0.8, 0.2), 1.0, model, c, residuals={})
+        average_pep(2, 2, 0, 1, (0.8, 0.2), 1.0, model, c, residuals={},
+                    sigma_n_sq=1e-2)
     with pytest.raises(ValueError, match="sum to 1"):
         average_pep(2, 2, 0, 1, (0.8, 0.2), 1.0, model, c,
-                    residuals={(0j,): 0.5})
+                    residuals={(0j,): 0.5}, sigma_n_sq=1e-2)
     with pytest.raises(ValueError, match="length 1"):
         average_pep(2, 2, 0, 1, (0.8, 0.2), 1.0, model, c,
-                    residuals={(): 1.0})
+                    residuals={(): 1.0}, sigma_n_sq=1e-2)
 
 
 def test_weighted_mode_mixes_linearly():
     c = qpsk_constellation(1.0)
-    model = ChannelModel(num_users=2, sigma_h_sq=0.5, noise_var=1e-2)
+    model = ChannelModel(num_users=2, sigma_h_sq=0.5)
     alpha = (0.8, 0.2)
     d = complex(c.points[0] - c.points[1])
-    p_perfect = average_pep(2, 2, 0, 1, alpha, 1.0, model, c)
+    p_perfect = average_pep(2, 2, 0, 1, alpha, 1.0, model, c,
+                            sigma_n_sq=1e-2)
     p_pattern = average_pep(2, 2, 0, 1, alpha, 1.0, model, c,
-                            residuals={(d,): 1.0})
+                            residuals={(d,): 1.0}, sigma_n_sq=1e-2)
     mixed = average_pep(2, 2, 0, 1, alpha, 1.0, model, c,
-                        residuals={(0j,): 0.75, (d,): 0.25})
+                        residuals={(0j,): 0.75, (d,): 0.25}, sigma_n_sq=1e-2)
     assert abs(mixed - (0.75 * p_perfect + 0.25 * p_pattern)) < 1e-12
 
 
@@ -421,9 +432,10 @@ def test_quadrature_non_finite_ratio_raises(beta, ups):
 
 def test_average_pep_non_finite_power_raises():
     c = qpsk_constellation(1.0)
-    model = ChannelModel(num_users=2, sigma_h_sq=0.5, noise_var=1e-2)
+    model = ChannelModel(num_users=2, sigma_h_sq=0.5)
     with pytest.raises(NumericalError):
-        average_pep(1, 2, 0, 1, (0.8, 0.2), math.nan, model, c)
+        average_pep(1, 2, 0, 1, (0.8, 0.2), math.nan, model, c,
+                    sigma_n_sq=1e-2)
 
 
 # ------------------------------------------------- per-process kernel memo
@@ -431,12 +443,12 @@ def test_average_pep_non_finite_power_raises():
 
 def test_kernel_memo_returns_the_cold_value():
     c = qpsk_constellation(1.0)
-    model = ChannelModel(num_users=3, sigma_h_sq=0.5, noise_var=1e-2)
+    model = ChannelModel(num_users=3, sigma_h_sq=0.5)
     args = (1, 3, 0, 1, (0.7, 0.2, 0.1), 1.0, model, c)
     pep_mod._pep_kernel.cache_clear()
-    cold = average_pep(*args)
+    cold = average_pep(*args, sigma_n_sq=1e-2)
     misses = pep_mod._pep_kernel.cache_info().misses
-    warm = average_pep(*args)
+    warm = average_pep(*args, sigma_n_sq=1e-2)
     info = pep_mod._pep_kernel.cache_info()
     assert warm == cold
     assert info.hits > 0 and info.misses == misses
@@ -460,10 +472,11 @@ def test_kernel_memo_bound():
 # ------------------------------- hypothesis averaging against the old loop
 
 
-def _looped_average_pep(l, L, tx, rx, alpha, P, model, c, patterns):
+def _looped_average_pep(l, L, tx, rx, alpha, P, model, c, patterns,
+                        sigma_n_sq):
     """One ErrorHypothesis and one scalar PEP per interferer tuple."""
     pts = [complex(p) for p in c.points]
-    ups = upsilon_factor(pts[tx] - pts[rx], model.noise_var)
+    ups = upsilon_factor(pts[tx] - pts[rx], sigma_n_sq)
     total = 0.0
     for weight, deltas in patterns:
         acc = 0.0
@@ -487,9 +500,9 @@ def test_average_pep_matches_per_tuple_loop(L, mode):
     diffs = [0j] + [a - b for a in pts for b in pts if a != b]
     rng = np.random.default_rng(7 + L)
     worst = 0.0
+    model = ChannelModel(num_users=L, sigma_h_sq=0.5)
     for snr_db in (0.0, 20.0, 40.0):
-        model = ChannelModel(num_users=L, sigma_h_sq=0.5,
-                             noise_var=10 ** (-snr_db / 10))
+        sigma_n_sq = 10 ** (-snr_db / 10)
         for l in range(1, L + 1):
             if mode == "perfect":
                 table = None
@@ -506,7 +519,8 @@ def test_average_pep_matches_per_tuple_loop(L, mode):
                 patterns = list((w, k) for k, w in table.items())
             for tx, rx in ((0, 1), (0, 2), (3, 1)):
                 old = _looped_average_pep(l, L, tx, rx, alpha, 1.0, model, c,
-                                          patterns)
-                new = average_pep(l, L, tx, rx, alpha, 1.0, model, c, table)
+                                          patterns, sigma_n_sq)
+                new = average_pep(l, L, tx, rx, alpha, 1.0, model, c, table,
+                                  sigma_n_sq=sigma_n_sq)
                 worst = max(worst, abs(new - old) / old)
     assert worst < 1e-13, worst

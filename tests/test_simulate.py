@@ -187,11 +187,11 @@ def test_single_user_pairwise_matches_quadrature():
     cfg = make_cfg((1.0,))
     snr_db = 10.0
     stats = simulate(cfg, snr_db, 1_000_000, seed=2)
-    model = cfg.channel.with_noise(cfg.noise_var_for_snr(snr_db))
     est = empirical_pep(stats, 1, 0, 1)
     beta = abs(QPSK.points[0] - QPSK.points[1]) ** 2
-    ups = upsilon_factor(QPSK.points[0] - QPSK.points[1], model.noise_var)
-    analytic = pep_quadrature(1, 1, beta, ups, model)
+    ups = upsilon_factor(QPSK.points[0] - QPSK.points[1],
+                         cfg.noise_var_for_snr(snr_db))
+    analytic = pep_quadrature(1, 1, beta, ups, cfg.channel)
     assert abs(est.pep - analytic) < 3 * est.ci_half_width
 
 
@@ -231,12 +231,12 @@ def test_weighted_average_pep_tracks_simulation():
     cfg = make_cfg((0.7, 0.2, 0.1))
     snr_db = 20.0
     stats = simulate(cfg, snr_db, 1_000_000, seed=6)
-    model = cfg.channel.with_noise(cfg.noise_var_for_snr(snr_db))
     tables = sic_weight_tables(stats, QPSK)
     for l in (2, 3):
         w = tables[l, 0]
-        analytic = average_pep(l, 3, 0, 1, cfg.alpha, 1.0, model, QPSK,
-                               residuals=w)
+        analytic = average_pep(l, 3, 0, 1, cfg.alpha, 1.0, cfg.channel, QPSK,
+                               residuals=w,
+                               sigma_n_sq=cfg.noise_var_for_snr(snr_db))
         est = empirical_pep(stats, l, 0, 1)
         assert abs(analytic - est.pep) / est.pep < 0.10
 
