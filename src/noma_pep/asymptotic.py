@@ -10,7 +10,6 @@ order.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -102,6 +101,9 @@ def pep_upper_bound(
         raise ValueError(f"delta_abs_sq must be positive, got {delta_abs_sq}")
     if not all(map(math.isfinite, (gamma_bar, beta, delta_abs_sq))):
         raise ValueError("gamma_bar, beta and delta_abs_sq must be finite")
+    # loaded here, so that a run that evaluates no bound never loads
+    # decimal, which fractions imports
+    from fractions import Fraction
     g = Fraction(gamma_bar)
     inv_b = 4 * Fraction(delta_abs_sq) / Fraction(beta) ** 2
     a_l = math.factorial(L) // (math.factorial(l - 1) * math.factorial(L - l))

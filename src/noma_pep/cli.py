@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import itertools
 import json
 import math
@@ -125,6 +124,9 @@ def _manifest_value(v):
     if isinstance(v, float):
         return _fmt(v)
     if isinstance(v, (list, tuple)) and len(v) >= LONG_LIST:
+        # loaded here, so that a run that hashes no list never maps
+        # OpenSSL's libcrypto
+        import hashlib
         text = json.dumps(v, default=str)
         return {"length": len(v),
                 "sha256": hashlib.sha256(text.encode()).hexdigest()}

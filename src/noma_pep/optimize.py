@@ -268,21 +268,21 @@ def _descending_grid(L: int, step: float):
     out: list[tuple[float, ...]] = []
 
     def rec(prefix: list[int], remaining: int, slots: int):
-        if slots == 0:
-            if remaining == 0:
-                out.append(tuple(k / n for k in prefix))
-            return
         upper = (prefix[-1] - 1) if prefix else remaining
-        for k in range(upper, 0, -1):
+        if slots == 1:
+            # the last coefficient is what remains, if it is a step or
+            # more and below the previous one
+            if 1 <= remaining <= upper:
+                out.append(tuple(k / n for k in prefix + [remaining]))
+            return
+        # rest = remaining - k must be a sum of (slots-1) strictly
+        # decreasing integers below k, each >= 1: at least lo, so k starts
+        # at remaining - lo; as k decreases, rest grows while the
+        # attainable maximum shrinks.
+        lo = (slots - 1) * slots // 2
+        for k in range(min(upper, remaining - lo), 0, -1):
             rest = remaining - k
-            # rest must be a sum of (slots-1) strictly decreasing integers
-            # below k, each >= 1; as k decreases, rest grows while the
-            # attainable maximum shrinks.
-            lo = (slots - 1) * slots // 2
-            hi = (slots - 1) * k - lo
-            if rest < lo:
-                continue
-            if rest > hi:
+            if rest > (slots - 1) * k - lo:
                 break
             rec(prefix + [k], rest, slots - 1)
 

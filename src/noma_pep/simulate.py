@@ -5,9 +5,8 @@ passes the sum through each user's ordered Rayleigh channel plus AWGN, and
 runs the sequential minimum-distance SIC receiver at every user.  SIC
 decision errors propagate; there is no genie correction.
 
-A batch runs as a pipeline over blocks of BLOCK_ROWS trials (more on a
-binned grid, see _run_pattern_batch) and keeps nothing of its own size.
-At 2^14 rows each (2, b) float array of a block is 256 KiB, so a
+A batch runs as a pipeline over blocks of BLOCK_ROWS trials and keeps
+nothing of its own size.  At 2^14 rows each (2, b) float array of a block is 256 KiB, so a
 block's working set stays in a per-core L2 cache.  One helper thread
 per batch draws the blocks one ahead of the detection, into a ring of
 SLOTS preallocated buffers (see _ahead); numpy's draws and ufunc loops
@@ -409,16 +408,14 @@ def _run_pattern_batch(points, n: int, seed: int, batch: int
                        ) -> list[PatternCounts]:
     """Residual patterns of one batch at each (config, SNR) point, in order.
 
-    Draws the batch as _run_batch does and gives the same patterns, but
-    never builds the other counters.  User 1 has no earlier stage: its
-    patterns are its own symbols, counted once for every point.  User
-    u+1 is counted by _BinTally, which bins each trial once for all
-    points, when one binning pass replaces at least MIN_BIN_STAGES chain
-    stages (the points it holds times the u stages before the user's
-    own), and otherwise by running its chain through those stages, point
-    by point.  A block has at least as many rows as the largest binned
-    pass table has cells, so that adding a block's bincount to a table
-    costs no more than binning its rows.
+    Draws the batch in BLOCK_ROWS blocks as _run_batch does and gives
+    the same patterns, but never builds the other counters.  User 1 has
+    no earlier stage: its patterns are its own symbols, counted once for
+    every point.  User u+1 is counted by _BinTally, which bins each trial
+    once for all points, when one binning pass replaces at least
+    MIN_BIN_STAGES chain stages (the points it holds times the u stages
+    before the user's own), and otherwise by running its chain through
+    those stages, point by point.
     """
     cfg = points[0][0]
     L = cfg.num_users
@@ -428,9 +425,8 @@ def _run_pattern_batch(points, n: int, seed: int, batch: int
     binned = {u: _BinTally(plan, u, n) for u in range(1, L)
               if min(len(points), _pass_points(L, u)) * u >= MIN_BIN_STAGES}
     chained = [u for u in range(1, L) if u not in binned]
-    rows = max([BLOCK_ROWS, *(bins.cells for bins in binned.values())])
     for signs, q, sign_keys, chains in _blocks(plan, cfg, n, seed, batch,
-                                               rows):
+                                               BLOCK_ROWS):
         own.add(sign_keys[0])
         for bins in binned.values():
             bins.add(signs, q)
@@ -829,9 +825,9 @@ class _BinTally:
     pass, a run of at most _pass_points of the group's points, maps that
     bin and j through its lookup tables to the trial's code (j, bin among
     the pass's breakpoints for j) on each axis and counts the (code_re,
-    code_im) cells in a dense table of at most TABLE_CELLS cells, the
-    largest of which has `cells` cells.  counts() reads every point's
-    patterns from 2-D prefix sums of its pass's table.
+    code_im) cells in a dense table of at most TABLE_CELLS cells.
+    counts() reads every point's patterns from 2-D prefix sums of its
+    pass's table.
     """
 
     def __init__(self, plan, u: int, n: int):
@@ -843,8 +839,6 @@ class _BinTally:
             self.groups.append((union, [
                 self._pass(t[..., a + c:a + d], union, n)
                 for c, d in _cuts(b - a, _pass_points(self.L, u))]))
-        self.cells = max(table.size for _, passes in self.groups
-                         for _, _, table in passes)
 
     @staticmethod
     def _pass(mine, union, n: int):
@@ -883,8 +877,9 @@ class _BinTally:
             for (re, im), _, table in passes:
                 cell = re.take(index[0])
                 cell += im.take(index[1])
-                np.add(table, np.bincount(cell, minlength=table.size),
-                       out=table, casting="unsafe")
+                # a scalar of the table's dtype takes ufunc.at's fast
+                # path, which costs per row, not per cell as bincount does
+                np.add.at(table, cell, table.dtype.type(1))
 
     def counts(self):
         """Yield, point by point, (keys, counts): user u+1's pattern keys

@@ -590,3 +590,20 @@ def test_cli_import_leaves_process_pool_unloaded():
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_diversity_run_loads_neither_libcrypto_nor_decimal(tmp_path):
+    # hashlib (OpenSSL's libcrypto) loads only to hash a long manifest
+    # list, and fractions (which imports decimal) only to evaluate the
+    # high-SNR bound; a diversity run does neither.
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys; before = set(sys.modules); import noma_pep.cli; "
+            f"rc = noma_pep.cli.main(['diversity', '--users', '3', "
+            f"'--out', {str(tmp_path)!r}]); "
+            "print(rc, sorted(set(sys.modules) - before & "
+            "{'_hashlib', 'decimal'}))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0 []"

@@ -1,7 +1,9 @@
 import ast
 import importlib
 import inspect
+import itertools
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +175,31 @@ def test_descending_grid_order(L):
     # descending alpha_1, then alpha_2, ...: the order of solve's sweep
     grid = _descending_grid(L, 0.01)
     assert grid == sorted(grid, reverse=True)
+
+
+def _brute_force_grid(L, step):
+    # every strictly descending tuple of L positive integers summing to
+    # n = 1/step (combinations keep the descending order of the range),
+    # sorted descending
+    n = round(1 / step)
+    return sorted((tuple(k / n for k in ks)
+                   for ks in itertools.combinations(range(n, 0, -1), L)
+                   if sum(ks) == n), reverse=True)
+
+
+@pytest.mark.parametrize("L,step", [(2, 0.01), (3, 0.01), (4, 0.01),
+                                    (2, 0.001)])
+def test_descending_grid_equals_brute_force(L, step):
+    assert _descending_grid(L, step) == _brute_force_grid(L, step)
+
+
+def test_descending_grid_closes_the_last_slot_at_once():
+    # the last coefficient is fixed by the others, so a grid costs time
+    # in proportion to its points: 49,999 two-user points of step 1e-5
+    start = time.perf_counter()
+    grid = _descending_grid(2, 1e-5)
+    assert time.perf_counter() - start < 1.0
+    assert len(grid) == 49_999
 
 
 def test_solve_vacuous_threshold_returns_unconstrained_min():

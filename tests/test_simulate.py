@@ -482,21 +482,17 @@ def test_block_boundaries_match_reference_chain(L, grid, offset):
     # and two blocks and seven rows; the config list repeats c1 after c2,
     # so every block rebuilds c1's superposition.  At five users user 5's
     # key space (2^18) exceeds TABLE_CELLS and is counted sparsely; user
-    # 4's (2^14) does not.  A grid draws blocks of its largest pass
-    # table's cells, and its boundaries are taken there.  A grid's
+    # 4's (2^14) does not.  A grid draws BLOCK_ROWS blocks too.  A grid's
     # patterns are checked at every point against _run_batch, and its
     # first and last points against the reference chain.
     if grid is None:
         c1 = make_cfg(REFERENCE_ALPHA.get(L, (0.5, 0.25, 0.13, 0.08, 0.04)))
         c2 = dataclasses.replace(c1, P=2.5)
         points = [(c1, 5.0), (c2, 20.0), (c1, 30.0)]
-        rows = sim.BLOCK_ROWS
     else:
         cfgs, snrs = _binning_grid(grid)
         points = [(c, s) for c in cfgs for s in snrs]
-        plan = sim._plan(points)
-        rows = max(sim._BinTally(plan, u, 1).cells for u in range(1, L))
-    n = (2 if offset == 7 else 1) * rows + offset
+    n = (2 if offset == 7 else 1) * sim.BLOCK_ROWS + offset
     seed = 500 + 10 * L + offset
     stats = sim._run_batch(points, n, seed, L)
     counts = sim._run_pattern_batch(points, n, seed, L)
@@ -514,16 +510,14 @@ def test_counters_do_not_depend_on_the_row_block(run, rows, monkeypatch):
     # A batch is a pure function of its seed, whatever rows a block has:
     # blocks of 1,000 and 2^16 rows give the default block's counters,
     # dict order included.  n is a multiple of none of the block sizes.
-    # A binned run draws blocks of at least the cells of its largest pass
-    # table: the fig4 grid's one pass holds 4 sign words x 50 bins per
-    # axis, 200^2 cells.  Five SNRs at three users run the chain.
+    # A binned run draws BLOCK_ROWS blocks too, fewer rows than the fig4
+    # grid's pass table has cells at 1,000.  Five SNRs at three users run
+    # the chain.
     n = 100_003
     if run == "binned-grid":
         cfgs, snrs = _binning_grid("fig4")
-        want_rows = max(rows, 200 ** 2)
     else:
         cfgs, snrs = [make_cfg((0.7, 0.2, 0.1))], [0.0, 10.0, 20.0, 30.0, 40.0]
-        want_rows = rows
     count = simulate if run == "simulate" else sic_patterns
     want = count(cfgs, snrs, n, seed=8)
     drawn = []
@@ -536,7 +530,7 @@ def test_counters_do_not_depend_on_the_row_block(run, rows, monkeypatch):
     monkeypatch.setattr(sim, "_draw_batch", spy)
     monkeypatch.setattr(sim, "BLOCK_ROWS", rows)
     got = count(cfgs, snrs, n, seed=8)
-    assert drawn == [want_rows]
+    assert drawn == [rows]
     for got_cfg, want_cfg in zip(got, want, strict=True):
         for a, b in zip(got_cfg, want_cfg, strict=True):
             _assert_same_stats(a, b)
