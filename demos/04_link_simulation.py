@@ -14,6 +14,7 @@ from noma_pep import (
     bit_error_rate,
     qpsk_constellation,
     sic_detect,
+    sic_patterns,
     sic_weight_tables,
     simulate,
     superposed_signal,
@@ -46,7 +47,8 @@ print(f"  counters identical: {same}")
 
 print()
 print("Per-user BER and SIC residual statistics at 15 dB, own symbol 0:")
-tables = sic_weight_tables(a[1], QPSK)
+# the residual patterns of the trials that a counts, at 15 dB
+tables = sic_weight_tables(sic_patterns(cfg, 15.0, 400_000, seed=5), QPSK)
 for user in (1, 2, 3):
     ber = bit_error_rate(a[1], user, QPSK.bits_per_symbol)
     weights = tables[user, 0]

@@ -338,10 +338,15 @@ def cmd_fig2(s: dict, out: Path) -> list[str]:
     snrs = s["snr_db"]
     tx, rx = DESIGNATED_PAIR
     _require_weight_trials(s["trials"])
+    # the detection counters and the residual patterns of the same trials
+    run = (cfg, snrs, s["trials"], s["seed"])
     per_user_rows = {l: [] for l in range(1, cfg.num_users + 1)}
-    for snr, stats in zip(snrs, simulate(cfg, snrs, s["trials"], s["seed"],
-                                         workers=s["workers"])):
-        table = pep_table(cfg, snr, sic_weight_tables(stats, cfg.constellation))
+    for snr, stats, patterns in zip(
+            snrs, simulate(*run, workers=s["workers"]),
+            sic_patterns(*run, workers=s["workers"])):
+        table = pep_table(
+            cfg, snr, sic_weight_tables(patterns, cfg.constellation),
+            pairs=[DESIGNATED_PAIR])
         for l in range(1, cfg.num_users + 1):
             emp = empirical_pep(stats, l, tx, rx)
             per_user_rows[l].append(

@@ -52,8 +52,8 @@ def residual_tables(cfg: SystemConfig, sic_mode: str, prior_deltas=None,
 
       perfect   None: every residual is zero
       pattern   {first l-1 prior_deltas: 1.0}; needs at least L-1 deltas
-      weighted  sic_weight_tables of stats, a PatternCounts (a SimStats
-                is one)
+      weighted  sic_weight_tables of stats, a PatternCounts of
+                sic_patterns
     """
     L, m = cfg.num_users, cfg.constellation.size
     if sic_mode == "perfect":
@@ -149,19 +149,24 @@ class OptimizationResult:
         return tuple(e for e in self.sweep if e.feasible)
 
 
-def pep_table(cfg: SystemConfig, snr_db: float, residuals=None) -> np.ndarray:
+def pep_table(cfg: SystemConfig, snr_db: float, residuals=None,
+              pairs=None) -> np.ndarray:
     """PEP of every user and ordered symbol pair at one SNR.
 
     Entry [l-1, tx, rx] is average_pep of user l's (tx, rx) pair with the
     noise variance cfg.noise_var_for_snr(snr_db); the diagonal is 0.
     residuals maps (l, tx) to the residual table of user l's pairs that
-    transmit tx (see residual_tables); None is perfect SIC.
+    transmit tx (see residual_tables); None is perfect SIC.  pairs, if
+    given, lists the (tx, rx) pairs to evaluate for every user, and the
+    entries of the other pairs are 0.
     """
     L, m = cfg.num_users, cfg.constellation.size
     sigma_n_sq = cfg.noise_var_for_snr(snr_db)
+    if pairs is None:
+        pairs = list(permutations(range(m), 2))
     table = np.zeros((L, m, m))
     for l in range(1, L + 1):
-        for tx, rx in permutations(range(m), 2):
+        for tx, rx in pairs:
             table[l - 1, tx, rx] = average_pep(
                 l, L, tx, rx, cfg.alpha, cfg.P, cfg.channel,
                 cfg.constellation,

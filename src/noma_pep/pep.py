@@ -70,6 +70,9 @@ _STEP = 0.2
 _NODES = _STEP * np.arange(-200, 201)
 _CSC_SQ = 1.0 + np.exp(-2.0 * _NODES)  # 1/sin^2(t) at each node
 _WEIGHTS = _STEP / (2.0 * math.pi * np.cosh(_NODES))  # (1/pi) dt per node
+# Above this x = sigma_h^2 r^2, (x / c) * _CSC_SQ can overflow at the
+# outer nodes, whose factor is then 1/inf = 0, the right value.
+_X_OVERFLOW = np.finfo(float).max / _CSC_SQ.max()
 
 
 class NumericalError(RuntimeError):
@@ -246,15 +249,27 @@ def _pep_kernel(l: int, L: int, ratio: float, sigma_h_sq: float) -> float:
             f"beta/upsilon is not finite for user {l} of {L}: {ratio}"
         )
     x = sigma_h_sq * ratio * ratio
-    factors = 1.0 / (1.0 + (x / L) * _CSC_SQ)
-    for c in range(L - 1, L - l, -1):
-        factors /= 1.0 + (x / c) * _CSC_SQ
-    pep = float(_WEIGHTS @ factors)
+    if x > _X_OVERFLOW:
+        # numpy would warn of the overflow; only so large an x pays for
+        # silencing it
+        with np.errstate(over="ignore"):
+            pep = _craig_integral(l, L, x)
+    else:
+        pep = _craig_integral(l, L, x)
     if not math.isfinite(pep):
         raise NumericalError(
             f"pairwise error probability is not finite for user {l} of {L}"
         )
     return 1.0 - pep if ratio < 0 else pep
+
+
+def _craig_integral(l: int, L: int, x: float) -> float:
+    """The Craig-form product integral on the fixed nodes, for r >= 0 at
+    x = sigma_h^2 r^2 (see _pep_kernel)."""
+    factors = 1.0 / (1.0 + (x / L) * _CSC_SQ)
+    for c in range(L - 1, L - l, -1):
+        factors /= 1.0 + (x / c) * _CSC_SQ
+    return float(_WEIGHTS @ factors)
 
 
 def pep_quadrature(
@@ -339,10 +354,13 @@ def average_pep(
     for n in range(l, L):
         interf = (interf[:, None] + amp[n] * proj).ravel()
     own = amp[l - 1] * abs(dlt) ** 2
+    # Python floats: a huge or infinite residual makes an inf or NaN beta
+    # without a numpy warning, and the kernel raises NumericalError for it
+    amps = amp.tolist()
     total = 0.0
     for deltas, w in residuals.items():
         residual = 2.0 * (
-            dlt * sum(amp[q] * d.conjugate() for q, d in enumerate(deltas))
+            dlt * sum(a * d.conjugate() for a, d in zip(amps, deltas))
         ).real
         acc = 0.0
         for beta in (own + residual + interf).tolist():

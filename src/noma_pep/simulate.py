@@ -36,11 +36,13 @@ other alphabet.  For the pairwise counters the own stage keeps three
 bits per trial: whether the hypothesis that flips the real part, the
 imaginary part or both of the sent symbol scores no worse than it.
 
-Two counters share one batching path and one result type.  sic_patterns
-keeps only the SIC residual patterns (PatternCounts), which is all that
-weighted-mode hypothesis averaging reads; simulate runs every user's full
-chain and returns a SimStats, a PatternCounts with the detection
-counters besides.  sic_patterns counts user 1's patterns, its own
+Two counters share one batching path, and each keeps only what its
+callers read.  simulate runs every user's full chain and returns a
+SimStats of the detection counters.  sic_patterns keeps only the SIC
+residual patterns (PatternCounts), the one input of sic_weight_tables
+and so of weighted-mode hypothesis averaging; with simulate's arguments
+it draws simulate's batches, so its patterns are those of the trials
+simulate counts.  sic_patterns counts user 1's patterns, its own
 symbols, once for all points.  For a few points it stops each later
 user's chain before the own stage.  For many, such as an allocation
 grid, it bins instead: along each axis the decisions of the stages
@@ -51,8 +53,7 @@ exactly by running the chain itself.  Each trial's q is binned once
 against the breakpoints of every point, and every point's patterns are
 read from the counts of the bins (_BinTally).  Both counters validate,
 split trials into batches, seed them, spread them over workers and
-merge them in the same code, share the chain, the pattern key and its
-decoding, and give user for user the same patterns.
+merge them in the same code, and share the chain.
 
 Counters are plain integers so that merging partial runs is exact
 component-wise addition.  A run is split into batches of BATCH_TRIALS
@@ -60,14 +61,14 @@ trials, the last one possibly shorter, and batch i always draws from
 the streams of spawn key (i,) of the seed, so a run is a function of
 its configurations, SNRs, trials and seed alone: it gives byte-identical
 results for any worker count, and an SNR point or an allocation gives
-the same counters alone or in a list.  Every counter
-builds up block by block in state that does not grow with the batch:
-residual patterns are counted in a dense table when a user's key space
-has at most TABLE_CELLS keys, and otherwise over the keys that occur,
-never over the M^(2L) code space.  The rows of a block and the cells of
-a table are separate constants: neither changes a counter.  What the
-simulator reads of the alphabet, axis by axis, it reads from one
-validated record (_slicer).
+the same counters alone or in a list.  Every counter builds up block by
+block in state that does not grow with the batch: simulate's in a fixed
+table of event counts, and residual patterns in a dense table when a
+user's key space has at most TABLE_CELLS keys, and otherwise over the
+keys that occur, never over the M^(2L) code space.  The rows of a block
+and the cells of a table are separate constants: neither changes a
+counter.  What the simulator reads of the alphabet, axis by axis, it
+reads from one validated record (_slicer).
 """
 
 from __future__ import annotations
@@ -108,7 +109,9 @@ BLOCK_ROWS = 1 << 14  # detector rows per block; counters do not depend on it
 SLOTS = 2  # blocks of a batch in flight: one detected, the next one drawn
 TABLE_CELLS = 1 << 16  # cells of one dense count table (_KeyTally, _BinTally)
 MIN_BIN_STAGES = 20  # chain stages a binning pass must replace; measured
-MAX_USERS = 16  # user L's pattern keys take 4L - 2 bits of a uint64
+# sic_patterns' keys of user L take 4L - 2 bits of a uint64; simulate
+# keeps the limit, so that both counters take the same configurations
+MAX_USERS = 16
 
 
 @dataclass(frozen=True)
@@ -190,10 +193,8 @@ class PatternCounts:
                               because SIC error directions correlate
                               with it through the uncancelled own signal
 
-    sic_patterns gives, dict order included, the delta_pattern_counts of
-    simulate with the same arguments.  SimStats, simulate's result, adds
-    the detection counters.  The fields of both are keyword-only, so a
-    positional construction fails instead of reordering them.
+    The fields are keyword-only, so a positional construction fails
+    instead of reordering them.
     """
 
     snr_db: float
@@ -219,9 +220,8 @@ class PatternCounts:
 
 
 @dataclass(kw_only=True)
-class SimStats(PatternCounts):
-    """Accumulated counters of one simulation run: the residual patterns
-    of PatternCounts plus
+class SimStats:
+    """Accumulated detection counters of one simulation run.
 
     detected_counts[u, a, b]  trials where user u+1 sent symbol a and the
                               full SIC detector output b (rows sum to the
@@ -233,9 +233,13 @@ class SimStats(PatternCounts):
     bit_errors[u]             bit errors of user u+1's detected symbols
 
     The user count, alphabet size, transmit counts and symbol errors are
-    exact integer sums of detected_counts.
+    exact integer sums of detected_counts.  The residual patterns of the
+    same trials are sic_patterns' with the same arguments.  The fields
+    are keyword-only, as PatternCounts' are.
     """
 
+    snr_db: float
+    trials: int
     detected_counts: np.ndarray
     pairwise_counts: np.ndarray
     bit_errors: np.ndarray
@@ -260,8 +264,14 @@ class SimStats(PatternCounts):
         return d.sum(axis=(1, 2)) - np.trace(d, axis1=1, axis2=2)
 
     def merge(self, other: SimStats) -> SimStats:
+        """The counters of both runs."""
+        if (self.detected_counts.shape, self.snr_db) != (
+                other.detected_counts.shape, other.snr_db):
+            raise ValueError(
+                "cannot merge counts from different configurations")
         return replace(
-            super().merge(other),
+            self,
+            trials=self.trials + other.trials,
             detected_counts=self.detected_counts + other.detected_counts,
             pairwise_counts=self.pairwise_counts + other.pairwise_counts,
             bit_errors=self.bit_errors + other.bit_errors,
@@ -393,14 +403,12 @@ def _run_batch(points, n: int, seed: int, batch: int) -> list[SimStats]:
     noise level, block by block (see _blocks).
     """
     cfg = points[0][0]
-    L = cfg.num_users
-    slicer = _slicer(cfg.constellation)
-    keyed = np.zeros((len(points), L, 128), dtype=np.int64)
-    tallies = [[_KeyTally(u) for u in range(L)] for _ in points]
-    for block in _blocks(_plan(points), cfg, n, seed, batch, BLOCK_ROWS):
-        _detect_batch(block, slicer.magnitude, keyed, tallies)
-    return [_sim_stats(c, snr_db, n, keyed[i],
-                       [t.patterns(slicer.quadrant) for t in tallies[i]])
+    magnitude = _slicer(cfg.constellation).magnitude
+    keyed = np.zeros((len(points), cfg.num_users, 128), dtype=np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):  # see _draw_batch
+        for block in _blocks(_plan(points), cfg, n, seed, batch, BLOCK_ROWS):
+            _detect_batch(block, magnitude, keyed)
+    return [_sim_stats(c, snr_db, n, keyed[i])
             for i, (c, snr_db) in enumerate(points)]
 
 
@@ -408,14 +416,13 @@ def _run_pattern_batch(points, n: int, seed: int, batch: int
                        ) -> list[PatternCounts]:
     """Residual patterns of one batch at each (config, SNR) point, in order.
 
-    Draws the batch in BLOCK_ROWS blocks as _run_batch does and gives
-    the same patterns, but never builds the other counters.  User 1 has
-    no earlier stage: its patterns are its own symbols, counted once for
-    every point.  User u+1 is counted by _BinTally, which bins each trial
-    once for all points, when one binning pass replaces at least
-    MIN_BIN_STAGES chain stages (the points it holds times the u stages
-    before the user's own), and otherwise by running its chain through
-    those stages, point by point.
+    Draws the batch in BLOCK_ROWS blocks as _run_batch does, from the
+    same streams.  User 1 has no earlier stage: its patterns are its own
+    symbols, counted once for every point.  User u+1 is counted by
+    _BinTally, which bins each trial once for all points, when one
+    binning pass replaces at least MIN_BIN_STAGES chain stages (the
+    points it holds times the u stages before the user's own), and
+    otherwise by running its chain through those stages, point by point.
     """
     cfg = points[0][0]
     L = cfg.num_users
@@ -425,12 +432,15 @@ def _run_pattern_batch(points, n: int, seed: int, batch: int
     binned = {u: _BinTally(plan, u, n) for u in range(1, L)
               if min(len(points), _pass_points(L, u)) * u >= MIN_BIN_STAGES}
     chained = [u for u in range(1, L) if u not in binned]
-    for signs, q, sign_keys, chains in _blocks(plan, cfg, n, seed, batch,
-                                               BLOCK_ROWS):
-        own.add(sign_keys[0])
-        for bins in binned.values():
-            bins.add(signs, q)
-        if chained:
+    with np.errstate(over="ignore", invalid="ignore"):  # see _draw_batch
+        for signs, q, chains in _blocks(plan, cfg, n, seed, batch,
+                                        BLOCK_ROWS):
+            own.add(_sign_key(signs, 0))
+            for bins in binned.values():
+                bins.add(signs, q)
+            if not chained:
+                continue
+            sign_keys = {u: _sign_key(signs, u) for u in chained}
             for tally, chain in zip(tallies, chains):
                 for u in chained:
                     leaf, _, _ = chain(u, u - 1)
@@ -469,12 +479,11 @@ def _blocks(plan, cfg: SystemConfig, n: int, seed: int, batch: int,
     """Draw one batch and yield its blocks, each with its points' chains.
 
     plan is _plan of the points, whose configs draw as cfg does.  Yields
-    (signs, q, sign_keys, chains) for each block (signs, q) of `rows`
-    rows of _draw_batch; a helper thread draws block i+1 while block i
-    is detected (see _ahead).  sign_keys[u] is the symbol half of user
-    u+1's pattern keys (see _sign_key), and chains yields, point by
-    point in order, chain(u, last), which runs user u+1's SIC chain at
-    that point (see _chain).  The superposition of the block's symbols is rebuilt only
+    (signs, q, chains) for each block (signs, q) of `rows` rows of
+    _draw_batch; a helper thread draws block i+1 while block i is
+    detected (see _ahead).  chains yields, point by point in order,
+    chain(u, last), which runs user u+1's SIC chain at that point (see
+    _chain).  The superposition of the block's symbols is rebuilt only
     when the config changes from the previous point.  It and the chain's
     buffers are reused by the next point and block, so a chain's results
     must be read before the next one runs, and a block's signs and q
@@ -483,8 +492,7 @@ def _blocks(plan, cfg: SystemConfig, n: int, seed: int, batch: int,
     buffers = np.empty((3, 2, min(n, rows)))
     for signs, q in _ahead(_draw_batch(cfg, n, seed, batch, rows)):
         s, y, work = buffers[:, :, :signs.shape[1]]
-        sign_keys = [_sign_key(signs, u) for u in range(q.shape[1])]
-        yield signs, q, sign_keys, _chains(plan, signs, q, s, y, work)
+        yield signs, q, _chains(plan, signs, q, s, y, work)
 
 
 def _ahead(blocks):
@@ -613,7 +621,13 @@ def _draw_batch(cfg: SystemConfig, n: int, seed: int, batch: int,
                 sb[x] += bits[x][k][tx[:, k]]
         del tx  # not held while the block is detected
         noise.standard_normal(out=zb)
-        np.divide(zb.T, gain, out=qb)
+        # A gain that underflows to 0, at a sigma_h^2 near the smallest
+        # float, gives q = +-inf, and sigma q can overflow to inf: noise
+        # alone, which every stage slices by its sign.  Opposite
+        # infinities then add to NaN, which no pairwise test passes.  The
+        # draw and the detection silence these warnings.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(zb.T, gain, out=qb)
         yield sb, qb
 
 
@@ -904,7 +918,7 @@ class _BinTally:
                     yield keys, point.ravel()
 
 
-def _detect_batch(block, magnitude, keyed, tallies) -> None:
+def _detect_batch(block, magnitude, keyed) -> None:
     """Run every point's full SIC chains on one block and add its counters.
 
     block is one item of _blocks, and magnitude the magnitudes of the
@@ -913,17 +927,16 @@ def _detect_batch(block, magnitude, keyed, tallies) -> None:
     From bit 0 up, e holds the real and the imaginary sign of the sent
     symbol a (a set bit is negative), those of the own decision d, and
     three bits set when the hypothesis that differs from a in the real
-    part, in the imaginary part or in both scored no worse than a.  tallies[i][u] counts point i's pattern
-    keys of user u+1.
+    part, in the imaginary part or in both scored no worse than a.
     """
-    signs, _, sign_keys, chains = block
+    signs, _, chains = block
     # no point changes sent[u], user u+1's sent signs per axis, or axes[u],
     # the axes of its sent symbol a: +magnitude where positive, -magnitude
     # elsewhere
-    sent = [(signs & (1 << u)) != 0 for u in range(len(sign_keys))]
+    sent = [(signs & (1 << u)) != 0 for u in range(keyed.shape[1])]
     axes = [b * (-2.0 * magnitude) + magnitude for b in sent]
-    for chain, point_keyed, point_tallies in zip(chains, keyed, tallies):
-        for u, tally in enumerate(point_tallies):
+    for chain, point_keyed in zip(chains, keyed):
+        for u, user_keyed in enumerate(point_keyed):
             leaf, y, work = chain(u, u)
             # t: the axes of Re(x * conj(a)), x the own residual; a
             # hypothesis beats a when the terms it flips sum to <= 0
@@ -933,11 +946,10 @@ def _detect_batch(block, magnitude, keyed, tallies) -> None:
             axis += np.uint8(16) * (t <= 0)
             key = axis[0] + np.uint8(2) * axis[1]
             key += np.uint8(64) * (np.add(t[0], t[1], out=y[0]) <= 0)
-            point_keyed[u] += np.bincount(key, minlength=128)
-            tally.add(_pattern_keys(sign_keys[u], leaf, u))
+            user_keyed += np.bincount(key, minlength=128)
 
 
-def _sim_stats(cfg, snr_db, n: int, keyed, patterns) -> SimStats:
+def _sim_stats(cfg, snr_db, n: int, keyed) -> SimStats:
     """The SimStats of one point from its event counts (see _detect_batch)."""
     L = keyed.shape[0]
     m = cfg.constellation.size
@@ -961,7 +973,6 @@ def _sim_stats(cfg, snr_db, n: int, keyed, patterns) -> SimStats:
         pairwise_counts=np.einsum("uadf,abf->uab", events,
                                   mask.astype(np.int64)),
         bit_errors=(detected * cfg.constellation._bit_diff).sum(axis=(1, 2)),
-        delta_pattern_counts=patterns,
     )
 
 
@@ -1014,9 +1025,10 @@ def sic_patterns(
     Takes simulate's arguments, validates them, draws its batches from
     the same streams (batch i from SeedSequence(seed, spawn_key=(i,))),
     spreads them and shapes its result the same way, with a PatternCounts
-    in place of each SimStats: its delta_pattern_counts equal simulate's,
-    dict order included.  It is what sic_weight_tables needs, for a
-    fraction of the detection work: no user's own stage runs.  When one
+    in place of each SimStats, so a caller that needs residual weights
+    and detection counters of the same trials calls both with the same
+    arguments.  It is the one source of the patterns sic_weight_tables
+    reads, and no user's own stage runs.  When one
     binning pass of a user holds enough of a call's (config, SNR) points
     (see MIN_BIN_STAGES), as on an allocation grid, that user's earlier
     stages do not run per point either: each trial is binned once
@@ -1055,8 +1067,9 @@ def _run_batches(run, cfg, snr_db, trials, seed, workers):
         raise ValueError(
             "configurations of one call may differ only in alpha and P")
     if cfgs[0].num_users > MAX_USERS:
-        raise ValueError(f"the simulator counts at most {MAX_USERS} users, "
-                         f"got {cfgs[0].num_users}")
+        raise ValueError(
+            f"the simulator counts at most {MAX_USERS} users, whose "
+            f"residual pattern keys fill a uint64, got {cfgs[0].num_users}")
     _slicer(cfgs[0].constellation)  # an alphabet it cannot slice raises
     sizes = [min(BATCH_TRIALS, trials - start)
              for start in range(0, trials, BATCH_TRIALS)]
@@ -1182,8 +1195,9 @@ def sic_weight_tables(stats: PatternCounts, constellation: Constellation):
     only in which symbol pairs produced the same deltas are merged, since
     the error statistic depends on the deltas alone; each table keeps its
     patterns in the order of their first pattern code, and its weights
-    sum to 1.  stats is a PatternCounts, such as a SimStats, of at least
-    MIN_WEIGHT_TRIALS trials; each pattern code is decoded once.
+    sum to 1.  stats is a PatternCounts of at least MIN_WEIGHT_TRIALS
+    trials, as sic_patterns returns them; each pattern code is decoded
+    once.
     """
     _require_weight_trials(stats.trials)
     pts = constellation.points_array()

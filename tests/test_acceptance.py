@@ -36,6 +36,7 @@ from noma_pep import (
     pep_user1_closed,
     qpsk_constellation,
     sample_ordered_channels,
+    sic_patterns,
     sic_weight_tables,
     simulate,
     solve,
@@ -68,9 +69,11 @@ def test_criterion_1_analytic_vs_simulation():
     failures = []
     print()
     print("snr_db user  empirical      analytic       rel_diff  within")
-    for snr, stats in zip(SNR_GRID, simulate(cfg, SNR_GRID, trials,
-                                             seed=1001)):
-        tables = sic_weight_tables(stats, QPSK)
+    # the residual weights and the counters of the same trials
+    for snr, stats, patterns in zip(
+            SNR_GRID, simulate(cfg, SNR_GRID, trials, seed=1001),
+            sic_patterns(cfg, SNR_GRID, trials, seed=1001)):
+        tables = sic_weight_tables(patterns, QPSK)
         for l in (1, 2, 3):
             analytic = average_pep(l, 3, tx, rx, ALPHA3, 1.0, ch, QPSK,
                                    residuals=tables[l, tx],

@@ -19,6 +19,7 @@ from noma_pep import (
     pep_table,
     qpsk_constellation,
     residual_tables,
+    sic_patterns,
     sic_weight_tables,
     simulate,
     solve,
@@ -297,7 +298,7 @@ def test_pep_table_equals_per_pair_average_pep(alpha, mode):
     deltas = (1.414213 + 0j, 0j, 2j)[: L] if mode == "pattern" else None
     stats = weights = None
     if mode == "weighted":
-        stats = simulate(cfg, snr_db, 100_000, seed=3)
+        stats = sic_patterns(cfg, snr_db, 100_000, seed=3)
         weights = sic_weight_tables(stats, QPSK)
     table = pep_table(cfg, snr_db, residual_tables(cfg, mode, deltas, stats))
     assert table.shape == (L, 4, 4)
@@ -331,7 +332,7 @@ def test_residual_tables_of_each_mode():
     assert sorted(tables) == [(l, tx) for l in (1, 2, 3) for tx in range(4)]
     for (l, tx), table in tables.items():
         assert table == {(1j, 2j)[: l - 1]: 1.0}
-    stats = simulate(cfg, 10.0, 100_000, seed=3)
+    stats = sic_patterns(cfg, 10.0, 100_000, seed=3)
     assert residual_tables(cfg, "weighted", stats=stats) == \
         sic_weight_tables(stats, QPSK)
     with pytest.raises(ValueError, match="stats"):
@@ -353,6 +354,27 @@ def test_pep_table_calls_average_pep_once_per_user_and_pair(monkeypatch):
     pep_table(make_cfg((0.7, 0.2, 0.1)), 10.0)
     assert len(calls) == 3 * 4 * 3
     assert len(set(calls)) == len(calls)
+
+
+def test_pep_table_of_some_pairs_evaluates_only_those(monkeypatch):
+    # fig2 reads one pair per user: its entries equal the full table's,
+    # and every other entry is 0 and never evaluated.
+    cfg, pairs = make_cfg((0.7, 0.2, 0.1)), [(0, 1), (2, 0)]
+    full = pep_table(cfg, 10.0)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[:4])
+        return average_pep(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "average_pep", counting)
+    table = pep_table(cfg, 10.0, pairs=pairs)
+    assert sorted(calls) == [(l, 3, tx, rx) for l in (1, 2, 3)
+                             for tx, rx in sorted(pairs)]
+    want = np.zeros_like(full)
+    for tx, rx in pairs:
+        want[:, tx, rx] = full[:, tx, rx]
+    np.testing.assert_array_equal(table, want)
 
 
 def test_only_pep_table_averages_hypotheses():

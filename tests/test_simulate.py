@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from noma_pep import (
     ChannelModel,
@@ -92,9 +94,13 @@ def test_seed_determinism():
     b = simulate(cfg, 10.0, 50_000, seed=42)
     assert np.array_equal(a.pairwise_counts, b.pairwise_counts)
     assert np.array_equal(a.detected_counts, b.detected_counts)
-    assert a.delta_pattern_counts == b.delta_pattern_counts
+    assert np.array_equal(a.bit_errors, b.bit_errors)
     c = simulate(cfg, 10.0, 50_000, seed=43)
     assert not np.array_equal(a.detected_counts, c.detected_counts)
+    patterns = sic_patterns(cfg, 10.0, 50_000, seed=42)
+    _assert_same_stats(sic_patterns(cfg, 10.0, 50_000, seed=42), patterns)
+    assert (sic_patterns(cfg, 10.0, 50_000, seed=43).delta_pattern_counts
+            != patterns.delta_pattern_counts)
 
 
 def test_worker_count_invariance(monkeypatch):
@@ -105,7 +111,8 @@ def test_worker_count_invariance(monkeypatch):
     assert np.array_equal(a.pairwise_counts, b.pairwise_counts)
     assert np.array_equal(a.detected_counts, b.detected_counts)
     assert np.array_equal(a.bit_errors, b.bit_errors)
-    assert a.delta_pattern_counts == b.delta_pattern_counts
+    _assert_same_stats(sic_patterns(cfg, 10.0, 300_000, seed=9, workers=2),
+                       sic_patterns(cfg, 10.0, 300_000, seed=9, workers=1))
 
 
 def test_detected_rows_partition_trials():
@@ -129,7 +136,8 @@ def test_noiseless_sic_all_correct():
     stats = simulate(cfg, 300.0, 1_000, seed=5)
     assert int(stats.symbol_errors.sum()) == 0
     assert int(stats.bit_errors.sum()) == 0
-    tables = sic_weight_tables(simulate(cfg, 300.0, 100_000, seed=5), QPSK)
+    tables = sic_weight_tables(sic_patterns(cfg, 300.0, 100_000, seed=5),
+                               QPSK)
     for (l, tx), weights in tables.items():
         assert weights[tuple(0j for _ in range(l - 1))] > 0.999999
 
@@ -208,8 +216,8 @@ def test_empirical_pep_zero_events():
 
 def test_delta_weights_basics():
     cfg = make_cfg((0.7, 0.2, 0.1))
-    stats = simulate(cfg, 40.0, 200_000, seed=4)
-    tables = sic_weight_tables(stats, QPSK)
+    tables = sic_weight_tables(sic_patterns(cfg, 40.0, 200_000, seed=4),
+                               QPSK)
     assert list(tables) == [(l, tx) for l in (1, 2, 3) for tx in range(4)]
     for (l, tx), w in tables.items():
         assert abs(sum(w.values()) - 1.0) < 1e-12
@@ -220,18 +228,20 @@ def test_delta_weights_basics():
 
 def test_delta_weights_need_enough_trials():
     cfg = make_cfg((0.8, 0.2))
-    stats = simulate(cfg, 10.0, 1_000, seed=4)
+    counts = sic_patterns(cfg, 10.0, 1_000, seed=4)
     with pytest.raises(ValueError, match="at least 100000 trials"):
-        sic_weight_tables(stats, QPSK)
+        sic_weight_tables(counts, QPSK)
 
 
 def test_weighted_average_pep_tracks_simulation():
     # End-to-end: conditioned weight tables make the hypothesis-averaged
-    # quadrature PEP follow the live SIC chain.
+    # quadrature PEP follow the live SIC chain.  The tables and the
+    # counters come from the same trials.
     cfg = make_cfg((0.7, 0.2, 0.1))
     snr_db = 20.0
     stats = simulate(cfg, snr_db, 1_000_000, seed=6)
-    tables = sic_weight_tables(stats, QPSK)
+    tables = sic_weight_tables(sic_patterns(cfg, snr_db, 1_000_000, seed=6),
+                               QPSK)
     for l in (2, 3):
         w = tables[l, 0]
         analytic = average_pep(l, 3, 0, 1, cfg.alpha, 1.0, cfg.channel, QPSK,
@@ -267,18 +277,24 @@ def test_more_power_helps_user_one():
 @pytest.mark.parametrize("cls, extra", [
     (PatternCounts, 0), (SimStats, 3)])
 def test_result_types_are_keyword_only(cls, extra):
-    # A positional construction would silently reorder fields.
-    assert issubclass(SimStats, PatternCounts)
-    with pytest.raises(TypeError):
-        cls(10.0, 1, [{}], *[np.zeros(1)] * extra)
+    # A positional construction would silently reorder fields.  Every
+    # field is given (snr_db, trials, the patterns or the `extra` count
+    # arrays), so only the keyword-only rule rejects the call.
+    patterns = [[{}]] if cls is PatternCounts else []
+    with pytest.raises(TypeError, match="positional"):
+        cls(10.0, 1, *patterns, *[np.zeros(1)] * extra)
 
 
 def test_merge_rejects_mismatched_runs():
+    # Another SNR or another user count, for both result types.
     cfg = make_cfg((0.8, 0.2))
-    a = simulate(cfg, 10.0, 10_000, seed=1)
-    b = simulate(cfg, 20.0, 10_000, seed=1)
-    with pytest.raises(ValueError):
-        a.merge(b)
+    for count in (simulate, sic_patterns):
+        a = count(cfg, 10.0, 10_000, seed=1)
+        for other in (count(cfg, 20.0, 10_000, seed=1),
+                      count(make_cfg((0.7, 0.2, 0.1)), 10.0, 10_000,
+                            seed=1)):
+            with pytest.raises(ValueError, match="different configurations"):
+                a.merge(other)
 
 
 def test_stats_rows_schema():
@@ -348,9 +364,11 @@ def _reference_batch(cfg, snr_db, sigma_n_sq, draws):
     _reference_draw or _old_style_draw give them.  Decides every SIC stage
     by the minimum of the full distance metric row on r = h s + sigma_n
     z, and counts pairwise events one hypothesis at a time.  Returns the
-    SimStats plus its own per-symbol transmit counts and symbol error
-    counts, which SimStats derives from detected_counts, and decisions[u],
-    shape (n, u), the symbol indices that user u+1's stages 1..u decided.
+    SimStats, the PatternCounts of the same trials (patterns keyed by
+    pattern code, in increasing code order), its own per-symbol transmit
+    counts and symbol error counts, which SimStats derives from
+    detected_counts, and decisions[u], shape (n, u), the symbol indices
+    that user u+1's stages 1..u decided.
     """
     h, tx_idx, z = draws
     n, L = tx_idx.shape
@@ -369,8 +387,9 @@ def _reference_batch(cfg, snr_db, sigma_n_sq, draws):
         detected_counts=np.zeros((L, m, m), dtype=np.int64),
         pairwise_counts=np.zeros((L, m, m), dtype=np.int64),
         bit_errors=np.zeros(L, dtype=np.int64),
-        delta_pattern_counts=[{} for _ in range(L)],
     )
+    patterns = PatternCounts(snr_db=snr_db, trials=n,
+                             delta_pattern_counts=[{} for _ in range(L)])
     rows = np.arange(n)
     for u in range(L):
         hu = h[:, u]
@@ -399,10 +418,10 @@ def _reference_batch(cfg, snr_db, sigma_n_sq, draws):
             code += (tx_idx[:, k] * m + det[:, k]) * mult
             mult *= m * m
         counts = np.bincount(code)
-        stats.delta_pattern_counts[u] = {
+        patterns.delta_pattern_counts[u] = {
             int(c): int(counts[c]) for c in np.nonzero(counts)[0]
         }
-    return stats, tx_counts, symbol_errors, decisions
+    return stats, patterns, tx_counts, symbol_errors, decisions
 
 
 REFERENCE_ALPHA = {1: (1.0,), 2: (0.8, 0.2), 3: (0.7, 0.2, 0.1),
@@ -410,21 +429,26 @@ REFERENCE_ALPHA = {1: (1.0,), 2: (0.8, 0.2), 3: (0.7, 0.2, 0.1),
 
 
 def _assert_same_stats(got, want):
+    """got equals want field for field: two SimStats, dtypes included, or
+    two PatternCounts, dict order included."""
     assert type(got) is type(want)
     for f in dataclasses.fields(want):
         a, b = getattr(got, f.name), getattr(want, f.name)
         if isinstance(b, np.ndarray):
             assert a.dtype == b.dtype, f.name
             np.testing.assert_array_equal(a, b, err_msg=f.name)
+        elif f.name == "delta_pattern_counts":
+            assert [list(d.items()) for d in a] == [
+                list(d.items()) for d in b], f.name
         else:
             assert a == b, f.name
-    assert [list(d) for d in got.delta_pattern_counts] == [
-        list(d) for d in want.delta_pattern_counts
-    ]
 
 
-def _assert_matches_reference(got, cfg, snr_db, n, seed, batch):
-    want, tx_counts, symbol_errors, _ = _reference_batch(
+def _assert_matches_reference(got, cfg, snr_db, n, seed, batch,
+                              patterns=None):
+    """got (a SimStats) and patterns, if given, equal the reference chain
+    on batch `batch` of a run seeded `seed`."""
+    want, want_patterns, tx_counts, symbol_errors, _ = _reference_batch(
         cfg, snr_db, cfg.noise_var_for_snr(snr_db),
         _reference_draw(cfg, n, seed, batch))
     _assert_same_stats(got, want)
@@ -433,6 +457,8 @@ def _assert_matches_reference(got, cfg, snr_db, n, seed, batch):
         a = getattr(got, name)
         assert a.dtype == counts.dtype, name
         np.testing.assert_array_equal(a, counts, err_msg=name)
+    if patterns is not None:
+        _assert_same_stats(patterns, want_patterns)
 
 
 # Every trial draws its symbols uniformly; the "mode" id names that.
@@ -441,19 +467,24 @@ def _assert_matches_reference(got, cfg, snr_db, n, seed, batch):
 @pytest.mark.parametrize("L", [1, 2, 3, 4])
 def test_blocked_batch_matches_reference_chain(L, mode, n):
     # 100_003 rows span several detector blocks, the last one partial.
+    # The counters and the residual patterns of a batch both equal the
+    # reference chain's.
     cfg = make_cfg(REFERENCE_ALPHA[L])
     snrs = (0.0, 20.0, 40.0)
     for snr_db in snrs:
         seed = 1000 * L + int(snr_db)
         (got,) = sim._run_batch([(cfg, snr_db)], n, seed, 0)
-        _assert_matches_reference(got, cfg, snr_db, n, seed, 0)
+        (patterns,) = sim._run_pattern_batch([(cfg, snr_db)], n, seed, 0)
+        _assert_matches_reference(got, cfg, snr_db, n, seed, 0, patterns)
     # One call detects every SNR from the same draws; each point must
     # equal a reference batch drawn afresh at that SNR, seed and batch.
     seed = 1000 * L + 99
-    shared = sim._run_batch([(cfg, s) for s in snrs], n, seed, 2)
-    assert len(shared) == len(snrs)
-    for snr_db, got in zip(snrs, shared):
-        _assert_matches_reference(got, cfg, snr_db, n, seed, 2)
+    points = [(cfg, s) for s in snrs]
+    shared = sim._run_batch(points, n, seed, 2)
+    patterns = sim._run_pattern_batch(points, n, seed, 2)
+    assert len(shared) == len(patterns) == len(snrs)
+    for snr_db, got, counts in zip(snrs, shared, patterns):
+        _assert_matches_reference(got, cfg, snr_db, n, seed, 2, counts)
 
 
 def _binning_grid(name):
@@ -477,14 +508,16 @@ def _binning_grid(name):
     *(pytest.param(L, None, id=str(L)) for L in (1, 2, 3, 4, 5)),
     pytest.param(2, "fig4", id="fig4-grid"),
     pytest.param(3, "two-passes", id="L3-two-pass-grid")])
-def test_block_boundaries_match_reference_chain(L, grid, offset):
+def test_block_boundaries_match_reference_chain(L, grid, offset,
+                                                monkeypatch):
     # Batches one row short of a block, exactly one block, one row over,
     # and two blocks and seven rows; the config list repeats c1 after c2,
     # so every block rebuilds c1's superposition.  At five users user 5's
     # key space (2^18) exceeds TABLE_CELLS and is counted sparsely; user
-    # 4's (2^14) does not.  A grid draws BLOCK_ROWS blocks too.  A grid's
-    # patterns are checked at every point against _run_batch, and its
-    # first and last points against the reference chain.
+    # 4's (2^14) does not.  A grid draws BLOCK_ROWS blocks too.  Its first
+    # and last points are checked against the reference chain, and its
+    # binned patterns at every point against the chain of sic_patterns,
+    # which MIN_BIN_STAGES above any pass's stages forces.
     if grid is None:
         c1 = make_cfg(REFERENCE_ALPHA.get(L, (0.5, 0.25, 0.13, 0.08, 0.04)))
         c2 = dataclasses.replace(c1, P=2.5)
@@ -500,8 +533,14 @@ def test_block_boundaries_match_reference_chain(L, grid, offset):
     for i, ((cfg, snr_db), got, patterns) in enumerate(
             zip(points, stats, counts)):
         if grid is None or i in (0, len(points) - 1):
-            _assert_matches_reference(got, cfg, snr_db, n, seed, L)
-        _assert_same_patterns(patterns, got)
+            _assert_matches_reference(got, cfg, snr_db, n, seed, L,
+                                      patterns)
+    if grid is not None:
+        _chained(monkeypatch)
+        chained = sim._run_pattern_batch(points, n, seed, L)
+        assert len(chained) == len(points)
+        for got, want in zip(counts, chained):
+            _assert_same_stats(got, want)
 
 
 @pytest.mark.parametrize("rows", [1_000, 1 << 16])
@@ -536,16 +575,60 @@ def test_counters_do_not_depend_on_the_row_block(run, rows, monkeypatch):
             _assert_same_stats(a, b)
 
 
+@st.composite
+def _split_runs(draw):
+    """A run and the ways to cut it that must not change its counters:
+    (config, SNRs, trials, seed, batch trials, block rows, where the SNR
+    list splits into two calls, workers)."""
+    L = draw(st.integers(1, 4))
+    weights = sorted(draw(st.lists(st.integers(1, 50), min_size=L,
+                                   max_size=L, unique=True)), reverse=True)
+    alpha = [w / sum(weights) for w in weights]
+    alpha[-1] = 1.0 - sum(alpha[:-1])
+    snrs = draw(st.lists(st.sampled_from([-10.0, 0.0, 7.5, 20.0, 40.0]),
+                         min_size=1, max_size=3))
+    # one to four batches, the last one of any size: at most 30,000 trials
+    batch_trials = draw(st.sampled_from([1_000, 4_099, 7_500]))
+    trials = (draw(st.integers(0, 3)) * batch_trials
+              + draw(st.integers(1, batch_trials)))
+    return (make_cfg(alpha), snrs, trials, draw(st.integers(0, 2 ** 32)),
+            batch_trials, draw(st.sampled_from([257, 1_000, 4_096])),
+            draw(st.integers(0, len(snrs))), draw(st.sampled_from([1, 2])))
+
+
+@settings(derandomize=True, max_examples=30, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(run=_split_runs())
+def test_counters_do_not_depend_on_blocks_splits_or_workers(run):
+    # Batches of at most 7,500 trials, so that most runs cross a batch
+    # boundary.  Blocks of other rows, the SNR list cut into two calls
+    # and two workers must give simulate's counters and sic_patterns'
+    # patterns, dict order included, of one call with the default block
+    # in one process.
+    cfg, snrs, trials, seed, batch_trials, rows, cut, workers = run
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "BATCH_TRIALS", batch_trials)
+        for count in (simulate, sic_patterns):
+            want = count(cfg, snrs, trials, seed)
+            with pytest.MonkeyPatch.context() as blocks:
+                blocks.setattr(sim, "BLOCK_ROWS", rows)
+                got = [result for part in (snrs[:cut], snrs[cut:]) if part
+                       for result in count(cfg, part, trials, seed,
+                                           workers=workers)]
+            for a, b in zip(got, want, strict=True):
+                _assert_same_stats(a, b)
+
+
 def _reference_run(cfg, snr_db, sizes, seed):
     """Merged reference batches 0, 1, ... of a run seeded seed, of the
-    given sizes."""
+    given sizes: (SimStats, PatternCounts)."""
     total = None
     for i, n in enumerate(sizes):
-        stats, *_ = _reference_batch(
-            cfg, snr_db, cfg.noise_var_for_snr(snr_db),
-            _reference_draw(cfg, n, seed, i))
-        total = stats if total is None else total.merge(stats)
-    return total
+        batch = _reference_batch(cfg, snr_db, cfg.noise_var_for_snr(snr_db),
+                                 _reference_draw(cfg, n, seed, i))[:2]
+        total = batch if total is None else [
+            t.merge(b) for t, b in zip(total, batch)]
+    return tuple(total)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -559,9 +642,10 @@ def test_batches_spanning_blocks_match_reference_chain(workers,
     got = simulate(cfg, snrs, 250_001, seed=31, workers=workers)
     counts = sic_patterns(cfg, snrs, 250_001, seed=31, workers=workers)
     for snr_db, stats, patterns in zip(snrs, got, counts):
-        _assert_same_stats(
-            stats, _reference_run(cfg, snr_db, [100_000, 100_000, 50_001], 31))
-        _assert_same_patterns(patterns, stats)
+        want, want_patterns = _reference_run(
+            cfg, snr_db, [100_000, 100_000, 50_001], 31)
+        _assert_same_stats(stats, want)
+        _assert_same_stats(patterns, want_patterns)
 
 
 @pytest.mark.parametrize("draw,dtype,tail", [
@@ -693,7 +777,7 @@ def test_blocks_are_drawn_one_ahead_and_closing_joins_the_helper(
     monkeypatch.setattr(sim, "_gain_magnitudes", draws)
     threads = threading.active_count()
     blocks = sim._blocks(sim._plan([(cfg, 10.0)]), cfg, n, 4, 0, rows)
-    for i, (signs, q, _, _) in enumerate(blocks):
+    for i, (signs, q, _) in enumerate(blocks):
         time.sleep(0.02)  # time for the helper to run ahead
         assert draws.calls <= i + sim.SLOTS
         np.testing.assert_array_equal(signs,
@@ -726,7 +810,7 @@ def test_helpers_under_stress_keep_every_counter(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     for seed, stats in zip(seeds, got):
-        _assert_same_stats(stats, _reference_run(cfg, 10.0, [n], seed))
+        _assert_same_stats(stats, _reference_run(cfg, 10.0, [n], seed)[0])
 
 
 def test_renyi_gains_have_the_ordered_exponential_law():
@@ -895,8 +979,11 @@ def test_counters_run_16_users(counter):
     cfg = make_cfg(np.arange(16, 0, -1) / 136)
     result = counter(cfg, 10.0, 2_000, seed=1)
     assert result.trials == 2_000
-    assert [sum(d.values()) for d in result.delta_pattern_counts] == [
-        2_000] * 16
+    if counter is simulate:
+        per_user = result.detected_counts.sum(axis=(1, 2)).tolist()
+    else:
+        per_user = [sum(d.values()) for d in result.delta_pattern_counts]
+    assert per_user == [2_000] * 16
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -917,7 +1004,7 @@ def test_pattern_counting_memory_stays_bounded():
     cfg = make_cfg(alpha)
     tracemalloc.start()
     try:
-        stats = simulate(cfg, 20.0, 2_000, seed=1)
+        stats = sic_patterns(cfg, 20.0, 2_000, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1109,13 +1196,9 @@ def test_out_of_range_snr_is_rejected_before_drawing(snr_db, monkeypatch):
 # ------------------------------------------------------------ sic_patterns
 
 
-def _assert_same_patterns(got, want):
-    """got (PatternCounts) holds want's (SimStats) patterns, order included."""
-    assert isinstance(got, PatternCounts)
-    assert (got.snr_db, got.trials) == (want.snr_db, want.trials)
-    assert [list(d.items()) for d in got.delta_pattern_counts] == [
-        list(d.items()) for d in want.delta_pattern_counts
-    ]
+def _chained(monkeypatch):
+    """Make sic_patterns run every user's chain, however many points."""
+    monkeypatch.setattr(sim, "MIN_BIN_STAGES", math.inf)
 
 
 @pytest.mark.parametrize("L,grid", [
@@ -1124,7 +1207,10 @@ def _assert_same_patterns(got, want):
     pytest.param(3, "two-passes", id="L3-two-pass-grid")])
 def test_sic_patterns_equal_simulate(L, grid, monkeypatch):
     # Several allocations and SNRs in one call, over four batches.  The
-    # short lists run the chain; the grids bin (see _binning_grid).
+    # short lists run the chain and must give the patterns of the trials
+    # simulate counts, as the reference chain decides them; the grids bin
+    # (see _binning_grid) and must give at every point what the chain
+    # gives.
     monkeypatch.setattr(sim, "BATCH_TRIALS", 10_000)
     if grid is None:
         base = make_cfg(REFERENCE_ALPHA[L])
@@ -1138,16 +1224,22 @@ def test_sic_patterns_equal_simulate(L, grid, monkeypatch):
         cfgs, snrs = _binning_grid(grid)
         base, one = cfgs[0], 0
     got = sic_patterns(cfgs, snrs, 30_001, seed=21)
-    want = simulate(cfgs, snrs, 30_001, seed=21)
     assert len(got) == len(cfgs)
-    for counts, stats in zip(got, want):
+    if grid is None:
+        want = [[_reference_run(c, s, [10_000] * 3 + [1], 21)[1]
+                 for s in snrs] for c in cfgs]
+    else:
+        with monkeypatch.context() as patch:
+            _chained(patch)
+            want = sic_patterns(cfgs, snrs, 30_001, seed=21)
+    for counts, expected in zip(got, want, strict=True):
         assert len(counts) == len(snrs)
-        for g, w in zip(counts, stats):
-            _assert_same_patterns(g, w)
+        for g, w in zip(counts, expected, strict=True):
+            assert isinstance(g, PatternCounts)
+            _assert_same_stats(g, w)
     # A single configuration and SNR returns one PatternCounts.
-    _assert_same_patterns(
-        sic_patterns(base, snrs[one], 30_001, seed=21),
-        want[0][one])
+    _assert_same_stats(sic_patterns(base, snrs[one], 30_001, seed=21),
+                       want[0][one])
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -1166,7 +1258,9 @@ def test_sic_patterns_batches_and_workers(trials, batch_trials, grid, workers,
     # spread over the workers.  The grids bin (see _binning_grid).  Spread
     # over two workers, each process bins its half of a grid, user 2 of
     # the three-user grid in one pass instead of two, and the counts must
-    # not change.
+    # not change.  The short list must give the reference chain's
+    # patterns batch by batch, and a grid at every point what the chain
+    # gives in one process.
     monkeypatch.setattr(sim, "BATCH_TRIALS", batch_trials)
     if grid is None:
         base = make_cfg((0.7, 0.2, 0.1))
@@ -1175,10 +1269,18 @@ def test_sic_patterns_batches_and_workers(trials, batch_trials, grid, workers,
     else:
         cfgs, snrs = _binning_grid(grid)
     got = sic_patterns(cfgs, snrs, trials, seed=8, workers=workers)
-    want = simulate(cfgs, snrs, trials, seed=8)
-    for counts, stats in zip(got, want):
-        for g, w in zip(counts, stats):
-            _assert_same_patterns(g, w)
+    if grid is None:
+        sizes = [min(batch_trials, trials - start)
+                 for start in range(0, trials, batch_trials)]
+        want = [[_reference_run(c, s, sizes, 8)[1] for s in snrs]
+                for c in cfgs]
+    else:
+        with monkeypatch.context() as patch:
+            _chained(patch)
+            want = sic_patterns(cfgs, snrs, trials, seed=8)
+    for counts, expected in zip(got, want, strict=True):
+        for g, w in zip(counts, expected, strict=True):
+            _assert_same_stats(g, w)
 
 
 def _bad_calls():
@@ -1340,16 +1442,18 @@ def test_binning_replaces_at_least_min_bin_stages(L, count, binned,
 
 def test_weight_tables_equal_per_symbol_delta_weights():
     # At 5 dB user 3 sees many residual patterns for every own symbol.
-    # The tables of sic_patterns equal those of simulate, table and
-    # pattern order included, one per user and own symbol, in that order.
+    # The tables of sic_patterns equal those of the reference chain's
+    # patterns on the same trials, table and pattern order included, one
+    # per user and own symbol, in that order.
     cfg = make_cfg((0.7, 0.2, 0.1))
-    stats = simulate(cfg, 5.0, 150_000, seed=12)
     counts = sic_patterns(cfg, 5.0, 150_000, seed=12)
     tables = sic_weight_tables(counts, QPSK)
     assert list(tables) == [(l, tx) for l in (1, 2, 3) for tx in range(4)]
     assert len(tables[3, 0]) > 4
     assert tables[3, 0] != tables[3, 1]  # conditioned on the own symbol
-    assert [list(t.items()) for t in sic_weight_tables(stats, QPSK).values()
+    _, patterns = _reference_run(cfg, 5.0, [150_000], 12)
+    assert [list(t.items())
+            for t in sic_weight_tables(patterns, QPSK).values()
             ] == [list(t.items()) for t in tables.values()]
 
 
@@ -1363,7 +1467,7 @@ def test_weight_tables_decode_the_reference_chain(L):
     cfg = make_cfg(REFERENCE_ALPHA[L])
     n, seed, snr_db = 100_003, 60 + L, 0.0
     draws = _reference_draw(cfg, n, seed, 0)
-    _, _, _, decisions = _reference_batch(
+    *_, decisions = _reference_batch(
         cfg, snr_db, cfg.noise_var_for_snr(snr_db), draws)
     sent = draws[1]
     pts = QPSK.points_array()
