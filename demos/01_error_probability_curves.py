@@ -25,7 +25,7 @@ ALPHA = (0.7, 0.2, 0.1)
 QPSK = qpsk_constellation(1.0)
 TX, RX = 0, 1  # adjacent Gray pair
 
-channel = ChannelModel(num_users=3, sigma_h_sq=0.5)
+channel = ChannelModel(sigma_h_sq=0.5)
 cfg = SystemConfig(alpha=ALPHA, P=1.0, channel=channel, constellation=QPSK)
 
 print("Closed form sanity check (single weakest user):")

@@ -22,7 +22,7 @@ ALPHA = (0.7, 0.2, 0.1)
 QPSK = qpsk_constellation(1.0)
 SNRS = [20.0, 25.0, 30.0, 35.0, 40.0]
 
-channel = ChannelModel(num_users=3, sigma_h_sq=0.5)
+channel = ChannelModel(sigma_h_sq=0.5)
 cfg = SystemConfig(alpha=ALPHA, P=1.0, channel=channel, constellation=QPSK)
 
 # pair-averaged PEP, one row per SNR and one column per user

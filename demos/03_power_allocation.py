@@ -16,7 +16,7 @@ from noma_pep import (
 )
 
 QPSK = qpsk_constellation(1.0)
-channel = ChannelModel(num_users=2, sigma_h_sq=1.0)
+channel = ChannelModel(sigma_h_sq=1.0)
 cfg = SystemConfig(alpha=(0.8, 0.2), P=1.0, channel=channel,
                    constellation=QPSK)
 

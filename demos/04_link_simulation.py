@@ -21,7 +21,7 @@ from noma_pep import (
 )
 
 QPSK = qpsk_constellation(1.0)
-channel = ChannelModel(num_users=3, sigma_h_sq=0.5)
+channel = ChannelModel(sigma_h_sq=0.5)
 cfg = SystemConfig(alpha=(0.7, 0.2, 0.1), P=1.0, channel=channel,
                    constellation=QPSK)
 

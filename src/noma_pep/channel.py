@@ -4,8 +4,9 @@ Users are indexed by channel strength: user 1 owns the weakest of the L
 i.i.d. complex Gaussian gains, user L the strongest.  The Rayleigh scale
 convention throughout is f(x) = (x / sigma_h_sq) * exp(-x^2 / (2 sigma_h_sq)),
 so E[|h|^2] = 2 * sigma_h_sq.  The channel model is the fading law
-alone: the receiver noise comes from the SNR, sigma_n^2 = P / 10**(snr_db/10)
-(SystemConfig.noise_var_for_snr).
+alone: L is the length of the power allocation (SystemConfig.num_users),
+or an argument where there is none, and the receiver noise comes from
+the SNR, sigma_n^2 = P / 10**(snr_db/10) (SystemConfig.noise_var_for_snr).
 """
 
 from __future__ import annotations
@@ -23,22 +24,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ChannelModel:
     """Rayleigh fading law shared by all L users.
 
-    num_users    L
     sigma_h_sq   Rayleigh density parameter; E[|h|^2] = 2*sigma_h_sq
 
-    It holds no noise level: every caller states that as an SNR.
+    It holds neither the user count L nor the noise level: every caller
+    states L (or its power allocation does) and the SNR.
     """
 
-    num_users: int
     sigma_h_sq: float = 0.5
 
     def __post_init__(self):
-        if self.num_users < 1:
-            raise ValueError(f"need at least one user, got {self.num_users}")
         if not 0 < self.sigma_h_sq < math.inf:
             raise ValueError(
                 f"sigma_h_sq must be finite and positive, got {self.sigma_h_sq}"
@@ -58,14 +56,15 @@ def _rayleigh_cdf(omega, sigma_sq):
     return 1.0 - np.exp(-(omega**2) / (2.0 * sigma_sq))
 
 
-def ordered_magnitude_pdf(l: int, model: ChannelModel, omega) -> np.ndarray | float:
+def ordered_magnitude_pdf(
+    l: int, L: int, model: ChannelModel, omega
+) -> np.ndarray | float:
     """Density of the l-th smallest of L i.i.d. Rayleigh magnitudes.
 
     Standard order-statistics form
         L!/((l-1)!(L-l)!) * f(w) * F(w)^(l-1) * (1-F(w))^(L-l)
     with Rayleigh f, F of parameter model.sigma_h_sq.  Vectorized over omega.
     """
-    L = model.num_users
     _check_user(l, L)
     w = np.asarray(omega, dtype=float)
     if np.any(w < 0):
@@ -99,7 +98,7 @@ def ordered_snr_pdf(l: int, L: int, gamma_bar: float, gamma) -> np.ndarray | flo
 
 
 def sample_ordered_channels(
-    model: ChannelModel, seed: int, size: int = 1
+    L: int, model: ChannelModel, seed: int, size: int = 1
 ) -> np.ndarray:
     """Draw channel magnitudes for all L users, sorted ascending.
 
@@ -107,8 +106,10 @@ def sample_ordered_channels(
     2*sigma_h_sq.  Deterministic for a fixed seed.  Returns an (size, L)
     array of magnitudes, each row ascending; column l-1 belongs to user l.
     """
+    if L < 1:
+        raise ValueError(f"need at least one user, got {L}")
     rng = np.random.default_rng(seed)
-    shape = (int(size), model.num_users)
+    shape = (int(size), L)
     std = math.sqrt(model.sigma_h_sq)  # per real dimension
     h = rng.normal(scale=std, size=shape) + 1j * rng.normal(scale=std, size=shape)
     return np.sort(np.abs(h), axis=1)

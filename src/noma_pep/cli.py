@@ -12,7 +12,8 @@ Subcommands
 
 Every run writes CSV files plus a manifest.json recording the command
 line, the resolved configuration, the seed, the output list and the
-environment (library versions and the SIMD features numpy enabled),
+environment (the python and numpy versions and the SIMD features numpy
+enabled; no run imports scipy),
 which is enough to reproduce the CSV bodies byte-identically.  A
 resolved list of 100 or more entries is recorded as its length and the
 sha256 of its JSON form.  A run whose SIC mode is not weighted simulates
@@ -55,7 +56,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .asymptotic import chernoff_average, effective_diversity, pep_upper_bound
@@ -88,8 +88,9 @@ LONG_LIST = 100  # resolved lists this long enter the manifest as length + sha25
 
 
 def _run_environment() -> dict:
-    """Interpreter and library versions and the SIMD features numpy enabled.
+    """Interpreter and numpy versions and the SIMD features numpy enabled.
 
+    No CLI run executes scipy code, so its version is not recorded.
     Simulated counters can depend on the SIMD path numpy dispatches: a
     fused multiply-add changes the last bit of a complex product, which
     can move a decision-metric tie.  The SIMD lists are the baseline and
@@ -102,7 +103,6 @@ def _run_environment() -> dict:
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "simd_baseline": list(umath.__cpu_baseline__),
         "simd_enabled": [
             f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]
@@ -201,11 +201,10 @@ def _system(s: dict) -> SystemConfig:
     users, alpha, power = s["users"], s["alpha"], s["power"]
     if len(alpha) != users:
         raise ValueError(f"--alpha has {len(alpha)} entries for {users} users")
-    channel = ChannelModel(num_users=users, sigma_h_sq=s["sigma_h_sq"])
     return SystemConfig(
         alpha=tuple(alpha),
         P=power,
-        channel=channel,
+        channel=ChannelModel(sigma_h_sq=s["sigma_h_sq"]),
         # unit-energy symbols: P alone scales the transmit power
         constellation=qpsk_constellation(1.0),
     )

@@ -213,7 +213,7 @@ def union_bound_ber(
     peps = np.zeros((m, m))
     for tx, rx in permutations(range(m), 2):
         peps[tx, rx] = average_pep(
-            l, model.num_users, tx, rx, a, P, model, constellation, residuals,
+            l, len(a), tx, rx, a, P, model, constellation, residuals,
             sigma_n_sq=sigma_n_sq,
         )
     return union_bound_from_pep(peps, constellation)

@@ -284,8 +284,6 @@ def pep_quadrature(
     """
     if not 1 <= l <= L:
         raise ValueError(f"user index {l} out of range 1..{L}")
-    if L != model.num_users:
-        raise ValueError(f"L={L} does not match model.num_users={model.num_users}")
     if upsilon <= 0:
         raise ValueError(f"upsilon must be positive, got {upsilon}")
     return _pep_kernel(l, L, float(beta) / float(upsilon), model.sigma_h_sq)
@@ -315,14 +313,12 @@ def average_pep(
     all-zero pattern with weight 1.
     sigma_n_sq is the receiver noise variance, which the SNR sets:
     P / 10**(snr_db/10) (SystemConfig.noise_var_for_snr).  model gives
-    only the fading law.
+    only the fading law; L, the user count, is the length of alpha.
     """
     if tx == rx:
         raise ValueError("tx and rx indices coincide; not a pairwise error event")
     if not 1 <= l <= L:
         raise ValueError(f"user index {l} out of range 1..{L}")
-    if L != model.num_users:
-        raise ValueError(f"L={L} does not match model.num_users={model.num_users}")
     a = _check_alpha(alpha, L)
     pts = constellation.points_array()
     m = constellation.size
@@ -383,13 +379,13 @@ def closed_form_consistency_report(
     """
     rows = []
     sigma_h = math.sqrt(sigma_h_sq)
+    model = ChannelModel(sigma_h_sq=sigma_h_sq)
     for L in range(1, max_users + 1):
-        model_l = ChannelModel(num_users=L, sigma_h_sq=sigma_h_sq)
         for l in range(1, L + 1):
             for beta in betas:
                 for ups in upsilons:
                     closed = pep_user_l_closed(l, L, beta, ups, sigma_h)
-                    quadr = pep_quadrature(l, L, beta, ups, model_l)
+                    quadr = pep_quadrature(l, L, beta, ups, model)
                     rows.append(
                         {
                             "l": l,

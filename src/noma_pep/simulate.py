@@ -121,9 +121,9 @@ class SystemConfig:
     alpha          power allocation coefficients, strictly descending,
                    summing to 1 (user 1 = weakest channel, most power)
     P              total transmit power
-    channel        fading law; channel.num_users must equal len(alpha).
-                   The noise variance is not part of the system: an SNR
-                   sets it (noise_var_for_snr)
+    channel        fading law of every user.  The user count is
+                   len(alpha) (num_users), and the noise variance is not
+                   part of the system: an SNR sets it (noise_var_for_snr)
     constellation  shared symbol alphabet of unit average power, so that
                    P alone sets the transmit power; every user draws its
                    symbols uniformly from it
@@ -144,10 +144,6 @@ class SystemConfig:
             raise ValueError("power coefficients must be positive")
         if np.any(np.diff(a) >= 0):
             raise ValueError("power coefficients must be strictly descending")
-        if self.channel.num_users != a.size:
-            raise ValueError(
-                f"channel has {self.channel.num_users} users, alpha has {a.size}"
-            )
         if not 0 < self.P < math.inf:
             raise ValueError(f"total power must be finite and positive, got {self.P}")
         if abs(self.constellation.avg_power - 1.0) > 1e-12:

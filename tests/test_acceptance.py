@@ -63,7 +63,7 @@ def test_criterion_1_analytic_vs_simulation():
     within 3 Wald half-widths (the binding branch for rare events)."""
     trials = 10_000_000
     tx, rx = PAIR
-    ch = ChannelModel(num_users=3, sigma_h_sq=0.5)
+    ch = ChannelModel(sigma_h_sq=0.5)
     cfg = SystemConfig(alpha=ALPHA3, P=1.0, channel=ch, constellation=QPSK)
     started = time.time()
     failures = []
@@ -112,7 +112,7 @@ def _pair_averaged_curve(l, snrs, model):
 def test_criterion_2_diversity_convergence():
     """Finite-difference effective diversity of the quadrature curves at
     35 -> 40 dB lies within 0.25 of the user order."""
-    ch = ChannelModel(num_users=3, sigma_h_sq=0.5)
+    ch = ChannelModel(sigma_h_sq=0.5)
     results = {}
     for l in (1, 2, 3):
         snrs, peps = _pair_averaged_curve(l, [35.0, 40.0], ch)
@@ -133,7 +133,7 @@ def test_criterion_3_two_user_power_sweep():
     of [0.852, 0.99].  If (a)/(b) miss, the documented property set must
     hold instead."""
     snr = 30.0
-    ch = ChannelModel(num_users=2, sigma_h_sq=1.0)
+    ch = ChannelModel(sigma_h_sq=1.0)
     cfg = SystemConfig(alpha=(0.8, 0.2), P=1.0, channel=ch,
                        constellation=QPSK)
 
@@ -192,8 +192,8 @@ def test_criterion_4_closed_form_oracles():
     reports/closed_form_consistency.csv."""
     worst = 0.0
     count = 0
+    model = ChannelModel(sigma_h_sq=0.5)
     for L in (2, 3):
-        model = ChannelModel(num_users=L, sigma_h_sq=0.5)
         mapped = math.sqrt(2 * 0.5 / L)
         for gamma in np.linspace(0.2, 4.0, 10):
             for zeta in np.linspace(0.05, 1.0, 5):
@@ -233,17 +233,16 @@ def test_criterion_5_density_sanity():
     (l, L) <= (4, 4); the sampled weakest-channel second moment matches
     2*sigma_h_sq/L within 1% at 1e6 samples."""
     worst = 0.0
+    model = ChannelModel(sigma_h_sq=0.5)
     for L in range(1, 5):
-        model = ChannelModel(num_users=L, sigma_h_sq=0.5)
         for l in range(1, L + 1):
-            total, _ = quad(lambda w: ordered_magnitude_pdf(l, model, w),
+            total, _ = quad(lambda w: ordered_magnitude_pdf(l, L, model, w),
                             0, np.inf, limit=200)
             worst = max(worst, abs(total - 1.0))
             total, _ = quad(lambda g: ordered_snr_pdf(l, L, 4.0, g),
                             0, np.inf, limit=200)
             worst = max(worst, abs(total - 1.0))
-    model = ChannelModel(num_users=3, sigma_h_sq=0.5)
-    mags = sample_ordered_channels(model, seed=501, size=1_000_000)
+    mags = sample_ordered_channels(3, model, seed=501, size=1_000_000)
     target = 2 * 0.5 / 3
     moment = float(np.mean(mags[:, 0] ** 2))
     moment_rel = abs(moment - target) / target
@@ -304,7 +303,7 @@ def test_criterion_6_bound_dominance():
                         + 2 * (d * interf).real
                     hyps.add((l, round(float(beta), 12), abs(d) ** 2))
     in_region = out_region = 0
-    model = ChannelModel(num_users=3, sigma_h_sq=0.5)
+    model = ChannelModel(sigma_h_sq=0.5)
     for snr in (20.0, 25.0, 30.0, 35.0, 40.0):
         sn2 = 10 ** (-snr / 10)
         gbar = 2 * 0.5 / sn2

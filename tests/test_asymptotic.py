@@ -277,7 +277,7 @@ def test_noma_curve_diversity_monotone():
     alpha = (0.7, 0.2, 0.1)
     snrs = [20.0, 25.0, 30.0, 35.0, 40.0]
     pairs = [(a, b) for a in range(4) for b in range(4) if a != b]
-    model = ChannelModel(num_users=3, sigma_h_sq=0.5)
+    model = ChannelModel(sigma_h_sq=0.5)
     for l in (1, 2, 3):
         peps = []
         for snr in snrs:

@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 import noma_pep.cli as cli
 import noma_pep.optimize as optimize
@@ -44,7 +43,8 @@ def test_manifest_records_environment(tmp_path):
     env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
     assert env["python"] == platform.python_version()
     assert env["numpy"] == np.__version__
-    assert env["scipy"] == scipy.__version__
+    # no CLI run executes scipy code, so its version is not recorded
+    assert "scipy" not in env
     for key in ("simd_baseline", "simd_enabled"):
         assert isinstance(env[key], list)
         assert all(isinstance(f, str) for f in env[key])
@@ -602,6 +602,22 @@ def test_diversity_run_loads_neither_libcrypto_nor_decimal(tmp_path):
             f"'--out', {str(tmp_path)!r}]); "
             "print(rc, sorted(set(sys.modules) - before & "
             "{'_hashlib', 'decimal'}))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0 []"
+
+
+def test_diversity_run_leaves_scipy_unloaded(tmp_path):
+    # no CLI run executes scipy code, and the manifest records no scipy
+    # version, so a run never imports the package
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys, noma_pep.cli; "
+            f"rc = noma_pep.cli.main(['diversity', '--users', '3', "
+            f"'--out', {str(tmp_path)!r}]); "
+            "print(rc, sorted(m for m in sys.modules "
+            "if m.partition('.')[0] == 'scipy'))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=str(src)))

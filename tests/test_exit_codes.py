@@ -1,14 +1,15 @@
 """Property: at boundary flag values the CLI keeps its exit-code contract.
 
-For `bound`, `diversity`, `pep` in perfect and pattern mode, and
-`simulate`, flags drawn from boundary sets make `main` return 0, 2, 3
-or 4 without raising.  A run that exits 2 or 3 leaves no --out
-directory behind, and one that exits 0 or 4 writes manifest.json.  No
-example starts a process: only `simulate` simulates, with at most
-2,000 trials and --workers at most 1.  The draws are a pure function of
-the code (derandomized, no example database).  The pytest settings turn
-every RuntimeWarning into an error, so a run that makes numpy warn of
-an overflow or an invalid value fails too.
+For `bound`, `diversity`, `pep` in perfect and pattern mode, `simulate`,
+and `optimize` and `fig4` in every SIC mode, flags drawn from boundary
+sets make `main` return 0, 2, 3 or 4 without raising.  A run that exits
+2 or 3 leaves no --out directory behind, and one that exits 0 or 4
+writes manifest.json.  No example starts a process: --workers is at
+most 1, `simulate` draws at most 2,000 trials, and a weighted search at
+most 100,000 trials over a grid of at most two users.  The draws are a
+pure function of the code (derandomized, no example database).  The
+pytest settings turn every RuntimeWarning into an error, so a run that
+makes numpy warn of an overflow or an invalid value fails too.
 """
 
 import tempfile
@@ -95,6 +96,44 @@ def test_simulate_flags_keep_the_exit_code_contract(flags):
     # a drawn --trials comes later on the line and replaces this one
     _assert_contract(["simulate", "--trials=2000"]
                      + [f"{flag}={value}" for flag, value in flags])
+
+
+# a search over three or four users has 784 grid points at step 0.01,
+# too slow to draw here; seventeen exceed the simulator's user limit.
+# optimize reads one SNR, a float flag, so only single values are drawn
+# (argparse rejects a list before main runs)
+OPTIMIZE_FLAGS = {
+    "--users": ["-1", "0", "1", "2", "17"],
+    "--grid-step": ["0.01", "0.005", "0.003", "0.02", "0", "-0.01", "nan",
+                    "inf", "1e-9"],
+    "--weights-trials": ["100000", "99999", "0", "-1"],
+    "--pth": ["1e-3", "0", "1", "nan"],
+    "--snr-db": ["10", "30", "5e-324", "1e308", "-1e308", "1e120", "nan",
+                 "inf", "-inf"],
+    "--sigma-h-sq": NUMBERS,
+    "--prior-deltas": FLAGS["--prior-deltas"],
+}
+SEARCHES = {
+    f"{command}_{mode}": [command, "--grid-step=0.01",
+                          "--weights-trials=100000", "--workers=1",
+                          f"--sic-mode={mode}"]
+    + (["--prior-deltas=1.414+0j,1.414j,0j"] if mode == "pattern" else [])
+    for command in ("optimize", "fig4")
+    for mode in ("perfect", "pattern", "weighted")
+}
+
+
+@pytest.mark.parametrize("search", SEARCHES)
+@settings(derandomize=True, max_examples=40, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(flags=_drawn_flags(OPTIMIZE_FLAGS))
+def test_search_flags_keep_the_exit_code_contract(search, flags):
+    # a drawn flag comes later on the line and replaces the base one
+    argv = list(SEARCHES[search])
+    for flag, value in flags:
+        if flag != "--prior-deltas" or search.endswith("pattern"):
+            argv.append(f"{flag}={value}")
+    _assert_contract(argv)
 
 
 def _assert_contract(argv):

@@ -72,8 +72,8 @@ def test_ci_pins_the_stored_versions():
     pins = dict(line.split("==") for line in
                 (GOLDEN / "constraints.txt").read_text().splitlines()
                 if line and not line.startswith("#"))
-    assert {name: pins[name] for name in ("numpy", "scipy")} == \
-        {name: stored[name] for name in ("numpy", "scipy")}
+    # the CLI records no scipy version: no run executes scipy code
+    assert pins["numpy"] == stored["numpy"]
 
 
 def regenerate():

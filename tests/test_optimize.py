@@ -34,7 +34,7 @@ QPSK = qpsk_constellation(1.0)
 
 def make_problem(alpha=(0.8, 0.2), snr_db=30.0, p_th=1e-3, grid_step=0.01,
                  sigma_h_sq=1.0, **kw):
-    ch = ChannelModel(num_users=len(alpha), sigma_h_sq=sigma_h_sq)
+    ch = ChannelModel(sigma_h_sq=sigma_h_sq)
     cfg = SystemConfig(alpha=tuple(alpha), P=1.0, channel=ch,
                        constellation=QPSK)
     return OptimizationProblem(cfg=cfg, snr_db=snr_db, p_th=p_th,
@@ -49,7 +49,7 @@ def test_constant_pep_contracts_to_2p():
 
 def test_single_user_bound_dominates_exact_ber():
     # Exact Gray-QPSK Rayleigh BER: 0.5*(1 - sqrt(g/(2+g))).
-    ch = ChannelModel(num_users=1, sigma_h_sq=0.5)
+    ch = ChannelModel(sigma_h_sq=0.5)
     for snr_db in (0.0, 10.0, 20.0, 30.0):
         g = 10 ** (snr_db / 10)
         exact = 0.5 * (1 - math.sqrt(g / (2 + g)))
@@ -59,7 +59,7 @@ def test_single_user_bound_dominates_exact_ber():
 
 
 def test_bound_non_increasing_in_snr():
-    ch = ChannelModel(num_users=2, sigma_h_sq=0.5)
+    ch = ChannelModel(sigma_h_sq=0.5)
     vals = [
         union_bound_ber(1, (0.8, 0.2), 1.0, s, ch, QPSK)
         for s in (0.0, 10.0, 20.0, 30.0)
@@ -68,7 +68,7 @@ def test_bound_non_increasing_in_snr():
 
 
 def test_objective_single_user_degenerate():
-    ch = ChannelModel(num_users=1, sigma_h_sq=0.5)
+    ch = ChannelModel(sigma_h_sq=0.5)
     cfg = SystemConfig(alpha=(1.0,), P=1.0, channel=ch, constellation=QPSK)
     problem = OptimizationProblem(cfg=cfg, snr_db=10.0, p_th=0.5,
                                   grid_step=0.01)
@@ -286,7 +286,7 @@ def test_feasible_set_survives_grid_refinement():
 
 
 def make_cfg(alpha):
-    ch = ChannelModel(num_users=len(alpha), sigma_h_sq=0.5)
+    ch = ChannelModel(sigma_h_sq=0.5)
     return SystemConfig(alpha=alpha, P=1.0, channel=ch, constellation=QPSK)
 
 

@@ -191,8 +191,8 @@ def test_sign_parity_identity():
 
 
 def test_quadrature_beta_zero_is_half():
+    model = ChannelModel(sigma_h_sq=0.5)
     for L in (1, 2, 3):
-        model = ChannelModel(num_users=L, sigma_h_sq=0.5)
         for l in range(1, L + 1):
             assert abs(pep_quadrature(l, L, 0.0, 0.3, model) - 0.5) < 1e-9
 
@@ -200,8 +200,8 @@ def test_quadrature_beta_zero_is_half():
 def test_quadrature_matches_mapped_closed_form():
     # The weakest of L Rayleigh users is Rayleigh with E[|h|^2] = 2*s2/L;
     # the closed form is exact with sigma_h = sqrt(E[|h|^2]).
+    model = ChannelModel(sigma_h_sq=0.5)
     for L in (1, 2, 4):
-        model = ChannelModel(num_users=L, sigma_h_sq=0.5)
         mapped = math.sqrt(2 * 0.5 / L)
         for beta in (0.3, 1.0, 2.5):
             for ups in (0.05, 0.4):
@@ -211,7 +211,7 @@ def test_quadrature_matches_mapped_closed_form():
 
 
 def test_quadrature_decreasing_in_beta():
-    model = ChannelModel(num_users=3, sigma_h_sq=0.5)
+    model = ChannelModel(sigma_h_sq=0.5)
     betas = np.linspace(0.05, 3, 25)
     vals = [pep_quadrature(2, 3, b, 0.2, model) for b in betas]
     assert all(0 <= v <= 1 for v in vals)
@@ -223,9 +223,9 @@ def test_quadrature_against_sampling_oracle():
     # means of Q(beta*mag/upsilon) are the Monte Carlo estimates of the
     # ordered averages the quadrature computes.
     n = 10_000_000
+    model = ChannelModel(sigma_h_sq=0.5)
     for L in (1, 2, 3, 4):
-        model = ChannelModel(num_users=L, sigma_h_sq=0.5)
-        mags = sample_ordered_channels(model, seed=50 + L, size=n)
+        mags = sample_ordered_channels(L, model, seed=50 + L, size=n)
         for l in range(1, L + 1):
             for beta, ups in ((0.9, 0.25), (0.3, 0.6)):
                 draws = q_function(mags[:, l - 1] * beta / ups)
@@ -241,7 +241,7 @@ def test_high_snr_user_ordering():
     c = qpsk_constellation(1.0)
     alpha = (0.7, 0.2, 0.1)
     for snr_db in (30.0, 40.0):
-        model = ChannelModel(num_users=3, sigma_h_sq=0.5)
+        model = ChannelModel(sigma_h_sq=0.5)
         peps = [
             average_pep(l, 3, 0, 1, alpha, 1.0, model, c,
                         sigma_n_sq=10 ** (-snr_db / 10))
@@ -251,7 +251,7 @@ def test_high_snr_user_ordering():
 
 
 def test_quadrature_negative_beta():
-    model = ChannelModel(num_users=2, sigma_h_sq=0.5)
+    model = ChannelModel(sigma_h_sq=0.5)
     v = pep_quadrature(1, 2, -0.8, 0.2, model)
     w = pep_quadrature(1, 2, 0.8, 0.2, model)
     assert abs((v + w) - 1.0) < 1e-9  # Q(-x) = 1 - Q(x) under the average
@@ -260,7 +260,7 @@ def test_quadrature_negative_beta():
 
 def test_average_pep_last_user_singleton():
     c = qpsk_constellation(1.0)
-    model = ChannelModel(num_users=3, sigma_h_sq=0.5)
+    model = ChannelModel(sigma_h_sq=0.5)
     alpha = (0.7, 0.2, 0.1)
     got = average_pep(3, 3, 0, 1, alpha, 1.0, model, c, sigma_n_sq=1e-2)
     beta = math.sqrt(0.1) * 2.0
@@ -273,7 +273,7 @@ def test_average_pep_rotation_symmetry():
     # (mod 4) under the fixed Gray layout, so tuple-averaged PEP values
     # are identical for rotated pairs.
     c = qpsk_constellation(1.0)
-    model = ChannelModel(num_users=2, sigma_h_sq=0.5)
+    model = ChannelModel(sigma_h_sq=0.5)
     alpha = (0.8, 0.2)
     base = average_pep(1, 2, 0, 1, alpha, 1.0, model, c, sigma_n_sq=1e-2)
     for k in (1, 2, 3):
@@ -285,7 +285,7 @@ def test_average_pep_rotation_symmetry():
 def test_average_pep_below_half_above_zero_db():
     c = qpsk_constellation(1.0)
     alpha = (0.7, 0.2, 0.1)
-    model = ChannelModel(num_users=3, sigma_h_sq=0.5)
+    model = ChannelModel(sigma_h_sq=0.5)
     for snr_db in (1.0, 10.0, 20.0):
         for l in (1, 2, 3):
             v = average_pep(l, 3, 0, 1, alpha, 1.0, model, c,
@@ -295,7 +295,7 @@ def test_average_pep_below_half_above_zero_db():
 
 def test_average_pep_rejects_degenerate_pair():
     c = qpsk_constellation(1.0)
-    model = ChannelModel(num_users=2, sigma_h_sq=0.5)
+    model = ChannelModel(sigma_h_sq=0.5)
     with pytest.raises(ValueError):
         average_pep(1, 2, 0, 0, (0.8, 0.2), 1.0, model, c, sigma_n_sq=1e-2)
 
@@ -303,14 +303,14 @@ def test_average_pep_rejects_degenerate_pair():
 def test_average_pep_needs_the_noise_variance():
     # the channel model holds no noise level, so none can be assumed
     c = qpsk_constellation(1.0)
-    model = ChannelModel(num_users=2, sigma_h_sq=0.5)
+    model = ChannelModel(sigma_h_sq=0.5)
     with pytest.raises(TypeError, match="sigma_n_sq"):
         average_pep(1, 2, 0, 1, (0.8, 0.2), 1.0, model, c)
 
 
 def test_average_pep_enumeration_cap(monkeypatch):
     c = qpsk_constellation(1.0)
-    model = ChannelModel(num_users=3, sigma_h_sq=0.5)
+    model = ChannelModel(sigma_h_sq=0.5)
     monkeypatch.setattr(pep_mod, "ENUMERATION_CAP", 10)
     with pytest.raises(EnumerationCapError):
         average_pep(1, 3, 0, 1, (0.7, 0.2, 0.1), 1.0, model, c,
@@ -319,7 +319,7 @@ def test_average_pep_enumeration_cap(monkeypatch):
 
 def test_average_pep_weighted_validation():
     c = qpsk_constellation(1.0)
-    model = ChannelModel(num_users=2, sigma_h_sq=0.5)
+    model = ChannelModel(sigma_h_sq=0.5)
     with pytest.raises(ValueError, match="empty"):
         average_pep(2, 2, 0, 1, (0.8, 0.2), 1.0, model, c, residuals={},
                     sigma_n_sq=1e-2)
@@ -333,7 +333,7 @@ def test_average_pep_weighted_validation():
 
 def test_weighted_mode_mixes_linearly():
     c = qpsk_constellation(1.0)
-    model = ChannelModel(num_users=2, sigma_h_sq=0.5)
+    model = ChannelModel(sigma_h_sq=0.5)
     alpha = (0.8, 0.2)
     d = complex(c.points[0] - c.points[1])
     p_perfect = average_pep(2, 2, 0, 1, alpha, 1.0, model, c,
@@ -379,7 +379,7 @@ def _mpmath_pep(l, L, r, sigma_h_sq):
         return 1 - pep if r < 0 else pep
 
 
-def _quad_pep(l, model, r):
+def _quad_pep(l, L, model, r):
     """The ordered magnitude density times Q, integrated by scipy quad."""
     upper = math.sqrt(2.0 * model.sigma_h_sq * 90.0)
     pts = [math.sqrt(model.sigma_h_sq)]
@@ -388,7 +388,7 @@ def _quad_pep(l, model, r):
         if w_q < upper:
             pts += [w_q, min(6.0 * w_q, 0.999 * upper)]
     value, _ = quad(
-        lambda w: ordered_magnitude_pdf(l, model, w) * q_function(r * w),
+        lambda w: ordered_magnitude_pdf(l, L, model, w) * q_function(r * w),
         0.0, upper, epsabs=0.0, epsrel=1e-13, limit=400,
         points=sorted(set(pts)),
     )
@@ -401,8 +401,8 @@ RATIOS = [0.0] + [s * 10.0**k for k in range(-8, 4) for s in (1.0, -1.0)]
 @pytest.mark.parametrize("sigma_h_sq", [0.5, 1.0])
 def test_kernel_matches_mpmath_oracle(sigma_h_sq):
     worst = 0.0
+    model = ChannelModel(sigma_h_sq=sigma_h_sq)
     for L in range(1, 11):
-        model = ChannelModel(num_users=L, sigma_h_sq=sigma_h_sq)
         for l in range(1, L + 1):
             for r in RATIOS:
                 exact = _mpmath_pep(l, L, r, sigma_h_sq)
@@ -413,11 +413,11 @@ def test_kernel_matches_mpmath_oracle(sigma_h_sq):
 
 def test_kernel_matches_quad_oracle():
     for sigma_h_sq in (0.5, 1.0):
+        model = ChannelModel(sigma_h_sq=sigma_h_sq)
         for L in range(1, 5):
-            model = ChannelModel(num_users=L, sigma_h_sq=sigma_h_sq)
             for l in range(1, L + 1):
                 for r in (-2.0, -0.1, 0.0, 0.05, 0.3, 1.0, 3.0, 10.0, 30.0):
-                    ref = _quad_pep(l, model, r)
+                    ref = _quad_pep(l, L, model, r)
                     got = pep_quadrature(l, L, r, 1.0, model)
                     assert abs(got - ref) <= 1e-10 * ref, (l, L, r, got, ref)
 
@@ -425,14 +425,14 @@ def test_kernel_matches_quad_oracle():
 @pytest.mark.parametrize("beta, ups", [(math.nan, 0.3), (math.inf, 0.3),
                                        (-math.inf, 0.3), (0.5, math.nan)])
 def test_quadrature_non_finite_ratio_raises(beta, ups):
-    model = ChannelModel(num_users=2, sigma_h_sq=0.5)
+    model = ChannelModel(sigma_h_sq=0.5)
     with pytest.raises(NumericalError):
         pep_quadrature(1, 2, beta, ups, model)
 
 
 def test_average_pep_non_finite_power_raises():
     c = qpsk_constellation(1.0)
-    model = ChannelModel(num_users=2, sigma_h_sq=0.5)
+    model = ChannelModel(sigma_h_sq=0.5)
     with pytest.raises(NumericalError):
         average_pep(1, 2, 0, 1, (0.8, 0.2), math.nan, model, c,
                     sigma_n_sq=1e-2)
@@ -443,7 +443,7 @@ def test_average_pep_non_finite_power_raises():
 
 def test_kernel_memo_returns_the_cold_value():
     c = qpsk_constellation(1.0)
-    model = ChannelModel(num_users=3, sigma_h_sq=0.5)
+    model = ChannelModel(sigma_h_sq=0.5)
     args = (1, 3, 0, 1, (0.7, 0.2, 0.1), 1.0, model, c)
     pep_mod._pep_kernel.cache_clear()
     cold = average_pep(*args, sigma_n_sq=1e-2)
@@ -500,7 +500,7 @@ def test_average_pep_matches_per_tuple_loop(L, mode):
     diffs = [0j] + [a - b for a in pts for b in pts if a != b]
     rng = np.random.default_rng(7 + L)
     worst = 0.0
-    model = ChannelModel(num_users=L, sigma_h_sq=0.5)
+    model = ChannelModel(sigma_h_sq=0.5)
     for snr_db in (0.0, 20.0, 40.0):
         sigma_n_sq = 10 ** (-snr_db / 10)
         for l in range(1, L + 1):

@@ -40,7 +40,7 @@ sim = importlib.import_module("noma_pep.simulate")
 
 
 def make_cfg(alpha, sigma_h_sq=0.5):
-    ch = ChannelModel(num_users=len(alpha), sigma_h_sq=sigma_h_sq)
+    ch = ChannelModel(sigma_h_sq=sigma_h_sq)
     return SystemConfig(alpha=tuple(alpha), P=1.0, channel=ch,
                         constellation=QPSK)
 
@@ -61,14 +61,18 @@ class TestConfigValidation:
             make_cfg((1.2, -0.2))
 
     def test_channel_user_count(self):
-        ch = ChannelModel(num_users=3, sigma_h_sq=0.5)
+        # alpha states the user count once; the channel holds none, so
+        # one fading law serves every L, and no allocation means no user
+        ch = ChannelModel(sigma_h_sq=0.5)
+        for alpha in ((1.0,), (0.8, 0.2), (0.7, 0.2, 0.1)):
+            assert SystemConfig(alpha=alpha, P=1.0, channel=ch,
+                                constellation=QPSK).num_users == len(alpha)
         with pytest.raises(ValueError):
-            SystemConfig(alpha=(0.8, 0.2), P=1.0, channel=ch,
-                         constellation=QPSK)
+            SystemConfig(alpha=(), P=1.0, channel=ch, constellation=QPSK)
 
     def test_constellation_must_have_unit_energy(self):
         # P alone scales the symbols; a 4x alphabet would scale them twice
-        ch = ChannelModel(num_users=1, sigma_h_sq=0.5)
+        ch = ChannelModel(sigma_h_sq=0.5)
         with pytest.raises(ValueError, match="unit average power"):
             SystemConfig(alpha=(1.0,), P=1.0, channel=ch,
                          constellation=qpsk_constellation(4.0))
@@ -833,8 +837,8 @@ def test_renyi_gains_have_the_ordered_exponential_law():
     assert np.all(np.abs(got_mean - mean) < 4 * np.sqrt(var / n))
     assert np.all(np.abs(got_var / var - 1) < 4 * math.sqrt(8 / n))
 
-    oracle = sample_ordered_channels(ChannelModel(L, sigma_h_sq), 12,
-                                     size=n_oracle).T ** 2
+    oracle = sample_ordered_channels(
+        L, ChannelModel(sigma_h_sq=sigma_h_sq), 12, size=n_oracle).T ** 2
     se = np.sqrt(got_var / n + oracle.var(axis=1, ddof=1) / n_oracle)
     assert np.all(np.abs(got_mean - oracle.mean(axis=1)) < 4 * se)
     for mine, theirs in zip(g, oracle):
@@ -928,7 +932,7 @@ def test_one_batch_spreads_points_over_workers(monkeypatch):
 
 
 @pytest.mark.parametrize("change", [
-    {"channel": ChannelModel(num_users=2, sigma_h_sq=1.0)},
+    {"channel": ChannelModel(sigma_h_sq=1.0)},
     # unit energy, but other bit labels
     {"constellation": dataclasses.replace(
         QPSK, bit_labels=("00", "01", "10", "11"))},
@@ -1028,7 +1032,7 @@ def _alphabet(points):
 ])
 def test_simulator_rejects_alphabets_it_cannot_slice(points):
     c = _alphabet(points)
-    ch = ChannelModel(num_users=2, sigma_h_sq=0.5)
+    ch = ChannelModel(sigma_h_sq=0.5)
     cfg = SystemConfig(alpha=(0.8, 0.2), P=1.0, channel=ch, constellation=c)
     with pytest.raises(ValueError, match="quadrant"):
         simulate(cfg, 10.0, 1_000, seed=1)
@@ -1286,8 +1290,8 @@ def test_sic_patterns_batches_and_workers(trials, batch_trials, grid, workers,
 def _bad_calls():
     base = make_cfg((0.8, 0.2))
     other = dataclasses.replace(base, alpha=(0.9, 0.1),
-                                channel=ChannelModel(2, sigma_h_sq=1.0))
-    ch = ChannelModel(num_users=2, sigma_h_sq=0.5)
+                                channel=ChannelModel(sigma_h_sq=1.0))
+    ch = ChannelModel(sigma_h_sq=0.5)
     rotated = SystemConfig(alpha=(0.8, 0.2), P=1.0, channel=ch,
                            constellation=_alphabet((1, 1j, -1, -1j)))
     call = dict(cfg=base, snr_db=10.0, trials=2_000, seed=1)
