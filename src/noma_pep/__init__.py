@@ -48,6 +48,7 @@ from .pep import (
     beta_factor,
     closed_form_consistency_report,
     conditional_pep,
+    pair_classes,
     pep_quadrature,
     pep_user1_closed,
     pep_user_l_closed,

@@ -36,7 +36,8 @@ when a later flag shares its prefix.  Every subcommand takes --config,
 Exit codes: 0 success, 2 configuration error (including non-finite
 flag values, unknown config keys, SNR ranges that are empty or too long
 to allocate, --workers below 1, --prior-deltas outside pattern mode,
-more than 16 simulated users, and fewer weight-estimation trials than
+more than 16 simulated users, a grid step that leaves the users no
+strictly descending allocation, and fewer weight-estimation trials than
 simulate.MIN_WEIGHT_TRIALS, which a run that builds weight tables checks
 before it simulates), 3 numerical failure, 4 infeasible optimization.
 The --out directory is made when the first CSV is written, so a run that
@@ -62,7 +63,7 @@ from .asymptotic import chernoff_average, effective_diversity, pep_upper_bound
 from .channel import ChannelModel
 from .constellation import qpsk_constellation
 from .optimize import OptimizationProblem, pep_table, residual_tables, solve
-from .pep import EnumerationCapError, NumericalError
+from .pep import EnumerationCapError, NumericalError, pair_classes
 # unused here, but the benchmark tracer wraps and restores cli.average_pep
 from .pep import average_pep  # noqa: F401
 from .simulate import (
@@ -248,10 +249,20 @@ def cmd_simulate(s: dict, out: Path) -> list[str]:
 def cmd_diversity(s: dict, out: Path, name="diversity.csv") -> list[str]:
     cfg = _system(s)
     snrs = s["snr_db"]
+    # perfect SIC gives the pairs of a class equal PEPs (pep.pair_classes):
+    # each class's first pair is evaluated and copied to the others
+    classes = pair_classes(cfg.constellation)
+    firsts = [c[0] for c in classes]
+    tx, rx = np.array([pair for c in classes for pair in c]).T
+    first_tx, first_rx = np.array([c[0] for c in classes for _ in c]).T
     # per user, the PEP averaged over all ordered symbol pairs
     off_diagonal = ~np.eye(cfg.constellation.size, dtype=bool)
-    averaged = np.array([pep_table(cfg, snr)[:, off_diagonal].mean(axis=1)
-                         for snr in snrs])
+    averaged = []
+    for snr in snrs:
+        table = pep_table(cfg, snr, pairs=firsts)
+        table[:, tx, rx] = table[:, first_tx, first_rx]
+        averaged.append(table[:, off_diagonal].mean(axis=1))
+    averaged = np.array(averaged)
     rows = []
     for l in range(1, cfg.num_users + 1):
         pep = averaged[:, l - 1]

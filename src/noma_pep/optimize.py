@@ -123,6 +123,13 @@ class OptimizationProblem:
             raise ValueError(
                 f"grid_step {self.grid_step} gives {L} users more than "
                 f"{MAX_GRID_POINTS} allocations to search")
+        # the smallest strictly descending allocation, (L, ..., 2, 1)
+        # steps, takes L(L+1)/2 of them
+        if round(steps) < L * (L + 1) // 2:
+            raise ValueError(
+                f"grid_step {self.grid_step} gives {L} users no strictly "
+                f"descending allocation: the smallest takes "
+                f"{L * (L + 1) // 2} steps of {round(steps)}")
         if self.sic_mode == "weighted":  # checked before any simulation
             _require_weight_trials(self.weights_trials)
         else:

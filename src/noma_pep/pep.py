@@ -28,7 +28,9 @@ SIC as one residual table: residual patterns x_k - x_hat_k of users
 1..l-1 mapped to their probabilities, None being perfect SIC.  How a
 table is obtained is left to the caller (see optimize.residual_tables).
 It calls pep_quadrature once per hypothesis, but the kernel evaluates
-each distinct beta/upsilon once per process.
+each distinct beta/upsilon once per process.  Under perfect SIC,
+pair_classes groups the symbol pairs whose averages are equal, so a
+caller can evaluate one pair per class.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -54,6 +57,7 @@ __all__ = [
     "pep_user_l_closed",
     "pep_quadrature",
     "average_pep",
+    "pair_classes",
     "closed_form_consistency_report",
 ]
 
@@ -345,7 +349,7 @@ def average_pep(
     # beta is affine in the symbols: the own term, one term per weaker
     # user's symbol and one per SIC residual pattern, so the weaker users'
     # terms of all tuples come from one Cartesian sum.
-    proj = 2.0 * (dlt * pts.conj()).real
+    proj = _projections(dlt, pts)
     interf = np.zeros(1)
     for n in range(l, L):
         interf = (interf[:, None] + amp[n] * proj).ravel()
@@ -363,6 +367,37 @@ def average_pep(
             acc += pep_quadrature(l, L, beta, ups, model)
         total += float(w) * acc
     return total / n_tuples
+
+
+def _projections(dlt: complex, pts: np.ndarray) -> np.ndarray:
+    """2 Re(dlt conj(x)) for every point x: a weaker user's term of beta
+    per unit amplitude when it sends x and the pair differs by dlt."""
+    return 2.0 * (dlt * pts.conj()).real
+
+
+def pair_classes(constellation: Constellation) -> list[list[tuple[int, int]]]:
+    """Ordered symbol pairs (tx, rx) grouped into classes of equal PEP.
+
+    Under perfect SIC a pair enters average_pep only through |dlt|
+    (the own term and upsilon) and the multiset of the projections
+    2 Re(dlt conj(x)) over the points x (the weaker users' terms of
+    beta).  Pairs with the same exact floats (|dlt|, sorted projections)
+    therefore average the same hypotheses in another order, and their
+    PEPs agree to rounding: within 2 n 2^-53 relative for n = M^(L-l)
+    hypotheses.  For QPSK the classes are the 8 adjacent and the 4
+    diagonal pairs.  Each class lists its pairs in permutation order, and
+    the first is its representative.
+
+    Holds only for perfect SIC: pattern and weighted residual tables
+    depend on (l, tx) and add a residual term of their own to beta.
+    """
+    pts = constellation.points_array()
+    classes: dict[tuple, list[tuple[int, int]]] = {}
+    for tx, rx in permutations(range(constellation.size), 2):
+        dlt = complex(pts[tx] - pts[rx])
+        key = (abs(dlt), tuple(sorted(_projections(dlt, pts).tolist())))
+        classes.setdefault(key, []).append((tx, rx))
+    return list(classes.values())
 
 
 def closed_form_consistency_report(

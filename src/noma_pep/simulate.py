@@ -138,10 +138,14 @@ class SystemConfig:
         a = np.asarray(self.alpha, dtype=float)
         if a.ndim != 1 or a.size < 1:
             raise ValueError("alpha must be a non-empty vector")
-        if abs(a.sum() - 1.0) > 1e-12:
-            raise ValueError(f"power coefficients must sum to 1, got {a.sum()!r}")
         if not np.all(a > 0):
             raise ValueError("power coefficients must be positive")
+        # of positive terms, so inf at worst and never NaN; numpy need not
+        # warn of the overflow
+        with np.errstate(over="ignore"):
+            total = a.sum()
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"power coefficients must sum to 1, got {total!r}")
         if np.any(np.diff(a) >= 0):
             raise ValueError("power coefficients must be strictly descending")
         if not 0 < self.P < math.inf:

@@ -14,7 +14,7 @@ import pytest
 import noma_pep.cli as cli
 import noma_pep.optimize as optimize
 from noma_pep.cli import main
-from noma_pep.pep import NumericalError
+from noma_pep.pep import NumericalError, average_pep
 
 
 def read_csv(path):
@@ -422,6 +422,23 @@ def test_fig3_recipe(tmp_path):
     assert header == ["snr_db", "user", "pep", "d_eff_ratio",
                       "d_eff_finite_diff"]
     assert {r[1] for r in rows} == {"1", "2", "3"}
+
+
+def test_diversity_evaluates_one_pair_per_class(tmp_path, monkeypatch):
+    # QPSK's 12 ordered pairs form two classes under perfect SIC (the
+    # adjacent and the diagonal pairs), so each user and SNR costs two
+    # average_pep calls instead of twelve
+    calls = []
+
+    def counting_average_pep(*args, **kwargs):
+        calls.append(args[:4])
+        return average_pep(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "average_pep", counting_average_pep)
+    assert main(["diversity", "--users", "6", "--snr-db", "0,20,40",
+                 "--out", str(tmp_path)]) == 0
+    assert len(calls) == 2 * 6 * 3  # classes, users, SNRs
+    assert {call[2:] for call in calls} == {(0, 1), (0, 2)}
 
 
 def test_fig3_is_diversity_with_fig2_defaults(tmp_path):

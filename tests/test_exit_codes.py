@@ -1,10 +1,10 @@
 """Property: at boundary flag values the CLI keeps its exit-code contract.
 
-For `bound`, `diversity`, `pep` in perfect and pattern mode, `simulate`,
-and `optimize` and `fig4` in every SIC mode, flags drawn from boundary
-sets make `main` return 0, 2, 3 or 4 without raising.  A run that exits
-2 or 3 leaves no --out directory behind, and one that exits 0 or 4
-writes manifest.json.  No example starts a process: --workers is at
+For `bound`, `diversity`, `fig3`, `pep` in perfect and pattern mode,
+`simulate`, and `optimize` and `fig4` in every SIC mode, flags drawn
+from boundary sets make `main` return 0, 2, 3 or 4 without raising.  A
+run that exits 2 or 3 leaves no --out directory behind, and one that
+exits 0 or 4 writes manifest.json.  No example starts a process: --workers is at
 most 1, `simulate` draws at most 2,000 trials, and a weighted search at
 most 100,000 trials over a grid of at most two users.  The draws are a
 pure function of the code (derandomized, no example database).  The
@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from noma_pep import pep
-from noma_pep.cli import main
+from noma_pep.cli import SUBCOMMANDS, main
 
 NUMBERS = ["0", "-1", "nan", "inf", "-inf", "5e-324", "1e120", "1e308",
            "0.5", "1"]
@@ -96,6 +96,20 @@ def test_simulate_flags_keep_the_exit_code_contract(flags):
     # a drawn --trials comes later on the line and replaces this one
     _assert_contract(["simulate", "--trials=2000"]
                      + [f"{flag}={value}" for flag, value in flags])
+
+
+# fig3 is diversity with the fig2 allocation as its default; only the
+# flags it reads are drawn
+FIG3_FLAGS = {flag: values for flag, values in FLAGS.items()
+              if flag[2:].replace("-", "_") in SUBCOMMANDS["fig3"][1]}
+
+
+@settings(derandomize=True, max_examples=100, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(flags=_drawn_flags(FIG3_FLAGS))
+@example(flags=[("--users", "4")])  # three default coefficients for four
+def test_fig3_flags_keep_the_exit_code_contract(flags):
+    _assert_contract(["fig3"] + [f"{flag}={value}" for flag, value in flags])
 
 
 # a search over three or four users has 784 grid points at step 0.01,

@@ -150,6 +150,22 @@ def test_grid_cap_rejects_a_grid_before_building_it(monkeypatch, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["perfect", "pattern", "weighted"])
+def test_grid_without_an_allocation_exits_2_in_every_mode(tmp_path, mode):
+    # fourteen strictly descending positive parts need 1 + 2 + ... + 14 =
+    # 105 steps, more than the 100 of step 0.01
+    with pytest.raises(ValueError, match="no strictly descending"):
+        make_problem(alpha=np.arange(14, 0, -1) / 105, sic_mode=mode,
+                     prior_deltas=(0j,) * 13 if mode == "pattern" else None)
+    out = tmp_path / "out"
+    argv = ["optimize", "--users", "14", "--grid-step", "0.01",
+            "--sic-mode", mode, "--out", str(out)]
+    if mode == "pattern":
+        argv += ["--prior-deltas", ",".join(["0j"] * 13)]
+    assert main(argv) == 2
+    assert not out.exists()
+
+
 def test_descending_grid_two_users():
     grid = _descending_grid(2, 0.01)
     assert all(len(a) == 2 for a in grid)

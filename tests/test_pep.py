@@ -10,15 +10,19 @@ from scipy.stats import norm
 import noma_pep.pep as pep_mod
 from noma_pep import (
     ChannelModel,
+    Constellation,
     EnumerationCapError,
     ErrorHypothesis,
     NumericalError,
+    SystemConfig,
     average_pep,
     beta_factor,
     closed_form_consistency_report,
     conditional_pep,
     ordered_magnitude_pdf,
+    pair_classes,
     pep_quadrature,
+    pep_table,
     pep_user1_closed,
     pep_user_l_closed,
     q_function,
@@ -524,3 +528,52 @@ def test_average_pep_matches_per_tuple_loop(L, mode):
                                   sigma_n_sq=sigma_n_sq)
                 worst = max(worst, abs(new - old) / old)
     assert worst < 1e-13, worst
+
+
+def test_qpsk_pair_classes_are_the_adjacent_and_the_diagonal_pairs():
+    adjacent = [(0, 1), (0, 3), (1, 0), (1, 2), (2, 1), (2, 3), (3, 0), (3, 2)]
+    diagonal = [(0, 2), (1, 3), (2, 0), (3, 1)]
+    for power in (1.0, 2.0, 0.3):
+        assert pair_classes(qpsk_constellation(power)) == [adjacent, diagonal]
+
+
+def test_pair_classes_follow_the_geometry():
+    # a rectangle has no 90-degree symmetry: its horizontal, vertical and
+    # diagonal pairs differ by |delta|, so they make three classes
+    rectangle = Constellation(
+        points=(1 + 0.5j, -1 + 0.5j, -1 - 0.5j, 1 - 0.5j),
+        bit_labels=("00", "01", "11", "10"), avg_power=1.25)
+    assert pair_classes(rectangle) == [[(0, 1), (1, 0), (2, 3), (3, 2)],
+                                       [(0, 2), (1, 3), (2, 0), (3, 1)],
+                                       [(0, 3), (1, 2), (2, 1), (3, 0)]]
+    # points with no symmetry at all: (tx, rx) and (rx, tx) have the same
+    # |delta| but negated projections, so every pair is its own class
+    irregular = Constellation(points=(2.0, 1j, -1.0, -0.5 - 1j),
+                              bit_labels=("00", "01", "11", "10"),
+                              avg_power=1.8125)
+    assert pair_classes(irregular) == [
+        [pair] for pair in itertools.permutations(range(4), 2)]
+
+
+@pytest.mark.parametrize("L", range(1, 7))
+def test_pair_class_members_match_their_representative(L):
+    # The members of a class average the same hypotheses in another
+    # order, so they differ only by summation rounding: at most
+    # 2 n 2^-53 relative for n = M^(L-l) positive terms.
+    qpsk = qpsk_constellation(1.0)
+    classes = pair_classes(qpsk)
+    weights = np.array([2.0 ** (L - i) for i in range(L)])
+    alpha = tuple(weights / weights.sum())
+    for sigma_h_sq in (0.5, 1.0, 2.0):
+        cfg = SystemConfig(alpha=alpha, P=1.0,
+                           channel=ChannelModel(sigma_h_sq=sigma_h_sq),
+                           constellation=qpsk)
+        for snr_db in (-10.0, 0.0, 15.0, 30.0, 60.0):
+            table = pep_table(cfg, snr_db)
+            for l in range(1, L + 1):
+                bound = 2 * 4 ** (L - l) * 2.0**-53
+                for (tx, rx), *members in classes:
+                    want = table[l - 1, tx, rx]
+                    for t, r in members:
+                        gap = abs(table[l - 1, t, r] - want) / want
+                        assert gap <= bound, (sigma_h_sq, snr_db, l, t, r)

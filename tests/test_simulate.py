@@ -60,6 +60,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             make_cfg((1.2, -0.2))
 
+    @pytest.mark.parametrize("alpha", [(math.inf, -math.inf),
+                                       (1.7e308, 1.6e308)])
+    def test_huge_alpha_is_rejected_without_a_numpy_warning(self, alpha):
+        # the pytest settings make a RuntimeWarning an error: the sum of
+        # (inf, -inf) is NaN and that of (1.7e308, 1.6e308) overflows
+        with pytest.raises(ValueError, match="positive|sum to 1"):
+            make_cfg(alpha)
+
     def test_channel_user_count(self):
         # alpha states the user count once; the channel holds none, so
         # one fading law serves every L, and no allocation means no user
