@@ -493,7 +493,14 @@ def _resolve(flags: argparse.Namespace) -> dict:
 # -------------------------------------------------------------------- driver
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The noma-pep parser.  Every subcommand is registered, so usage,
+    --help and an invalid choice read the same; given the command line,
+    only the subcommand it names (its first argument that does not start
+    with '-') gets its flags, since a run reads no other's.  With no
+    argv every subcommand gets its flags."""
+    command = None if argv is None else next(
+        (arg for arg in argv if not arg.startswith("-")), None)
     parser = argparse.ArgumentParser(
         prog="noma-pep",
         allow_abbrev=False,
@@ -504,6 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, table) in SUBCOMMANDS.items():
         p = sub.add_parser(name, allow_abbrev=False)
+        if argv is not None and name != command:
+            continue
         p.add_argument("--config", help="flat key = value config file")
         for key, setting in table.items():
             p.add_argument(
@@ -516,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    flags = build_parser().parse_args(argv)
+    flags = build_parser(argv).parse_args(argv)
     started = time.time()
     try:
         settings = _resolve(flags)

@@ -28,7 +28,9 @@ SIC as one residual table: residual patterns x_k - x_hat_k of users
 1..l-1 mapped to their probabilities, None being perfect SIC.  How a
 table is obtained is left to the caller (see optimize.residual_tables).
 It calls pep_quadrature once per hypothesis, but the kernel evaluates
-each distinct beta/upsilon once per process.  Under perfect SIC,
+each distinct beta/upsilon once per process, and the constants of a
+symbol pair (its difference and projections, _pair) are likewise
+computed once per process.  Under perfect SIC,
 pair_classes groups the symbol pairs whose averages are equal, so a
 caller can evaluate one pair per class.
 """
@@ -64,6 +66,8 @@ __all__ = [
 ENUMERATION_CAP = 10**6
 # Distinct kernel arguments memoized per process: about 14 MB when full.
 KERNEL_CACHE_SIZE = 1 << 16
+# Symbol pairs whose constants average_pep keeps: 12 per QPSK alphabet.
+PAIR_CACHE_SIZE = 256
 
 # Trapezoid rule for the Craig-form integral in v = log(tan(t)): every
 # factor becomes 1/(1 + a (1 + e^(-2v))) and dt = dv / (2 cosh v), an
@@ -138,11 +142,14 @@ def _total_users(h: ErrorHypothesis) -> int:
     return h.user + len(h.interferer_symbols)
 
 
-def _check_alpha(alpha, L: int):
+def _check_alpha(alpha, L: int) -> list[float]:
+    """The L power coefficients as Python floats, each positive (so not
+    NaN)."""
     a = np.asarray(alpha, dtype=float)
     if a.shape != (L,):
         raise ValueError(f"expected {L} power coefficients, got shape {a.shape}")
-    if np.any(a <= 0):
+    a = a.tolist()
+    if not all(x > 0 for x in a):
         raise ValueError("power coefficients must be positive")
     return a
 
@@ -323,8 +330,8 @@ def average_pep(
         raise ValueError("tx and rx indices coincide; not a pairwise error event")
     if not 1 <= l <= L:
         raise ValueError(f"user index {l} out of range 1..{L}")
-    a = _check_alpha(alpha, L)
-    pts = constellation.points_array()
+    # math.sqrt and np.sqrt are both correctly rounded: the same floats
+    amps = [math.sqrt(x * P) for x in _check_alpha(alpha, L)]
     m = constellation.size
     n_tuples = m ** (L - l)
     if n_tuples > ENUMERATION_CAP:
@@ -342,31 +349,44 @@ def average_pep(
     weight_sum = sum(residuals.values())
     if not math.isclose(weight_sum, 1.0, abs_tol=1e-9):
         raise ValueError(f"residual weights must sum to 1, got {weight_sum}")
-    dlt = complex(pts[tx] - pts[rx])
+    dlt, dlt_sq, proj = _pair(constellation, tx, rx)
     ups = upsilon_factor(dlt, sigma_n_sq)
-    amp = np.sqrt(a * P)
 
     # beta is affine in the symbols: the own term, one term per weaker
     # user's symbol and one per SIC residual pattern, so the weaker users'
-    # terms of all tuples come from one Cartesian sum.
-    proj = _projections(dlt, pts)
-    interf = np.zeros(1)
+    # terms of all tuples come from one Cartesian sum (none for user L).
+    # It starts at the first term, not at 0: 0 + t differs from t only for
+    # t = -0.0, and own + residual, to which the sum is added, is never
+    # -0.0, so every beta is the float a sum from 0 gives.
+    interf = None
     for n in range(l, L):
-        interf = (interf[:, None] + amp[n] * proj).ravel()
-    own = amp[l - 1] * abs(dlt) ** 2
+        term = amps[n] * proj
+        interf = term if interf is None else (interf[:, None] + term).ravel()
+    own = amps[l - 1] * dlt_sq
     # Python floats: a huge or infinite residual makes an inf or NaN beta
     # without a numpy warning, and the kernel raises NumericalError for it
-    amps = amp.tolist()
     total = 0.0
     for deltas, w in residuals.items():
-        residual = 2.0 * (
+        base = own + 2.0 * (
             dlt * sum(a * d.conjugate() for a, d in zip(amps, deltas))
         ).real
         acc = 0.0
-        for beta in (own + residual + interf).tolist():
+        for beta in [base] if interf is None else (base + interf).tolist():
             acc += pep_quadrature(l, L, beta, ups, model)
         total += float(w) * acc
     return total / n_tuples
+
+
+@functools.lru_cache(maxsize=PAIR_CACHE_SIZE)
+def _pair(constellation: Constellation, tx: int, rx: int):
+    """dlt = x_tx - x_rx, |dlt|^2 and the read-only _projections of the
+    pair (tx, rx): the terms of average_pep that do not depend on the
+    allocation, the SNR or the residuals, computed once per process."""
+    pts = constellation.points_array()
+    dlt = complex(pts[tx] - pts[rx])
+    proj = _projections(dlt, pts)
+    proj.flags.writeable = False
+    return dlt, abs(dlt) ** 2, proj
 
 
 def _projections(dlt: complex, pts: np.ndarray) -> np.ndarray:

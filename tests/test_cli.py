@@ -181,6 +181,8 @@ UNREAD_FLAGS = (
     + [("optimize", "--trials"), ("fig4", "--trials")]
     # the search sets alpha at every grid point
     + [("optimize", "--alpha"), ("fig4", "--alpha")]
+    # a flag of another subcommand: the parser adds only the named one's
+    + [("diversity", "--grid-step")]
 )
 
 
@@ -545,6 +547,25 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(name in out for name in cli.SUBCOMMANDS)
+
+
+def test_subcommand_help_shows_its_flags(capsys):
+    # the parser adds flags only to the subcommand the line names
+    with pytest.raises(SystemExit) as exc:
+        main(["fig4", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for key in cli.SUBCOMMANDS["fig4"][1]:
+        assert "--" + key.replace("_", "-") in out
+    assert "--config" in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,12 +1,14 @@
 """Property: at boundary flag values the CLI keeps its exit-code contract.
 
-For `bound`, `diversity`, `fig3`, `pep` in perfect and pattern mode,
+For `bound`, `diversity`, `fig2`, `fig3`, `pep` in every SIC mode,
 `simulate`, and `optimize` and `fig4` in every SIC mode, flags drawn
 from boundary sets make `main` return 0, 2, 3 or 4 without raising.  A
 run that exits 2 or 3 leaves no --out directory behind, and one that
-exits 0 or 4 writes manifest.json.  No example starts a process: --workers is at
-most 1, `simulate` draws at most 2,000 trials, and a weighted search at
-most 100,000 trials over a grid of at most two users.  The draws are a
+exits 0 or 4 writes manifest.json.  No example starts more than two
+processes: --workers reaches 2 where a subcommand simulates only for
+`fig2` and weighted `pep`, which draw at most 100,001 trials;
+`simulate` draws at most 2,000 trials, and a weighted search at most
+100,000 trials over a grid of at most two users.  The draws are a
 pure function of the code (derandomized, no example database).  The
 pytest settings turn every RuntimeWarning into an error, so a run that
 makes numpy warn of an overflow or an invalid value fails too.
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 
 from noma_pep import pep
 from noma_pep.cli import SUBCOMMANDS, main
+from noma_pep.simulate import MIN_WEIGHT_TRIALS
 
 NUMBERS = ["0", "-1", "nan", "inf", "-inf", "5e-324", "1e120", "1e308",
            "0.5", "1"]
@@ -110,6 +113,30 @@ FIG3_FLAGS = {flag: values for flag, values in FLAGS.items()
 @example(flags=[("--users", "4")])  # three default coefficients for four
 def test_fig3_flags_keep_the_exit_code_contract(flags):
     _assert_contract(["fig3"] + [f"{flag}={value}" for flag, value in flags])
+
+
+# fig2 and weighted pep estimate weight tables, so the drawn trials sit
+# around the fewest that weight estimation takes; two workers start two
+# processes when there are several SNR points
+WEIGHTED_FLAGS = {
+    **{flag: values for flag, values in FLAGS.items()
+       if flag != "--prior-deltas"},
+    "--trials": ["-1", "0", str(MIN_WEIGHT_TRIALS - 1),
+                 str(MIN_WEIGHT_TRIALS), str(MIN_WEIGHT_TRIALS + 1)],
+    "--seed": ["-1", "0", "1", str(2 ** 64)],
+}
+WEIGHTED = {"fig2": ["fig2"], "pep_weighted": ["pep", "--sic-mode=weighted"]}
+
+
+@pytest.mark.parametrize("command", WEIGHTED)
+@settings(derandomize=True, max_examples=50, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(flags=_drawn_flags(WEIGHTED_FLAGS))
+@example(flags=[("--workers", "2"), ("--snr-db", "0:40:10")])
+def test_weighted_flags_keep_the_exit_code_contract(command, flags):
+    # a drawn --trials comes later on the line and replaces this one
+    _assert_contract(WEIGHTED[command] + [f"--trials={MIN_WEIGHT_TRIALS}"]
+                     + [f"{flag}={value}" for flag, value in flags])
 
 
 # a search over three or four users has 784 grid points at step 0.01,

@@ -27,7 +27,6 @@ from noma_pep import (
     pep_user_l_closed,
     q_function,
     qpsk_constellation,
-    sample_ordered_channels,
     upsilon_factor,
 )
 
@@ -225,11 +224,17 @@ def test_quadrature_decreasing_in_beta():
 def test_quadrature_against_sampling_oracle():
     # One sorted 1e7-sample draw per L serves every rank l: the column
     # means of Q(beta*mag/upsilon) are the Monte Carlo estimates of the
-    # ordered averages the quadrature computes.
+    # ordered averages the quadrature computes.  |h|^2 of a circular
+    # Gaussian gain is exponential with mean 2 sigma_h^2, so the draw
+    # sorts scaled standard exponentials instead of Gaussian magnitudes;
+    # it does not use the simulator's spacings (Renyi) either.
     n = 10_000_000
     model = ChannelModel(sigma_h_sq=0.5)
     for L in (1, 2, 3, 4):
-        mags = sample_ordered_channels(L, model, seed=50 + L, size=n)
+        gains = np.random.default_rng(50 + L).standard_exponential((n, L))
+        gains.sort(axis=1)
+        gains *= 2.0 * model.sigma_h_sq
+        mags = np.sqrt(gains, out=gains)
         for l in range(1, L + 1):
             for beta, ups in ((0.9, 0.25), (0.3, 0.6)):
                 draws = q_function(mags[:, l - 1] * beta / ups)
@@ -333,6 +338,40 @@ def test_average_pep_weighted_validation():
     with pytest.raises(ValueError, match="length 1"):
         average_pep(2, 2, 0, 1, (0.8, 0.2), 1.0, model, c,
                     residuals={(): 1.0}, sigma_n_sq=1e-2)
+
+
+@pytest.mark.parametrize("alpha", [(math.nan, 0.2), (0.8, math.nan),
+                                   (0.8, 0.0), (-0.8, 0.2)])
+def test_average_pep_rejects_nonpositive_or_nan_alpha(alpha):
+    c = qpsk_constellation(1.0)
+    model = ChannelModel(sigma_h_sq=0.5)
+    for l in (1, 2):
+        with pytest.raises(ValueError, match="must be positive"):
+            average_pep(l, 2, 0, 1, alpha, 1.0, model, c, sigma_n_sq=1e-2)
+    with pytest.raises(ValueError, match="must be positive"):
+        beta_factor(ErrorHypothesis(1, X0, X1, (X0,)), alpha, 1.0)
+
+
+def test_average_pep_pair_cache_is_keyed_by_alphabet():
+    # the cached pair constants of two alphabets, used interleaved, give
+    # each call the value a fresh computation gives
+    alphabets = [qpsk_constellation(1.0), qpsk_constellation(2.0)]
+    model = ChannelModel(sigma_h_sq=0.5)
+    residuals = {(0j,): 0.75, (complex(1, 1),): 0.25}
+    calls = [(l, tx, rx, c, residuals if l == 2 else None)
+             for tx, rx in itertools.permutations(range(4), 2)
+             for l in (1, 2) for c in alphabets]
+
+    def value(l, tx, rx, c, res):
+        return average_pep(l, 2, tx, rx, (0.8, 0.2), 1.0, model, c, res,
+                           sigma_n_sq=1e-2)
+
+    interleaved = [value(*call) for call in calls]
+    for call, got in zip(calls, interleaved):
+        pep_mod._pair.cache_clear()
+        pep_mod._pep_kernel.cache_clear()
+        assert value(*call) == got, call
+    assert interleaved[0] != interleaved[1]  # the alphabets differ
 
 
 def test_weighted_mode_mixes_linearly():
