@@ -6,7 +6,8 @@ Building blocks:
   channel        ordered Rayleigh magnitude and SNR densities, sampling
   pep            conditional and unconditional pairwise error probability
   asymptotic     exponential bounds and effective diversity estimation
-  simulate       vectorized Monte Carlo link simulator (the empirical oracle)
+  system         the system description (SystemConfig) and SNR convention
+  montecarlo     vectorized Monte Carlo link simulator (the empirical oracle)
   optimize       union-bound BER objective and power-allocation search
   cli            command-line recipes and CSV emission
 """
@@ -55,11 +56,10 @@ from .pep import (
     q_function,
     upsilon_factor,
 )
-from .simulate import (
+from .montecarlo import (
     PatternCounts,
     PepEstimate,
     SimStats,
-    SystemConfig,
     bit_error_rate,
     empirical_detection_prob,
     empirical_pep,
@@ -70,5 +70,6 @@ from .simulate import (
     stats_rows,
     superposed_signal,
 )
+from .system import SystemConfig
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -38,7 +38,7 @@ flag values, unknown config keys, SNR ranges that are empty or too long
 to allocate, --workers below 1, --prior-deltas outside pattern mode,
 more than 16 simulated users, a grid step that leaves the users no
 strictly descending allocation, and fewer weight-estimation trials than
-simulate.MIN_WEIGHT_TRIALS, which a run that builds weight tables checks
+system.MIN_WEIGHT_TRIALS, which a run that builds weight tables checks
 before it simulates), 3 numerical failure, 4 infeasible optimization.
 The --out directory is made when the first CSV is written, so a run that
 exits 2 or 3 before that creates none.
@@ -47,6 +47,7 @@ exits 2 or 3 before that creates none.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import itertools
 import json
@@ -62,20 +63,18 @@ from . import __version__
 from .asymptotic import chernoff_average, effective_diversity, pep_upper_bound
 from .channel import ChannelModel
 from .constellation import qpsk_constellation
-from .optimize import OptimizationProblem, pep_table, residual_tables, solve
-from .pep import EnumerationCapError, NumericalError, pair_classes
-# unused here, but the benchmark tracer wraps and restores cli.average_pep
-from .pep import average_pep  # noqa: F401
-from .simulate import (
-    SystemConfig,
-    _require_weight_trials,
+from .montecarlo import (
     empirical_pep,
-    linear_snr,
     sic_patterns,
     sic_weight_tables,
     simulate,
     stats_rows,
 )
+from .optimize import OptimizationProblem, pep_table, residual_tables, solve
+from .pep import EnumerationCapError, NumericalError, pair_classes
+# unused here, but the benchmark tracer wraps and restores cli.average_pep
+from .pep import average_pep  # noqa: F401
+from .system import SystemConfig, _require_weight_trials, linear_snr
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -182,8 +181,12 @@ def parse_alpha(text: str) -> tuple[float, ...]:
 
 
 def parse_deltas(text: str) -> tuple[complex, ...]:
-    """Comma-separated complex literals, e.g. '1.414+0j,0j'."""
-    return tuple(complex(p) for p in text.split(","))
+    """Comma-separated complex literals, e.g. '1.414+0j,0j', every real
+    and imaginary part finite."""
+    values = tuple(complex(p) for p in text.split(","))
+    if not all(cmath.isfinite(v) for v in values):
+        raise ValueError(f"prior deltas must be finite, got {text!r}")
+    return values
 
 
 def _default_alpha(num_users: int) -> tuple[float, ...]:
@@ -493,14 +496,12 @@ def _resolve(flags: argparse.Namespace) -> dict:
 # -------------------------------------------------------------------- driver
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The noma-pep parser.  Every subcommand is registered, so usage,
-    --help and an invalid choice read the same; given the command line,
-    only the subcommand it names (its first argument that does not start
-    with '-') gets its flags, since a run reads no other's.  With no
-    argv every subcommand gets its flags."""
-    command = None if argv is None else next(
-        (arg for arg in argv if not arg.startswith("-")), None)
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser of the command line argv.  Every subcommand is
+    registered, so usage, --help and an invalid choice read the same;
+    only the subcommand argv names (its first argument that does not
+    start with '-') gets its flags, since a run reads no other's."""
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
     parser = argparse.ArgumentParser(
         prog="noma-pep",
         allow_abbrev=False,
@@ -511,7 +512,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, table) in SUBCOMMANDS.items():
         p = sub.add_parser(name, allow_abbrev=False)
-        if argv is not None and name != command:
+        if name != command:
             continue
         p.add_argument("--config", help="flat key = value config file")
         for key, setting in table.items():

@@ -83,12 +83,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelModel
 from .constellation import Constellation
+from .system import SystemConfig, _require_weight_trials
 
 __all__ = [
-    "SystemConfig",
-    "linear_snr",
     "SimStats",
     "PatternCounts",
     "PepEstimate",
@@ -104,7 +102,6 @@ __all__ = [
 ]
 
 BATCH_TRIALS = 1_000_000  # trials per batch; unlike BLOCK_ROWS, sets counters
-MIN_WEIGHT_TRIALS = 100_000
 BLOCK_ROWS = 1 << 14  # detector rows per block; counters do not depend on it
 SLOTS = 2  # blocks of a batch in flight: one detected, the next one drawn
 TABLE_CELLS = 1 << 16  # cells of one dense count table (_KeyTally, _BinTally)
@@ -112,75 +109,6 @@ MIN_BIN_STAGES = 20  # chain stages a binning pass must replace; measured
 # sic_patterns' keys of user L take 4L - 2 bits of a uint64; simulate
 # keeps the limit, so that both counters take the same configurations
 MAX_USERS = 16
-
-
-@dataclass(frozen=True)
-class SystemConfig:
-    """Static description of one downlink NOMA system.
-
-    alpha          power allocation coefficients, strictly descending,
-                   summing to 1 (user 1 = weakest channel, most power)
-    P              total transmit power
-    channel        fading law of every user.  The user count is
-                   len(alpha) (num_users), and the noise variance is not
-                   part of the system: an SNR sets it (noise_var_for_snr)
-    constellation  shared symbol alphabet of unit average power, so that
-                   P alone sets the transmit power; every user draws its
-                   symbols uniformly from it
-    """
-
-    alpha: tuple[float, ...]
-    P: float
-    channel: ChannelModel
-    constellation: Constellation
-
-    def __post_init__(self):
-        a = np.asarray(self.alpha, dtype=float)
-        if a.ndim != 1 or a.size < 1:
-            raise ValueError("alpha must be a non-empty vector")
-        if not np.all(a > 0):
-            raise ValueError("power coefficients must be positive")
-        # of positive terms, so inf at worst and never NaN; numpy need not
-        # warn of the overflow
-        with np.errstate(over="ignore"):
-            total = a.sum()
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"power coefficients must sum to 1, got {total!r}")
-        if np.any(np.diff(a) >= 0):
-            raise ValueError("power coefficients must be strictly descending")
-        if not 0 < self.P < math.inf:
-            raise ValueError(f"total power must be finite and positive, got {self.P}")
-        if abs(self.constellation.avg_power - 1.0) > 1e-12:
-            raise ValueError(
-                "constellation must have unit average power, got "
-                f"{self.constellation.avg_power!r}; P scales the symbols"
-            )
-
-    @property
-    def num_users(self) -> int:
-        return len(self.alpha)
-
-    def noise_var_for_snr(self, snr_db: float) -> float:
-        """SNR convention: snr_db = 10*log10(P / sigma_n^2)."""
-        return self.P / linear_snr(snr_db, self.P)
-
-
-def linear_snr(snr_db: float, P: float = 1.0) -> float:
-    """10**(snr_db/10), the ratio P / sigma_n^2 of the SNR convention.
-
-    Raises ValueError unless it and the noise variance P / 10**(snr_db/10)
-    are finite and positive, so that an SNR too large or too small for a
-    float fails as a configuration error.
-    """
-    try:
-        ratio = 10.0 ** (snr_db / 10.0)
-    except OverflowError:
-        ratio = math.inf
-    if not (0.0 < ratio < math.inf and 0.0 < P / ratio < math.inf):
-        raise ValueError(
-            f"SNR {snr_db} dB is out of range: the linear SNR and the noise "
-            f"variance at total power {P} must be finite and positive")
-    return ratio
 
 
 @dataclass(kw_only=True)
@@ -1005,7 +933,7 @@ def simulate(
     single batch with several (configuration, SNR) points spreads the
     points instead, each process drawing the same batch.  Raises
     ValueError before any draw when an SNR is not finite or out of range
-    for a configuration (see linear_snr), a sequence is empty, the
+    for a configuration (see system.linear_snr), a sequence is empty, the
     configurations differ in more than alpha and P, there are more than
     MAX_USERS users, or the alphabet cannot be sliced per axis (see
     _slicer), and for fewer than one trial or worker.
@@ -1195,9 +1123,9 @@ def sic_weight_tables(stats: PatternCounts, constellation: Constellation):
     only in which symbol pairs produced the same deltas are merged, since
     the error statistic depends on the deltas alone; each table keeps its
     patterns in the order of their first pattern code, and its weights
-    sum to 1.  stats is a PatternCounts of at least MIN_WEIGHT_TRIALS
-    trials, as sic_patterns returns them; each pattern code is decoded
-    once.
+    sum to 1.  stats is a PatternCounts of at least
+    system.MIN_WEIGHT_TRIALS trials, as sic_patterns returns them; each
+    pattern code is decoded once.
     """
     _require_weight_trials(stats.trials)
     pts = constellation.points_array()
@@ -1221,13 +1149,6 @@ def sic_weight_tables(stats: PatternCounts, constellation: Constellation):
                     f"no trials with symbol {tx} transmitted by user {u + 1}")
             weights[u + 1, tx] = {pat: c / total for pat, c in table.items()}
     return weights
-
-
-def _require_weight_trials(trials: int) -> None:
-    """Raise ValueError unless trials suffice for sic_weight_tables."""
-    if trials < MIN_WEIGHT_TRIALS:
-        raise ValueError(f"need at least {MIN_WEIGHT_TRIALS} trials for "
-                         f"weight estimation, got {trials}")
 
 
 def stats_rows(stats: SimStats, bits_per_symbol: int) -> list[dict]:

@@ -21,11 +21,11 @@ import numpy as np
 
 from .constellation import Constellation, bit_errors
 from .pep import average_pep
-from .simulate import (SystemConfig, _require_weight_trials, linear_snr,
-                       sic_patterns, sic_weight_tables)
+from .montecarlo import sic_patterns, sic_weight_tables
 # unused here, but bench/tests/test_bench_harness.py::_bindings reads
 # optimize.simulate, which the benchmark tracer wraps and restores
-from .simulate import simulate  # noqa: F401
+from .montecarlo import simulate  # noqa: F401
+from .system import SystemConfig, _require_weight_trials, linear_snr
 
 __all__ = [
     "OptimizationProblem",
@@ -82,14 +82,18 @@ class OptimizationProblem:
                    and constellation
     snr_db         operating SNR, 10*log10(P/sigma_n^2)
     p_th           per-user worst-pair PEP threshold (fairness constraint)
-    grid_step      simplex resolution; must divide the search sensibly
-    sic_mode       "perfect", "pattern" or "weighted"; weighted mode
-                   re-estimates SIC residual weights per grid point from
-                   a seeded simulation, keeping the search deterministic
+    grid_step      simplex resolution: at most 0.01, dividing 1 (checked
+                   when solve builds the grid), leaving L users a
+                   strictly descending allocation and giving at most
+                   MAX_GRID_POINTS of them
+    sic_mode       "perfect", "pattern" or "weighted"; weighted mode takes
+                   every grid point's SIC residual weights from one
+                   seeded sic_patterns call over the whole grid (common
+                   random numbers), keeping the search deterministic
     prior_deltas   pattern-mode SIC residuals, at least L-1 of them; user
                    l uses the first l-1
     weights_trials simulated trials per grid point in weighted mode, at
-                   least MIN_WEIGHT_TRIALS there
+                   least system.MIN_WEIGHT_TRIALS there
     weights_seed   weighted-mode simulation seed; every grid point is
                    simulated from it, so the grid points share their
                    draws (common random numbers)

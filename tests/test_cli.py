@@ -282,10 +282,10 @@ def test_benchmark_workloads_parse(monkeypatch):
     bench = Path(__file__).resolve().parents[1] / "bench"
     monkeypatch.syspath_prepend(str(bench))
     run = importlib.import_module("run")
-    parser = cli.build_parser()
     for name, workload in run.WORKLOADS.items():
-        flags = parser.parse_args(workload.argv(1))
-        assert flags.command == workload.argv(1)[0], name
+        argv = workload.argv(1)
+        flags = cli.build_parser(argv).parse_args(argv)
+        assert flags.command == argv[0], name
 
 
 def test_unallocatable_snr_range_exits_2(tmp_path, capsys):
@@ -587,6 +587,32 @@ def test_prior_deltas_outside_pattern_mode_exits_2(tmp_path, monkeypatch,
     assert "--prior-deltas is read only in pattern mode" in (
         capsys.readouterr().err)
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["pep", "--users", "2", "--snr-db", "10"],
+    ["optimize", "--users", "2", "--grid-step", "0.01"],
+    # one user reads no delta, yet a non-finite one is still an error
+    ["pep", "--users", "1", "--snr-db", "10"],
+    ["fig4", "--grid-step", "0.01"],
+], ids=["pep", "optimize", "pep-one-user", "fig4"])
+@pytest.mark.parametrize("deltas", ["nan+0j", "1.414+0j,infj"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_non_finite_prior_deltas_exit_2(tmp_path, capsys, argv, deltas,
+                                        source):
+    # a configuration error like any non-finite flag value, found before
+    # the kernel (exit 3) and before --out is made
+    out = tmp_path / "out"
+    argv = argv + ["--sic-mode", "pattern", "--out", str(out)]
+    if source == "flag":
+        argv += ["--prior-deltas", deltas]
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text(f"prior_deltas = {deltas}\n")
+        argv += ["--config", str(config)]
+    assert main(argv) == 2
+    assert "prior deltas must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_high_snr_bounds_stay_positive(tmp_path):

@@ -12,6 +12,8 @@ processes: --workers reaches 2 where a subcommand simulates only for
 pure function of the code (derandomized, no example database).  The
 pytest settings turn every RuntimeWarning into an error, so a run that
 makes numpy warn of an overflow or an invalid value fails too.
+Valid `fig2` and weighted `pep` lines, drawn apart from the boundary
+sets, must simulate and return 0.
 """
 
 import tempfile
@@ -22,9 +24,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import noma_pep.cli as cli
 from noma_pep import pep
 from noma_pep.cli import SUBCOMMANDS, main
-from noma_pep.simulate import MIN_WEIGHT_TRIALS
+from noma_pep.system import MIN_WEIGHT_TRIALS
 
 NUMBERS = ["0", "-1", "nan", "inf", "-inf", "5e-324", "1e120", "1e308",
            "0.5", "1"]
@@ -139,6 +142,37 @@ def test_weighted_flags_keep_the_exit_code_contract(command, flags):
                      + [f"{flag}={value}" for flag, value in flags])
 
 
+# most drawn lines above exit 2 before they simulate; these lines are all
+# valid, so each one must simulate and exit 0
+@pytest.mark.parametrize("command", WEIGHTED)
+@settings(derandomize=True, max_examples=20, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(trials=st.sampled_from([MIN_WEIGHT_TRIALS, MIN_WEIGHT_TRIALS + 1]),
+       snrs=st.lists(st.sampled_from(["0", "10", "20", "30", "40"]),
+                     min_size=1, max_size=3, unique=True),
+       workers=st.sampled_from([1, 2]))
+def test_valid_weighted_lines_simulate_and_exit_0(command, trials, snrs,
+                                                  workers):
+    ran = []
+
+    def counted(name, counter):
+        def run(*args, **kwargs):
+            ran.append(name)
+            return counter(*args, **kwargs)
+        return run
+
+    argv = WEIGHTED[command] + [f"--trials={trials}",
+                                f"--snr-db={','.join(snrs)}",
+                                f"--workers={workers}"]
+    with pytest.MonkeyPatch.context() as patch, \
+            tempfile.TemporaryDirectory() as tmp:
+        for name in ("simulate", "sic_patterns"):
+            patch.setattr(cli, name, counted(name, getattr(cli, name)))
+        assert main(argv + ["--out", tmp]) == 0, argv
+    assert sorted(ran) == (["sic_patterns", "simulate"] if command == "fig2"
+                           else ["sic_patterns"]), argv
+
+
 # a search over three or four users has 784 grid points at step 0.01,
 # too slow to draw here; seventeen exceed the simulator's user limit.
 # optimize reads one SNR, a float flag, so only single values are drawn
@@ -193,13 +227,14 @@ def _assert_contract(argv):
 @pytest.mark.parametrize("argv,want", [
     (["pep", "--sigma-h-sq", "1e308"], 0),
     (["pep", "--sic-mode", "pattern", "--prior-deltas", "1e308+0j,0j,0j"], 3),
-    (["pep", "--sic-mode", "pattern", "--prior-deltas", "infj,0j,0j"], 3),
+    (["pep", "--sic-mode", "pattern", "--prior-deltas", "infj,0j,0j"], 2),
 ], ids=["huge-sigma-h-sq", "huge-prior-delta", "infinite-prior-delta"])
 def test_huge_values_exit_without_runtime_warnings(argv, want):
-    # The kernel's factors overflow to inf, which gives the right 0, and a
-    # huge or infinite residual makes a non-finite beta that the kernel
-    # rejects (exit 3); neither may make numpy warn.  The kernel's memo
-    # is cleared, so that every value is computed here.
+    # The kernel's factors overflow to inf, which gives the right 0, a
+    # huge residual makes a non-finite beta that the kernel rejects
+    # (exit 3), and an infinite one is a configuration error (exit 2);
+    # none may make numpy warn.  The kernel's memo is cleared, so that
+    # every value is computed here.
     pep._pep_kernel.cache_clear()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -1,5 +1,4 @@
 import ast
-import importlib
 import inspect
 import itertools
 import math
@@ -9,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import noma_pep.montecarlo as montecarlo
 import noma_pep.optimize as optimize
 from noma_pep import (
     ChannelModel,
@@ -263,12 +263,10 @@ def test_weighted_objective_equals_every_sweep_entry():
 def test_weighted_mode_never_runs_the_full_detector(monkeypatch, tmp_path):
     # Weighted mode reads only SIC residual patterns; the full detector's
     # counters would be computed and dropped.
-    sim = importlib.import_module("noma_pep.simulate")
-
     def full_detector(*args):
         raise AssertionError("the full detector ran")
 
-    monkeypatch.setattr(sim, "_detect_batch", full_detector)
+    monkeypatch.setattr(montecarlo, "_detect_batch", full_detector)
     with pytest.raises(AssertionError, match="full detector"):
         simulate(make_problem().cfg, 10.0, 1_000, seed=1)
     problem = make_problem(sic_mode="weighted", weights_trials=100_000,

@@ -1,6 +1,5 @@
 import concurrent.futures
 import dataclasses
-import importlib
 import math
 import sys
 import threading
@@ -12,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import noma_pep.montecarlo as sim
 from noma_pep import (
     ChannelModel,
     Constellation,
@@ -34,9 +34,9 @@ from noma_pep import (
     upsilon_factor,
 )
 from noma_pep.optimize import _descending_grid
+from noma_pep.system import linear_snr
 
 QPSK = qpsk_constellation(1.0)
-sim = importlib.import_module("noma_pep.simulate")
 
 
 def make_cfg(alpha, sigma_h_sq=0.5):
@@ -1201,7 +1201,7 @@ def test_out_of_range_snr_is_rejected_before_drawing(snr_db, monkeypatch):
         cfg.noise_var_for_snr(snr_db)
     with pytest.raises(ValueError, match="SNR"):
         simulate(cfg, [10.0, snr_db], 2_000, seed=1)
-    assert sim.linear_snr(20.0) == 100.0
+    assert linear_snr(20.0) == 100.0
     assert cfg.noise_var_for_snr(20.0) == 1.0 / 10.0 ** 2.0
 
 
