@@ -91,10 +91,14 @@ def _run_environment() -> dict:
     """Interpreter and numpy versions and the SIMD features numpy enabled.
 
     No CLI run executes scipy code, so its version is not recorded.
-    Simulated counters can depend on the SIMD path numpy dispatches: a
-    fused multiply-add changes the last bit of a complex product, which
-    can move a decision-metric tie.  The SIMD lists are the baseline and
-    the enabled dispatch targets that numpy.show_runtime() reports.
+    The simulator detects with correctly rounded elementwise operations,
+    which give the same bits on every SIMD path.  The machine can still
+    move the sums of matrix products, whose BLAS kernel the CPU selects:
+    montecarlo._plan's superpositions (steps @ +-1), so a decision tie,
+    and the PEP kernel's quadrature; and the last bit of numpy's exp and
+    cosh, which give the kernel's nodes and dispatch to AVX512 where the
+    CPU has it.  The SIMD lists are the baseline and the enabled
+    dispatch targets that numpy.show_runtime() reports.
     """
     try:
         from numpy._core import _multiarray_umath as umath

@@ -32,28 +32,33 @@ stage, the user's own included, decides the sign of each axis of the
 residual of y and subtracts its step with that sign, which is the
 minimum-distance chain for alphabets with one point per quadrant,
 mirrored across both axes (QPSK); simulate and sic_detect reject any
-other alphabet.  For the pairwise counters the own stage keeps three
-bits per trial: whether the hypothesis that flips the real part, the
-imaginary part or both of the sent symbol scores no worse than it.
+other alphabet.  One function, _cancel, holds that decide-and-cancel
+step for every chain of the module.  For the pairwise counters the own
+stage keeps three bits per trial: whether the hypothesis that flips the
+real part, the imaginary part or both of the sent symbol scores no worse
+than it.
 
 Two counters share one batching path, and each keeps only what its
-callers read.  simulate runs every user's full chain and returns a
-SimStats of the detection counters.  sic_patterns keeps only the SIC
-residual patterns (PatternCounts), the one input of sic_weight_tables
-and so of weighted-mode hypothesis averaging; with simulate's arguments
-it draws simulate's batches, so its patterns are those of the trials
-simulate counts.  sic_patterns counts user 1's patterns, its own
-symbols, once for all points.  For a few points it stops each later
-user's chain before the own stage.  For many, such as an allocation
-grid, it bins instead: along each axis the decisions of the stages
-before user u+1's own are a step function of the gain-normalised noise
-q that never steps down, and its steps sit at a few breakpoints per
-point and sign word, which a bisection over the float64 order finds
-exactly by running the chain itself.  Each trial's q is binned once
-against the breakpoints of every point, and every point's patterns are
-read from the counts of the bins (_BinTally).  Both counters validate,
-split trials into batches, seed them, spread them over workers and
-merge them in the same code, and share the chain.
+callers read.  simulate detects every user and returns a SimStats of the
+detection counters.  It records no decision of the stages before a
+user's own, which none of its counters reads: those stages only cancel
+their steps, and the own decision is the sign of the residual
+(_detect_batch).  sic_patterns keeps only the SIC residual patterns
+(PatternCounts), the one input of sic_weight_tables and so of
+weighted-mode hypothesis averaging; with simulate's arguments it draws
+simulate's batches, so its patterns are those of the trials simulate
+counts.  sic_patterns counts user 1's patterns, its own symbols, once
+for all points.  For a few points it stops each later user's chain
+before the own stage.  For many, such as an allocation grid, it bins
+instead: along each axis the decisions of the stages before user u+1's
+own are a step function of the gain-normalised noise q that never steps
+down, and its steps sit at a few breakpoints per point and sign word,
+which a bisection over the float64 order finds exactly by running the
+chain itself.  Each trial's q is binned once against the breakpoints of
+every point, and every point's patterns are read from the counts of the
+bins (_BinTally).  Both counters validate, split trials into batches,
+seed them, spread them over workers and merge them in the same code, and
+share the decide-and-cancel step.
 
 Counters are plain integers so that merging partial runs is exact
 component-wise addition.  A run is split into batches of BATCH_TRIALS
@@ -288,28 +293,43 @@ def _axis_steps(cfg: SystemConfig) -> np.ndarray:
             * np.sqrt(np.asarray(cfg.alpha) * cfg.P))
 
 
+def _cancel(y, step, work=None) -> None:
+    """One SIC stage's decide-and-cancel, in place on y.
+
+    Subtracts step from each component of y with the sign copied from
+    its sign bit; a NaN stays NaN.  So -0.0 would cancel -step where the
+    chain decides non-negative, but none reaches a nonzero step: s, a
+    signed sum of the steps, and so y = fl(sigma q) + s, are -0.0 only
+    when every step is 0, x -+ step is never -0.0 for a nonzero step, and
+    sic_detect adds 0.0 to its sample.  step broadcasts against y, as
+    steps[:, k, None] does for stage k; work is an optional float
+    scratch array shaped like y.
+    """
+    delta = np.bitwise_and(y.view(np.int64), np.int64(-1 << 63),
+                           out=None if work is None else work.view(np.int64))
+    delta |= step.view(np.int64)
+    y -= delta.view(np.float64)
+
+
 def _sic_chain(y, steps, u: int, work=None) -> np.ndarray:
     """User u+1's SIC chain on both axes of its gain-normalised samples.
 
     y has shape (2, n): the real and imaginary parts of r/h.  Stage k,
     for k = 0..u in power order, decides the sign of each axis of the
     residual, a component that is exactly zero counting as non-negative;
-    stages k < u then subtract steps[:, k] with the decided signs, and
-    stage u is the user's own decision.  Overwrites y with the residual
-    of the own stage and returns the decisions per axis, shaped like y:
-    bit k is set where stage k decided negative.  work, if given, is a
-    float scratch array shaped like y.  Points with steps of their own
-    run at once with steps of shape (2, L, P) and y of shape (2, n, P).
+    stages k < u then cancel their steps (_cancel), and stage u is the
+    user's own decision.  Overwrites y with the residual of the own stage
+    and returns the decisions per axis, shaped like y: bit k is set where
+    stage k decided negative.  work, if given, is a float scratch array
+    shaped like y.  Points with steps of their own run at once with
+    steps of shape (2, L, P) and y of shape (2, n, P).  sic_patterns,
+    _breakpoints and sic_detect read these decisions; simulate records
+    none (see _detect_batch).
     """
-    leaf = np.zeros(y.shape, dtype=np.min_scalar_type((2 << u) - 1))
-    for k in range(u + 1):
-        neg = y < 0
-        leaf += neg * leaf.dtype.type(1 << k)
-        if k < u:
-            # exactly -steps where negative and +steps elsewhere
-            delta = np.multiply(neg, -2.0 * steps[:, k, None], out=work)
-            delta += steps[:, k, None]
-            y -= delta
+    leaf = (y < 0).astype(np.min_scalar_type((2 << u) - 1))
+    for k in range(u):
+        _cancel(y, steps[:, k, None], work)
+        leaf += (y < 0) * leaf.dtype.type(2 << k)
     return leaf
 
 
@@ -335,7 +355,7 @@ def _run_batch(points, n: int, seed: int, batch: int) -> list[SimStats]:
     keyed = np.zeros((len(points), cfg.num_users, 128), dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):  # see _draw_batch
         for block in _blocks(_plan(points), cfg, n, seed, batch, BLOCK_ROWS):
-            _detect_batch(block, magnitude, keyed)
+            _detect_batch(*block, magnitude, keyed)
     return [_sim_stats(c, snr_db, n, keyed[i])
             for i, (c, snr_db) in enumerate(points)]
 
@@ -361,7 +381,7 @@ def _run_pattern_batch(points, n: int, seed: int, batch: int
               if min(len(points), _pass_points(L, u)) * u >= MIN_BIN_STAGES}
     chained = [u for u in range(1, L) if u not in binned]
     with np.errstate(over="ignore", invalid="ignore"):  # see _draw_batch
-        for signs, q, chains in _blocks(plan, cfg, n, seed, batch,
+        for signs, q, arrays in _blocks(plan, cfg, n, seed, batch,
                                         BLOCK_ROWS):
             own.add(_sign_key(signs, 0))
             for bins in binned.values():
@@ -369,9 +389,10 @@ def _run_pattern_batch(points, n: int, seed: int, batch: int
             if not chained:
                 continue
             sign_keys = {u: _sign_key(signs, u) for u in chained}
-            for tally, chain in zip(tallies, chains):
+            for tally, (steps, sigma, s, y, work) in zip(tallies, arrays):
                 for u in chained:
-                    leaf, _, _ = chain(u, u - 1)
+                    leaf = _sic_chain(_received(q[:, u], sigma, s, y),
+                                      steps, u - 1, work)
                     tally[u - 1].add(_pattern_keys(sign_keys[u], leaf, u))
     for u, bins in binned.items():
         for tally, (keys, counts) in zip(tallies, bins.counts()):
@@ -404,23 +425,23 @@ def _plan(points):
 
 def _blocks(plan, cfg: SystemConfig, n: int, seed: int, batch: int,
             rows: int):
-    """Draw one batch and yield its blocks, each with its points' chains.
+    """Draw one batch and yield its blocks, each with its points.
 
     plan is _plan of the points, whose configs draw as cfg does.  Yields
-    (signs, q, chains) for each block (signs, q) of `rows` rows of
+    (signs, q, points) for each block (signs, q) of `rows` rows of
     _draw_batch; a helper thread draws block i+1 while block i is
-    detected (see _ahead).  chains yields, point by point in order,
-    chain(u, last), which runs user u+1's SIC chain at that point (see
-    _chain).  The superposition of the block's symbols is rebuilt only
-    when the config changes from the previous point.  It and the chain's
-    buffers are reused by the next point and block, so a chain's results
-    must be read before the next one runs, and a block's signs and q
-    before the next block is asked for.
+    detected (see _ahead).  points yields, point by point in order,
+    (steps, sigma, s, y, work): the point's steps and noise scale, the
+    superposition s of the block's symbols under its config, and two
+    float scratch arrays shaped like s, for the samples of _received and
+    for _cancel.  s is rebuilt only when the config changes from the
+    previous point.  All three arrays are reused by the next point and
+    block, so a point's results must be read before the next one is
+    asked for, and a block's signs and q before the next block is.
     """
     buffers = np.empty((3, 2, min(n, rows)))
     for signs, q in _ahead(_draw_batch(cfg, n, seed, batch, rows)):
-        s, y, work = buffers[:, :, :signs.shape[1]]
-        yield signs, q, _chains(plan, signs, q, s, y, work)
+        yield signs, q, _points(plan, signs, *buffers[:, :, :signs.shape[1]])
 
 
 def _ahead(blocks):
@@ -471,8 +492,8 @@ def _ahead(blocks):
         helper.join()
 
 
-def _chains(plan, signs, q, s, y, work):
-    """Yield each planned point's chain on one block (see _blocks)."""
+def _points(plan, signs, s, y, work):
+    """Yield each planned point's arrays on one block (see _blocks)."""
     built = None
     for steps, table, sigma in plan:
         if table is not built:
@@ -481,20 +502,15 @@ def _chains(plan, signs, q, s, y, work):
                 # the table, and mode="clip" writes out without a buffer
                 table[x].take(signs[x], out=s[x], mode="clip")
             built = table
-        yield functools.partial(_chain, q, s, sigma, steps, y, work)
+        yield steps, sigma, s, y, work
 
 
-def _chain(q, s, sigma: float, steps, y, work, u: int, last: int):
-    """Run user u+1's SIC chain through stage `last` on one block.
-
-    The chain works on y = s + sigma * q[:, u], both axes of r/h, built
-    in the buffer y, with the scratch array work.  Returns (leaf, y,
-    work): the decisions of stages 0..last (see _sic_chain), the
-    residual after the stages before `last`, and the scratch array.
-    """
-    np.multiply(q[:, u], sigma, out=y)
+def _received(qu, sigma, s, y=None):
+    """A user's samples y = fl(fl(sigma qu) + s), both axes of r/h, from its
+    gain-normalised noise qu, in the buffer y if one is given."""
+    y = np.multiply(qu, sigma, out=y)
     y += s
-    return _sic_chain(y, steps, last, work), y, work
+    return y
 
 
 def _draw_batch(cfg: SystemConfig, n: int, seed: int, batch: int,
@@ -747,8 +763,7 @@ def _breakpoints(plan, u: int) -> np.ndarray:
               for v in (-np.inf, np.inf))
     for _ in range(64):
         mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)  # no int64 overflow
-        y = np.multiply(_flip(mid).view(np.float64), sigma)
-        y += s
+        y = _received(_flip(mid).view(np.float64), sigma, s)
         up = pos[_sic_chain(y, steps, u - 1)] >= k
         hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
     return _flip(hi).view(np.float64).reshape(2, J, K, len(plan))
@@ -846,31 +861,36 @@ class _BinTally:
                     yield keys, point.ravel()
 
 
-def _detect_batch(block, magnitude, keyed) -> None:
-    """Run every point's full SIC chains on one block and add its counters.
+def _detect_batch(signs, q, points, magnitude, keyed) -> None:
+    """Detect every user of one block at every point and add the counters.
 
-    block is one item of _blocks, and magnitude the magnitudes of the
-    axes of the alphabet's points, shape (2, 1) (see _slicer).
+    (signs, q, points) is one item of _blocks, and magnitude the
+    magnitudes of the axes of the alphabet's points, shape (2, 1) (see
+    _slicer).
     keyed[i, u, e] counts point i's trials of user u+1 with event key e.
     From bit 0 up, e holds the real and the imaginary sign of the sent
     symbol a (a set bit is negative), those of the own decision d, and
     three bits set when the hypothesis that differs from a in the real
     part, in the imaginary part or in both scored no worse than a.
+
+    No counter reads the decisions of the stages before the own one, so
+    those stages only cancel their steps (_cancel), and the own decision
+    is the sign of the residual, as in _sic_chain.
     """
-    signs, _, chains = block
     # no point changes sent[u], user u+1's sent signs per axis, or axes[u],
     # the axes of its sent symbol a: +magnitude where positive, -magnitude
     # elsewhere
     sent = [(signs & (1 << u)) != 0 for u in range(keyed.shape[1])]
     axes = [b * (-2.0 * magnitude) + magnitude for b in sent]
-    for chain, point_keyed in zip(chains, keyed):
+    for (steps, sigma, s, y, work), point_keyed in zip(points, keyed):
         for u, user_keyed in enumerate(point_keyed):
-            leaf, y, work = chain(u, u)
+            _received(q[:, u], sigma, s, y)
+            for k in range(u):
+                _cancel(y, steps[:, k, None], work)
+            axis = np.uint8(4) * (y < 0) + sent[u]
             # t: the axes of Re(x * conj(a)), x the own residual; a
             # hypothesis beats a when the terms it flips sum to <= 0
             t = np.multiply(axes[u], y, out=work)
-            axis = np.uint8(4) * (leaf >= (1 << u))
-            axis += sent[u]
             axis += np.uint8(16) * (t <= 0)
             key = axis[0] + np.uint8(2) * axis[1]
             key += np.uint8(64) * (np.add(t[0], t[1], out=y[0]) <= 0)
@@ -1051,13 +1071,13 @@ def sic_detect(r: complex, h: complex, cfg: SystemConfig, l: int):
     quadrant = _slicer(cfg.constellation).quadrant
     r, h = complex(r), complex(h)
     # y = r/h = r * conj(h) / |h|^2, the simulator's y for a real
-    # positive h; a zero gain gives NaN, which every stage decides as
-    # non-negative
+    # positive h, + 0.0 turning a -0.0 into +0.0 (see _cancel); a zero
+    # gain gives NaN, which every stage decides as non-negative
     with np.errstate(divide="ignore", invalid="ignore"):
         g = np.float64(h.real * h.real + h.imag * h.imag)
         ur, ui = h.real / g, h.imag / g
         y = np.array([[r.real * ur + r.imag * ui],
-                      [r.imag * ur - r.real * ui]])
+                      [r.imag * ur - r.real * ui]]) + 0.0
         leaf = _sic_chain(y, _axis_steps(cfg), l - 1)
     re, im = int(leaf[0, 0]), int(leaf[1, 0])
     *priors, own = (int(_stage_symbols(quadrant, re, im, k))

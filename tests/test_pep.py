@@ -4,6 +4,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
@@ -452,6 +454,23 @@ def test_kernel_matches_mpmath_oracle(sigma_h_sq):
                 got = pep_quadrature(l, L, r, 1.0, model)
                 worst = max(worst, float(abs(got - exact) / exact))
     assert worst < 1e-12, worst
+
+
+@settings(derandomize=True, max_examples=400, database=None, deadline=None)
+@given(L=st.integers(1, 10), data=st.data(),
+       r=st.one_of(st.just(0.0),
+                   st.builds(lambda sign, e: sign * 10.0 ** e,
+                             st.sampled_from([1.0, -1.0]),
+                             st.floats(-8.0, 3.0))),
+       sigma_h_sq=st.builds(lambda e: 10.0 ** e, st.floats(-1.0, 1.0)))
+def test_kernel_matches_mpmath_oracle_at_drawn_arguments(L, data, r,
+                                                          sigma_h_sq):
+    # Drawn users, ratios from 1e-8 to 1e3 of either sign or 0, and
+    # sigma_h^2 from 0.1 to 10, beyond the fixed grid above.
+    l = data.draw(st.integers(1, L))
+    exact = _mpmath_pep(l, L, r, sigma_h_sq)
+    got = pep_mod._pep_kernel(l, L, r, sigma_h_sq)
+    assert float(abs(got - exact) / exact) < 1e-12, (l, L, r, sigma_h_sq)
 
 
 def test_kernel_matches_quad_oracle():

@@ -1,3 +1,4 @@
+import cmath
 import concurrent.futures
 import dataclasses
 import math
@@ -8,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import noma_pep.montecarlo as sim
@@ -1120,6 +1121,57 @@ def test_sic_detect_equals_argmin_chain(L):
         assert (det, priors) == (chain[i, l - 1], tuple(chain[i, :l - 1]))
 
 
+@st.composite
+def _sic_samples(draw):
+    """(config, h, r): a strictly descending allocation of one to four
+    users, a gain h and a received point r = h (s + w), s the
+    superposition of drawn symbols and w a drawn disturbance."""
+    L = draw(st.integers(1, 4))
+    weights = sorted(draw(st.lists(st.integers(1, 100), min_size=L,
+                                   max_size=L, unique=True)), reverse=True)
+    alpha = [w / sum(weights) for w in weights]
+    alpha[-1] = 1.0 - sum(alpha[:-1])
+    phase = st.floats(-math.pi, math.pi)
+    h = cmath.rect(draw(st.floats(1e-3, 1e3)), draw(phase))
+    symbols = draw(st.lists(st.integers(0, 3), min_size=L, max_size=L))
+    s = complex(QPSK.points_array()[symbols] @ np.sqrt(alpha))
+    w = cmath.rect(draw(st.floats(0.0, 3.0)), draw(phase))
+    return make_cfg(alpha), h, h * (s + w)
+
+
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(sample=_sic_samples())
+def test_sic_detect_equals_argmin_chain_at_drawn_points(sample):
+    # Drawn allocations, gains and received points: every user's decisions
+    # are those of the minimum-distance chain on r, wherever each stage's
+    # minimum is clear of the runner-up by more than rounding.
+    cfg, h, r = sample
+    pts = QPSK.points_array()
+    coeff = np.sqrt(np.asarray(cfg.alpha) * cfg.P)
+    chain, residual = [], np.array([r])
+    for k in range(cfg.num_users):
+        metrics = metrics_of(residual, np.array([coeff[k] * h]), pts)[0]
+        first, second = np.sort(metrics)[:2]
+        assume(second - first > 1e-9 * np.abs(metrics).max())
+        chain.append(int(np.argmin(metrics)))
+        residual = residual - coeff[k] * h * pts[chain[-1]]
+    for l in range(1, cfg.num_users + 1):
+        assert sic_detect(r, h, cfg, l) == (chain[l - 1],
+                                            tuple(chain[:l - 1]))
+
+
+@pytest.mark.parametrize("l", [2, 3])
+def test_negative_zero_cancels_as_positive_zero(l):
+    # With h = 1, r = (-0.0, -0.3) and (0.3, -0.0) reach the chain with a
+    # component of -0.0 (the derotation's -0.0 + -0.0 and -0.0 - 0.0).
+    # Stage 1 decides it non-negative and must cancel +step, as for +0.0.
+    cfg = make_cfg((0.6, 0.3, 0.1))
+    for negative, positive in ((complex(-0.0, -0.3), complex(0.0, -0.3)),
+                               (complex(0.3, -0.0), complex(0.3, 0.0))):
+        assert (sic_detect(negative, 1.0, cfg, l)
+                == sic_detect(positive, 1.0, cfg, l))
+
+
 def test_exact_zero_component_counts_as_non_negative():
     cfg = make_cfg((0.8, 0.2))
     steps = sim._axis_steps(cfg)
@@ -1425,6 +1477,64 @@ def test_binning_gives_the_chain_keys_at_special_q(L):
                                        sim._sic_chain(y, steps, u - 1), u))
             got.add(keys, counts)
             np.testing.assert_array_equal(got.dense, want.dense)
+
+
+def _chain_event_counts(y, steps, magnitude, signs, u):
+    """User u+1's event counts (see montecarlo._detect_batch) from its full
+    chain on y, recorded stage by stage: the oracle of the detector,
+    which records no stage decision.  Each stage subtracts -step where
+    the residual is negative and +step elsewhere, as np.where picks it;
+    _sic_chain must record the same decisions.  Overwrites y."""
+    leaf = np.zeros(y.shape, dtype=np.int64)
+    chain = sim._sic_chain(y.copy(), steps, u)
+    for k in range(u + 1):
+        neg = y < 0
+        leaf += neg * (1 << k)
+        if k < u:
+            y -= np.where(neg, -steps[:, k, None], steps[:, k, None])
+    np.testing.assert_array_equal(chain, leaf)
+    sent = (signs & (1 << u)) != 0
+    t = np.where(sent, -magnitude, magnitude) * y
+    axis = 4 * (leaf >= (1 << u)) + sent + 16 * (t <= 0)
+    key = axis[0] + 2 * axis[1] + 64 * (t[0] + t[1] <= 0)
+    return np.bincount(key, minlength=128)
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_detector_gives_the_chain_events_at_special_q(L):
+    # NaN, +-inf, +-0.0, q = +-1e308, for which sigma q overflows at
+    # -10 dB, each threshold of every stage of a user, own stage
+    # included, the floats either side of it, and random q, with random
+    # sign words: one block through the detector must give every point
+    # and user the event counts of the recorded chain on the same samples.
+    points = _mixed_points(L, 6, 100 + L)
+    plan = sim._plan(points)
+    magnitude = sim._slicer(QPSK).magnitude
+    rng = np.random.default_rng(110 + L)
+    special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308, -1e308]
+    users = []
+    for u in range(L):
+        t = sim._breakpoints(plan, u + 1).ravel()
+        users.append(np.concatenate([special, t, np.nextafter(t, -np.inf),
+                                     np.nextafter(t, np.inf)]))
+    n = max(map(len, users)) + 500
+    q = 10.0 * rng.standard_normal((2, L, n))
+    for u, qu in enumerate(users):
+        q[0, u, :qu.size], q[1, u, :qu.size] = qu, rng.permutation(qu)
+    signs = rng.integers(0, 1 << L, size=(2, n)).astype(np.uint8)
+    keyed = np.zeros((len(plan), L, 128), dtype=np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sim._detect_batch(signs, q, sim._points(plan, signs,
+                                                *np.empty((3, 2, n))),
+                          magnitude, keyed)
+        for (steps, table, sigma), point_keyed in zip(plan, keyed):
+            for u in range(L):
+                y = np.multiply(q[:, u], sigma)
+                y += np.take_along_axis(table, signs.astype(np.intp),
+                                        axis=1)
+                np.testing.assert_array_equal(
+                    point_keyed[u],
+                    _chain_event_counts(y, steps, magnitude, signs, u))
 
 
 @pytest.mark.parametrize("L,count,binned", [
