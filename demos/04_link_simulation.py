@@ -50,7 +50,7 @@ print("Per-user BER and SIC residual statistics at 15 dB, own symbol 0:")
 # the residual patterns of the trials that a counts, at 15 dB
 tables = sic_weight_tables(sic_patterns(cfg, 15.0, 400_000, seed=5), QPSK)
 for user in (1, 2, 3):
-    ber = bit_error_rate(a[1], user, QPSK.bits_per_symbol)
+    ber = bit_error_rate(a[1], user)
     weights = tables[user, 0]
     clean = weights.get(tuple(0j for _ in range(user - 1)), 0.0)
     print(f"  user {user}: ber {ber:.4e}, clean-cancellation weight "

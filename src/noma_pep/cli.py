@@ -210,7 +210,7 @@ def _system(s: dict) -> SystemConfig:
     if len(alpha) != users:
         raise ValueError(f"--alpha has {len(alpha)} entries for {users} users")
     return SystemConfig(
-        alpha=tuple(alpha),
+        alpha=alpha,
         P=power,
         channel=ChannelModel(sigma_h_sq=s["sigma_h_sq"]),
         # unit-energy symbols: P alone scales the transmit power
@@ -243,12 +243,11 @@ def cmd_pep(s: dict, out: Path) -> list[str]:
 
 def cmd_simulate(s: dict, out: Path) -> list[str]:
     cfg = _system(s)
-    bits = cfg.constellation.bits_per_symbol
     header = ["snr_db", "user", "metric", "value", "ci_half_width", "trials"]
     rows = [[r[key] for key in header]
             for stats in simulate(cfg, s["snr_db"], s["trials"], s["seed"],
                                   workers=s["workers"])
-            for r in stats_rows(stats, bits)]
+            for r in stats_rows(stats)]
     write_csv(out / "simulate.csv", header, rows)
     return ["simulate.csv"]
 

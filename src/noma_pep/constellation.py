@@ -26,6 +26,9 @@ class Constellation:
     points      complex symbol values, index order fixed
     bit_labels  one bit string per point, all distinct, equal length
     avg_power   mean of |point|^2 over the alphabet
+
+    points and bit_labels are stored as tuples of complex and of str, so
+    that equal alphabets hash equal whatever sequence they were built from.
     """
 
     points: tuple[complex, ...]
@@ -34,6 +37,8 @@ class Constellation:
     _bit_diff: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "points", tuple(map(complex, self.points)))
+        object.__setattr__(self, "bit_labels", tuple(map(str, self.bit_labels)))
         m = len(self.points)
         if m < 2 or m & (m - 1):
             raise ValueError(f"constellation size must be a power of two, got {m}")

@@ -186,6 +186,11 @@ class SimStats:
         return self.detected_counts.shape[1]
 
     @property
+    def bits_per_symbol(self) -> int:
+        """log2 of the alphabet size, the width of its bit labels."""
+        return int(math.log2(self.m))
+
+    @property
     def tx_counts(self) -> np.ndarray:
         """tx_counts[u, a]: trials where user u+1 sent symbol a."""
         return self.detected_counts.sum(axis=2)
@@ -1127,8 +1132,8 @@ def empirical_detection_prob(stats: SimStats, l: int, tx: int, rx: int) -> float
     return int(stats.detected_counts[u, tx, rx]) / n
 
 
-def bit_error_rate(stats: SimStats, l: int, bits_per_symbol: int) -> float:
-    return int(stats.bit_errors[l - 1]) / (stats.trials * bits_per_symbol)
+def bit_error_rate(stats: SimStats, l: int) -> float:
+    return int(stats.bit_errors[l - 1]) / (stats.trials * stats.bits_per_symbol)
 
 
 def sic_weight_tables(stats: PatternCounts, constellation: Constellation):
@@ -1171,7 +1176,7 @@ def sic_weight_tables(stats: PatternCounts, constellation: Constellation):
     return weights
 
 
-def stats_rows(stats: SimStats, bits_per_symbol: int) -> list[dict]:
+def stats_rows(stats: SimStats) -> list[dict]:
     """Flatten a SimStats into CSV-ready rows.
 
     Columns: snr_db, user, metric, value, ci_half_width, trials.  Metrics
@@ -1183,7 +1188,7 @@ def stats_rows(stats: SimStats, bits_per_symbol: int) -> list[dict]:
     for u in range(stats.num_users):
         l = u + 1
         for metric, errors, n in (
-            ("ber", stats.bit_errors[u], stats.trials * bits_per_symbol),
+            ("ber", stats.bit_errors[u], stats.trials * stats.bits_per_symbol),
             ("ser", symbol_errors[u], stats.trials),
         ):
             p = int(errors) / n

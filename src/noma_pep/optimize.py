@@ -1,9 +1,12 @@
 """Union-bound BER objective and constrained power-allocation search.
 
 The per-user union bound sums bit-weighted pairwise error probabilities
-over all ordered symbol pairs.  The power search walks a descending
-simplex grid, keeps the points where every user's worst-pair PEP meets
-the threshold, and returns the feasible minimizer of the averaged bound.
+over all ordered symbol pairs.  Every entry takes the system as one
+SystemConfig and the SNR, as average_pep does, so the SNR convention is
+the system's (SystemConfig.noise_var_for_snr).  The power search walks a
+descending simplex grid, keeps the points where every user's worst-pair
+PEP meets the threshold, and returns the feasible minimizer of the
+averaged bound.
 
 pep_table is the one hypothesis-averaging path of the CLI, the search
 and the demos; it takes the SIC residual tables that residual_tables
@@ -25,7 +28,7 @@ from .montecarlo import sic_patterns, sic_weight_tables
 # unused here, but bench/tests/test_bench_harness.py::_bindings reads
 # optimize.simulate, which the benchmark tracer wraps and restores
 from .montecarlo import simulate  # noqa: F401
-from .system import SystemConfig, _require_weight_trials, linear_snr
+from .system import SystemConfig, _require_weight_trials
 
 __all__ = [
     "OptimizationProblem",
@@ -164,26 +167,22 @@ def pep_table(cfg: SystemConfig, snr_db: float, residuals=None,
               pairs=None) -> np.ndarray:
     """PEP of every user and ordered symbol pair at one SNR.
 
-    Entry [l-1, tx, rx] is average_pep of user l's (tx, rx) pair with the
-    noise variance cfg.noise_var_for_snr(snr_db); the diagonal is 0.
+    Entry [l-1, tx, rx] is average_pep(cfg, snr_db, l, tx, rx); the
+    diagonal is 0.
     residuals maps (l, tx) to the residual table of user l's pairs that
     transmit tx (see residual_tables); None is perfect SIC.  pairs, if
     given, lists the (tx, rx) pairs to evaluate for every user, and the
     entries of the other pairs are 0.
     """
     L, m = cfg.num_users, cfg.constellation.size
-    sigma_n_sq = cfg.noise_var_for_snr(snr_db)
     if pairs is None:
         pairs = list(permutations(range(m), 2))
     table = np.zeros((L, m, m))
     for l in range(1, L + 1):
         for tx, rx in pairs:
             table[l - 1, tx, rx] = average_pep(
-                l, L, tx, rx, cfg.alpha, cfg.P, cfg.channel,
-                cfg.constellation,
-                None if residuals is None else residuals[l, tx],
-                sigma_n_sq=sigma_n_sq,
-            )
+                cfg, snr_db, l, tx, rx,
+                None if residuals is None else residuals[l, tx])
     return table
 
 
@@ -202,32 +201,19 @@ def union_bound_from_pep(peps, constellation: Constellation) -> float:
     return total / (m * constellation.bits_per_symbol)
 
 
-def union_bound_ber(
-    l: int,
-    alpha,
-    P: float,
-    snr_db: float,
-    model,
-    constellation: Constellation,
-    residuals=None,
-) -> float:
-    """Union bound on user l's bit error rate at the given SNR.
+def union_bound_ber(cfg: SystemConfig, snr_db: float, l: int,
+                    residuals=None) -> float:
+    """Union bound on user l's bit error rate of cfg at snr_db.
 
-    model is the fading law; the noise variance is P / 10**(snr_db/10).
     residuals is user l's one residual table for every pair (None is
     perfect SIC); bounds with a table per transmitted symbol are
     computed by objective_psi and solve.
     """
-    a = tuple(float(x) for x in alpha)
-    sigma_n_sq = P / linear_snr(snr_db, P)
-    m = constellation.size
+    m = cfg.constellation.size
     peps = np.zeros((m, m))
     for tx, rx in permutations(range(m), 2):
-        peps[tx, rx] = average_pep(
-            l, len(a), tx, rx, a, P, model, constellation, residuals,
-            sigma_n_sq=sigma_n_sq,
-        )
-    return union_bound_from_pep(peps, constellation)
+        peps[tx, rx] = average_pep(cfg, snr_db, l, tx, rx, residuals)
+    return union_bound_from_pep(peps, cfg.constellation)
 
 
 def _sweep(problem: OptimizationProblem, grid, workers: int = 1):
@@ -240,8 +226,7 @@ def _sweep(problem: OptimizationProblem, grid, workers: int = 1):
     processes, so every point detects the same draws; other modes
     simulate nothing.
     """
-    cfgs = [replace(problem.cfg, alpha=tuple(float(x) for x in a))
-            for a in grid]
+    cfgs = [replace(problem.cfg, alpha=a) for a in grid]
     counts = [None] * len(cfgs)
     if problem.sic_mode == "weighted":
         counts = sic_patterns(cfgs, problem.snr_db, problem.weights_trials,

@@ -23,10 +23,11 @@ printed closed forms are kept verbatim and compared against it (see
 closed_form_consistency_report), because their constant prefactors are
 not mutually consistent.
 
-Hypothesis averaging (average_pep) takes the stronger users' imperfect
-SIC as one residual table: residual patterns x_k - x_hat_k of users
-1..l-1 mapped to their probabilities, None being perfect SIC.  How a
-table is obtained is left to the caller (see optimize.residual_tables).
+Hypothesis averaging (average_pep) takes the system as one SystemConfig
+and the SNR, as the rest of the package does, and the stronger users'
+imperfect SIC as one residual table: residual patterns x_k - x_hat_k of
+users 1..l-1 mapped to their probabilities, None being perfect SIC.  How
+a table is obtained is left to the caller (see optimize.residual_tables).
 It calls pep_quadrature once per hypothesis, but the kernel evaluates
 each distinct beta/upsilon once per process, and the constants of a
 symbol pair (its difference and projections, _pair) are likewise
@@ -46,6 +47,7 @@ import numpy as np
 
 from .channel import ChannelModel
 from .constellation import Constellation
+from .system import SystemConfig
 
 __all__ = [
     "ErrorHypothesis",
@@ -300,40 +302,28 @@ def pep_quadrature(
     return _pep_kernel(l, L, float(beta) / float(upsilon), model.sigma_h_sq)
 
 
-def average_pep(
-    l: int,
-    L: int,
-    tx: int,
-    rx: int,
-    alpha,
-    P: float,
-    model: ChannelModel,
-    constellation: Constellation,
-    residuals=None,
-    *,
-    sigma_n_sq: float,
-) -> float:
-    """Pairwise error probability of user l averaged over hypotheses.
+def average_pep(cfg: SystemConfig, snr_db: float, l: int, tx: int, rx: int,
+                residuals=None) -> float:
+    """Pairwise error probability of user l of cfg at snr_db, averaged
+    over hypotheses.
 
     Averages the PEP of the (tx, rx) symbol-index pair uniformly over all
     M^(L-l) weaker-user symbol tuples and over the stronger users' SIC
     residuals.  Calls are per hypothesis, and evaluations are per
-    distinct beta/upsilon.
+    distinct beta/upsilon.  The noise variance is
+    cfg.noise_var_for_snr(snr_db).
     residuals maps a tuple of l-1 complex residuals x_k - x_hat_k to its
     probability (the weights sum to 1); None means perfect SIC, the
     all-zero pattern with weight 1.
-    sigma_n_sq is the receiver noise variance, which the SNR sets:
-    P / 10**(snr_db/10) (SystemConfig.noise_var_for_snr).  model gives
-    only the fading law; L, the user count, is the length of alpha.
     """
+    L = cfg.num_users
     if tx == rx:
         raise ValueError("tx and rx indices coincide; not a pairwise error event")
     if not 1 <= l <= L:
         raise ValueError(f"user index {l} out of range 1..{L}")
     # math.sqrt and np.sqrt are both correctly rounded: the same floats
-    amps = [math.sqrt(x * P) for x in _check_alpha(alpha, L)]
-    m = constellation.size
-    n_tuples = m ** (L - l)
+    amps = [math.sqrt(x * cfg.P) for x in cfg.alpha]
+    n_tuples = cfg.constellation.size ** (L - l)
     if n_tuples > ENUMERATION_CAP:
         raise EnumerationCapError(
             f"{n_tuples} interferer tuples exceed the enumeration cap "
@@ -349,8 +339,8 @@ def average_pep(
     weight_sum = sum(residuals.values())
     if not math.isclose(weight_sum, 1.0, abs_tol=1e-9):
         raise ValueError(f"residual weights must sum to 1, got {weight_sum}")
-    dlt, dlt_sq, proj = _pair(constellation, tx, rx)
-    ups = upsilon_factor(dlt, sigma_n_sq)
+    dlt, dlt_sq, proj = _pair(cfg.constellation, tx, rx)
+    ups = upsilon_factor(dlt, cfg.noise_var_for_snr(snr_db))
 
     # beta is affine in the symbols: the own term, one term per weaker
     # user's symbol and one per SIC residual pattern, so the weaker users'
@@ -372,7 +362,7 @@ def average_pep(
         ).real
         acc = 0.0
         for beta in [base] if interf is None else (base + interf).tolist():
-            acc += pep_quadrature(l, L, beta, ups, model)
+            acc += pep_quadrature(l, L, beta, ups, cfg.channel)
         total += float(w) * acc
     return total / n_tuples
 

@@ -23,7 +23,9 @@ class SystemConfig:
     """Static description of one downlink NOMA system.
 
     alpha          power allocation coefficients, strictly descending,
-                   summing to 1 (user 1 = weakest channel, most power)
+                   summing to 1 (user 1 = weakest channel, most power);
+                   stored as a tuple of floats, so that equal systems
+                   hash equal whatever sequence they were built from
     P              total transmit power
     channel        fading law of every user.  The user count is
                    len(alpha) (num_users), and the noise variance is not
@@ -52,6 +54,7 @@ class SystemConfig:
             raise ValueError(f"power coefficients must sum to 1, got {total!r}")
         if np.any(np.diff(a) >= 0):
             raise ValueError("power coefficients must be strictly descending")
+        object.__setattr__(self, "alpha", tuple(a.tolist()))
         if not 0 < self.P < math.inf:
             raise ValueError(f"total power must be finite and positive, got {self.P}")
         if abs(self.constellation.avg_power - 1.0) > 1e-12:

@@ -75,9 +75,7 @@ def test_criterion_1_analytic_vs_simulation():
             sic_patterns(cfg, SNR_GRID, trials, seed=1001)):
         tables = sic_weight_tables(patterns, QPSK)
         for l in (1, 2, 3):
-            analytic = average_pep(l, 3, tx, rx, ALPHA3, 1.0, ch, QPSK,
-                                   residuals=tables[l, tx],
-                                   sigma_n_sq=cfg.noise_var_for_snr(snr))
+            analytic = average_pep(cfg, snr, l, tx, rx, tables[l, tx])
             est = empirical_pep(stats, l, tx, rx)
             rel = abs(analytic - est.pep) / est.pep if est.pep > 0 else math.inf
             within_rel = est.pep >= 1e-5 and rel <= 0.10
@@ -98,13 +96,12 @@ def test_criterion_1_analytic_vs_simulation():
 
 
 def _pair_averaged_curve(l, snrs, model):
+    cfg = SystemConfig(alpha=ALPHA3, P=1.0, channel=model, constellation=QPSK)
     pairs = [(a, b) for a in range(4) for b in range(4) if a != b]
     peps = []
     for snr in snrs:
         peps.append(float(np.mean([
-            average_pep(l, 3, a, b, ALPHA3, 1.0, model, QPSK,
-                        sigma_n_sq=10 ** (-snr / 10))
-            for a, b in pairs
+            average_pep(cfg, snr, l, a, b) for a, b in pairs
         ])))
     return np.asarray(snrs), np.asarray(peps)
 
@@ -143,7 +140,7 @@ def test_criterion_3_two_user_power_sweep():
     grid_a = np.arange(0.70, 0.881, 0.02)
     cfgs_a = [SystemConfig(alpha=(round(a1, 6), round(1 - a1, 6)), P=1.0,
                            channel=ch, constellation=QPSK) for a1 in grid_a]
-    bers = [bit_error_rate(stats, 2, QPSK.bits_per_symbol)
+    bers = [bit_error_rate(stats, 2)
             for stats in simulate(cfgs_a, snr, 10_000_000, seed=3001)]
     coeffs = np.polyfit(grid_a, np.array(bers), 2)
     argmin_a = float(-coeffs[1] / (2 * coeffs[0]))

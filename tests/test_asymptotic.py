@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from noma_pep import (
     ChannelModel,
+    SystemConfig,
     average_pep,
     chernoff_average,
     chernoff_conditional,
@@ -273,20 +274,17 @@ def test_effective_diversity_validation():
 def test_noma_curve_diversity_monotone():
     # Pair-averaged perfect-SIC curves: the finite-difference diversity
     # climbs toward the user order over 20..40 dB.
-    c = qpsk_constellation(1.0)
-    alpha = (0.7, 0.2, 0.1)
+    cfg = SystemConfig(alpha=(0.7, 0.2, 0.1), P=1.0,
+                       channel=ChannelModel(sigma_h_sq=0.5),
+                       constellation=qpsk_constellation(1.0))
     snrs = [20.0, 25.0, 30.0, 35.0, 40.0]
     pairs = [(a, b) for a in range(4) for b in range(4) if a != b]
-    model = ChannelModel(sigma_h_sq=0.5)
     for l in (1, 2, 3):
         peps = []
         for snr in snrs:
             peps.append(
-                float(np.mean([
-                    average_pep(l, 3, a, b, alpha, 1.0, model, c,
-                                sigma_n_sq=10 ** (-snr / 10))
-                    for a, b in pairs
-                ]))
+                float(np.mean([average_pep(cfg, snr, l, a, b)
+                               for a, b in pairs]))
             )
         fd = effective_diversity(snrs, peps, "finite_difference")[1:]
         assert all(b >= a - 1e-9 for a, b in zip(fd, fd[1:]))

@@ -433,14 +433,14 @@ def test_diversity_evaluates_one_pair_per_class(tmp_path, monkeypatch):
     calls = []
 
     def counting_average_pep(*args, **kwargs):
-        calls.append(args[:4])
+        calls.append(args[2:5])  # (l, tx, rx)
         return average_pep(*args, **kwargs)
 
     monkeypatch.setattr(optimize, "average_pep", counting_average_pep)
     assert main(["diversity", "--users", "6", "--snr-db", "0,20,40",
                  "--out", str(tmp_path)]) == 0
     assert len(calls) == 2 * 6 * 3  # classes, users, SNRs
-    assert {call[2:] for call in calls} == {(0, 1), (0, 2)}
+    assert {call[1:] for call in calls} == {(0, 1), (0, 2)}
 
 
 def test_fig3_is_diversity_with_fig2_defaults(tmp_path):

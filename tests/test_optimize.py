@@ -49,42 +49,34 @@ def test_constant_pep_contracts_to_2p():
 
 def test_single_user_bound_dominates_exact_ber():
     # Exact Gray-QPSK Rayleigh BER: 0.5*(1 - sqrt(g/(2+g))).
-    ch = ChannelModel(sigma_h_sq=0.5)
+    cfg = make_cfg((1.0,))
     for snr_db in (0.0, 10.0, 20.0, 30.0):
         g = 10 ** (snr_db / 10)
         exact = 0.5 * (1 - math.sqrt(g / (2 + g)))
-        bound = union_bound_ber(1, (1.0,), 1.0, snr_db, ch, QPSK)
+        bound = union_bound_ber(cfg, snr_db, 1)
         assert bound >= exact
         assert bound < 3 * exact  # sane looseness
 
 
 def test_bound_non_increasing_in_snr():
-    ch = ChannelModel(sigma_h_sq=0.5)
-    vals = [
-        union_bound_ber(1, (0.8, 0.2), 1.0, s, ch, QPSK)
-        for s in (0.0, 10.0, 20.0, 30.0)
-    ]
+    cfg = make_cfg((0.8, 0.2))
+    vals = [union_bound_ber(cfg, s, 1) for s in (0.0, 10.0, 20.0, 30.0)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
 def test_objective_single_user_degenerate():
-    ch = ChannelModel(sigma_h_sq=0.5)
-    cfg = SystemConfig(alpha=(1.0,), P=1.0, channel=ch, constellation=QPSK)
+    cfg = make_cfg((1.0,))
     problem = OptimizationProblem(cfg=cfg, snr_db=10.0, p_th=0.5,
                                   grid_step=0.01)
     psi = objective_psi(problem, (1.0,))
-    assert abs(psi - union_bound_ber(1, (1.0,), 1.0, 10.0, ch, QPSK)) < 1e-15
+    assert abs(psi - union_bound_ber(cfg, 10.0, 1)) < 1e-15
 
 
 def test_objective_average_lower_bound():
     problem = make_problem()
-    alpha = (0.8, 0.2)
-    psi = objective_psi(problem, alpha)
-    per_user = [
-        union_bound_ber(l, alpha, 1.0, problem.snr_db, problem.cfg.channel,
-                        QPSK)
-        for l in (1, 2)
-    ]
+    psi = objective_psi(problem, (0.8, 0.2))
+    per_user = [union_bound_ber(problem.cfg, problem.snr_db, l)
+                for l in (1, 2)]
     assert psi >= max(per_user) / len(per_user) - 1e-15
     assert abs(psi - np.mean(per_user)) < 1e-15
 
@@ -307,30 +299,38 @@ def make_cfg(alpha):
 @pytest.mark.parametrize("alpha", [(0.8, 0.2), (0.7, 0.2, 0.1)])
 @pytest.mark.parametrize("mode", ["perfect", "pattern", "weighted"])
 def test_pep_table_equals_per_pair_average_pep(alpha, mode):
-    cfg, L, snr_db = make_cfg(alpha), len(alpha), 15.0
+    # at two powers and fading laws, the three analytic entries share one
+    # SNR convention: the system's
+    L, snr_db = len(alpha), 15.0
     # one more delta than needed: user l reads the first l-1
     deltas = (1.414213 + 0j, 0j, 2j)[: L] if mode == "pattern" else None
-    stats = weights = None
-    if mode == "weighted":
-        stats = sic_patterns(cfg, snr_db, 100_000, seed=3)
-        weights = sic_weight_tables(stats, QPSK)
-    table = pep_table(cfg, snr_db, residual_tables(cfg, mode, deltas, stats))
-    assert table.shape == (L, 4, 4)
-    sigma_n_sq = cfg.noise_var_for_snr(snr_db)
-    for l in range(1, L + 1):
-        for tx in range(4):
-            assert table[l - 1, tx, tx] == 0.0
-            for rx in range(4):
-                if rx == tx:
-                    continue
-                residuals = None
-                if mode == "pattern":
-                    residuals = {deltas[: l - 1]: 1.0}
-                elif mode == "weighted":
-                    residuals = weights[l, tx]
-                expected = average_pep(l, L, tx, rx, alpha, 1.0, cfg.channel,
-                                       QPSK, residuals, sigma_n_sq=sigma_n_sq)
-                assert table[l - 1, tx, rx] == expected, (l, tx, rx)
+    for P, sigma_h_sq in ((1.0, 0.5), (3.0, 2.0)):
+        cfg = SystemConfig(alpha=alpha, P=P,
+                           channel=ChannelModel(sigma_h_sq=sigma_h_sq),
+                           constellation=QPSK)
+        stats = weights = None
+        if mode == "weighted":
+            stats = sic_patterns(cfg, snr_db, 100_000, seed=3)
+            weights = sic_weight_tables(stats, QPSK)
+        table = pep_table(cfg, snr_db,
+                          residual_tables(cfg, mode, deltas, stats))
+        assert table.shape == (L, 4, 4)
+        for l in range(1, L + 1):
+            for tx in range(4):
+                assert table[l - 1, tx, tx] == 0.0
+                for rx in range(4):
+                    if rx == tx:
+                        continue
+                    residuals = None
+                    if mode == "pattern":
+                        residuals = {deltas[: l - 1]: 1.0}
+                    elif mode == "weighted":
+                        residuals = weights[l, tx]
+                    expected = average_pep(cfg, snr_db, l, tx, rx, residuals)
+                    assert table[l - 1, tx, rx] == expected, (P, l, tx, rx)
+            if mode == "perfect":
+                assert union_bound_ber(cfg, snr_db, l) == \
+                    union_bound_from_pep(table[l - 1], QPSK), (P, l)
 
 
 @pytest.mark.parametrize("deltas", [None, (0j,)])
@@ -361,7 +361,7 @@ def test_pep_table_calls_average_pep_once_per_user_and_pair(monkeypatch):
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args[:4])
+        calls.append(args[2:5])  # (l, tx, rx)
         return average_pep(*args, **kwargs)
 
     monkeypatch.setattr(optimize, "average_pep", counting)
@@ -378,12 +378,12 @@ def test_pep_table_of_some_pairs_evaluates_only_those(monkeypatch):
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args[:4])
+        calls.append(args[2:5])  # (l, tx, rx)
         return average_pep(*args, **kwargs)
 
     monkeypatch.setattr(optimize, "average_pep", counting)
     table = pep_table(cfg, 10.0, pairs=pairs)
-    assert sorted(calls) == [(l, 3, tx, rx) for l in (1, 2, 3)
+    assert sorted(calls) == [(l, tx, rx) for l in (1, 2, 3)
                              for tx, rx in sorted(pairs)]
     want = np.zeros_like(full)
     for tx, rx in pairs:

@@ -38,6 +38,13 @@ X1 = complex(-S, S)
 X2 = complex(-S, -S)
 
 
+def _system(alpha, constellation=None):
+    """A QPSK system at P = 1 and sigma_h^2 = 0.5."""
+    return SystemConfig(alpha=alpha, P=1.0,
+                        channel=ChannelModel(sigma_h_sq=0.5),
+                        constellation=constellation or qpsk_constellation(1.0))
+
+
 def test_q_function_values():
     assert q_function(0.0) == 0.5
     # independent tail oracle
@@ -249,15 +256,9 @@ def test_quadrature_against_sampling_oracle():
 def test_high_snr_user_ordering():
     # Averaged over interferer tuples at high SNR, weaker users (lower
     # diversity, more interference) keep strictly larger error rates.
-    c = qpsk_constellation(1.0)
-    alpha = (0.7, 0.2, 0.1)
+    cfg = _system((0.7, 0.2, 0.1))
     for snr_db in (30.0, 40.0):
-        model = ChannelModel(sigma_h_sq=0.5)
-        peps = [
-            average_pep(l, 3, 0, 1, alpha, 1.0, model, c,
-                        sigma_n_sq=10 ** (-snr_db / 10))
-            for l in (1, 2, 3)
-        ]
+        peps = [average_pep(cfg, snr_db, l, 0, 1) for l in (1, 2, 3)]
         assert peps[0] > peps[1] > peps[2]
 
 
@@ -270,103 +271,98 @@ def test_quadrature_negative_beta():
 
 
 def test_average_pep_last_user_singleton():
-    c = qpsk_constellation(1.0)
-    model = ChannelModel(sigma_h_sq=0.5)
-    alpha = (0.7, 0.2, 0.1)
-    got = average_pep(3, 3, 0, 1, alpha, 1.0, model, c, sigma_n_sq=1e-2)
+    cfg = _system((0.7, 0.2, 0.1))
+    c = cfg.constellation
+    got = average_pep(cfg, 20.0, 3, 0, 1)
     beta = math.sqrt(0.1) * 2.0
     ups = upsilon_factor(c.points[0] - c.points[1], 1e-2)
-    assert abs(got - pep_quadrature(3, 3, beta, ups, model)) < 1e-12
+    assert abs(got - pep_quadrature(3, 3, beta, ups, cfg.channel)) < 1e-12
 
 
 def test_average_pep_rotation_symmetry():
     # Rotating the whole constellation by 90 degrees maps index i to i+1
     # (mod 4) under the fixed Gray layout, so tuple-averaged PEP values
     # are identical for rotated pairs.
-    c = qpsk_constellation(1.0)
-    model = ChannelModel(sigma_h_sq=0.5)
-    alpha = (0.8, 0.2)
-    base = average_pep(1, 2, 0, 1, alpha, 1.0, model, c, sigma_n_sq=1e-2)
+    cfg = _system((0.8, 0.2))
+    base = average_pep(cfg, 20.0, 1, 0, 1)
     for k in (1, 2, 3):
-        rot = average_pep(1, 2, k, (k + 1) % 4, alpha, 1.0, model, c,
-                          sigma_n_sq=1e-2)
+        rot = average_pep(cfg, 20.0, 1, k, (k + 1) % 4)
         assert abs(rot - base) < 1e-12
 
 
 def test_average_pep_below_half_above_zero_db():
-    c = qpsk_constellation(1.0)
-    alpha = (0.7, 0.2, 0.1)
-    model = ChannelModel(sigma_h_sq=0.5)
+    cfg = _system((0.7, 0.2, 0.1))
     for snr_db in (1.0, 10.0, 20.0):
         for l in (1, 2, 3):
-            v = average_pep(l, 3, 0, 1, alpha, 1.0, model, c,
-                            sigma_n_sq=10 ** (-snr_db / 10))
+            v = average_pep(cfg, snr_db, l, 0, 1)
             assert 0.0 < v < 0.5
 
 
 def test_average_pep_rejects_degenerate_pair():
-    c = qpsk_constellation(1.0)
-    model = ChannelModel(sigma_h_sq=0.5)
     with pytest.raises(ValueError):
-        average_pep(1, 2, 0, 0, (0.8, 0.2), 1.0, model, c, sigma_n_sq=1e-2)
+        average_pep(_system((0.8, 0.2)), 20.0, 1, 0, 0)
 
 
-def test_average_pep_needs_the_noise_variance():
-    # the channel model holds no noise level, so none can be assumed
-    c = qpsk_constellation(1.0)
-    model = ChannelModel(sigma_h_sq=0.5)
-    with pytest.raises(TypeError, match="sigma_n_sq"):
-        average_pep(1, 2, 0, 1, (0.8, 0.2), 1.0, model, c)
+def test_average_pep_rejects_a_user_out_of_range():
+    cfg = _system((0.8, 0.2))
+    for l in (0, 3):
+        with pytest.raises(ValueError, match="out of range 1..2"):
+            average_pep(cfg, 20.0, l, 0, 1)
+
+
+def test_average_pep_needs_the_snr():
+    # the system holds no noise level, so none can be assumed
+    with pytest.raises(TypeError, match="snr_db"):
+        average_pep(cfg=_system((0.8, 0.2)), l=1, tx=0, rx=1)
+    with pytest.raises(TypeError):  # the former signature
+        average_pep(1, 2, 0, 1, (0.8, 0.2), 1.0, ChannelModel(),
+                    qpsk_constellation(1.0), sigma_n_sq=1e-2)
 
 
 def test_average_pep_enumeration_cap(monkeypatch):
-    c = qpsk_constellation(1.0)
-    model = ChannelModel(sigma_h_sq=0.5)
     monkeypatch.setattr(pep_mod, "ENUMERATION_CAP", 10)
     with pytest.raises(EnumerationCapError):
-        average_pep(1, 3, 0, 1, (0.7, 0.2, 0.1), 1.0, model, c,
-                    sigma_n_sq=1e-2)
+        average_pep(_system((0.7, 0.2, 0.1)), 20.0, 1, 0, 1)
 
 
 def test_average_pep_weighted_validation():
-    c = qpsk_constellation(1.0)
-    model = ChannelModel(sigma_h_sq=0.5)
+    cfg = _system((0.8, 0.2))
     with pytest.raises(ValueError, match="empty"):
-        average_pep(2, 2, 0, 1, (0.8, 0.2), 1.0, model, c, residuals={},
-                    sigma_n_sq=1e-2)
+        average_pep(cfg, 20.0, 2, 0, 1, residuals={})
     with pytest.raises(ValueError, match="sum to 1"):
-        average_pep(2, 2, 0, 1, (0.8, 0.2), 1.0, model, c,
-                    residuals={(0j,): 0.5}, sigma_n_sq=1e-2)
+        average_pep(cfg, 20.0, 2, 0, 1, residuals={(0j,): 0.5})
     with pytest.raises(ValueError, match="length 1"):
-        average_pep(2, 2, 0, 1, (0.8, 0.2), 1.0, model, c,
-                    residuals={(): 1.0}, sigma_n_sq=1e-2)
+        average_pep(cfg, 20.0, 2, 0, 1, residuals={(): 1.0})
 
 
 @pytest.mark.parametrize("alpha", [(math.nan, 0.2), (0.8, math.nan),
                                    (0.8, 0.0), (-0.8, 0.2)])
 def test_average_pep_rejects_nonpositive_or_nan_alpha(alpha):
-    c = qpsk_constellation(1.0)
-    model = ChannelModel(sigma_h_sq=0.5)
-    for l in (1, 2):
-        with pytest.raises(ValueError, match="must be positive"):
-            average_pep(l, 2, 0, 1, alpha, 1.0, model, c, sigma_n_sq=1e-2)
+    # average_pep reads the allocation of a SystemConfig, which rejects it
+    with pytest.raises(ValueError, match="must be positive"):
+        _system(alpha)
     with pytest.raises(ValueError, match="must be positive"):
         beta_factor(ErrorHypothesis(1, X0, X1, (X0,)), alpha, 1.0)
 
 
 def test_average_pep_pair_cache_is_keyed_by_alphabet():
     # the cached pair constants of two alphabets, used interleaved, give
-    # each call the value a fresh computation gives
-    alphabets = [qpsk_constellation(1.0), qpsk_constellation(2.0)]
-    model = ChannelModel(sigma_h_sq=0.5)
+    # each call the value a fresh computation gives.  Both have unit
+    # power, as a SystemConfig requires; a rotated QPSK would not do, as
+    # its PEPs equal Gray QPSK's
+    scale = 1 / math.sqrt(1.25)
+    rectangle = Constellation(
+        points=tuple(scale * p for p in (1 + 0.5j, -1 + 0.5j, -1 - 0.5j,
+                                         1 - 0.5j)),
+        bit_labels=("00", "01", "11", "10"), avg_power=1.0)
+    systems = [_system((0.8, 0.2)), _system((0.8, 0.2), rectangle)]
     residuals = {(0j,): 0.75, (complex(1, 1),): 0.25}
-    calls = [(l, tx, rx, c, residuals if l == 2 else None)
+    calls = [(l, tx, rx, cfg, residuals if l == 2 else None)
              for tx, rx in itertools.permutations(range(4), 2)
-             for l in (1, 2) for c in alphabets]
+             for l in (1, 2) for cfg in systems]
 
-    def value(l, tx, rx, c, res):
-        return average_pep(l, 2, tx, rx, (0.8, 0.2), 1.0, model, c, res,
-                           sigma_n_sq=1e-2)
+    def value(l, tx, rx, cfg, res):
+        return average_pep(cfg, 20.0, l, tx, rx, res)
 
     interleaved = [value(*call) for call in calls]
     for call, got in zip(calls, interleaved):
@@ -377,16 +373,12 @@ def test_average_pep_pair_cache_is_keyed_by_alphabet():
 
 
 def test_weighted_mode_mixes_linearly():
-    c = qpsk_constellation(1.0)
-    model = ChannelModel(sigma_h_sq=0.5)
-    alpha = (0.8, 0.2)
+    cfg = _system((0.8, 0.2))
+    c = cfg.constellation
     d = complex(c.points[0] - c.points[1])
-    p_perfect = average_pep(2, 2, 0, 1, alpha, 1.0, model, c,
-                            sigma_n_sq=1e-2)
-    p_pattern = average_pep(2, 2, 0, 1, alpha, 1.0, model, c,
-                            residuals={(d,): 1.0}, sigma_n_sq=1e-2)
-    mixed = average_pep(2, 2, 0, 1, alpha, 1.0, model, c,
-                        residuals={(0j,): 0.75, (d,): 0.25}, sigma_n_sq=1e-2)
+    p_perfect = average_pep(cfg, 20.0, 2, 0, 1)
+    p_pattern = average_pep(cfg, 20.0, 2, 0, 1, {(d,): 1.0})
+    mixed = average_pep(cfg, 20.0, 2, 0, 1, {(0j,): 0.75, (d,): 0.25})
     assert abs(mixed - (0.75 * p_perfect + 0.25 * p_pattern)) < 1e-12
 
 
@@ -493,24 +485,22 @@ def test_quadrature_non_finite_ratio_raises(beta, ups):
 
 
 def test_average_pep_non_finite_power_raises():
-    c = qpsk_constellation(1.0)
-    model = ChannelModel(sigma_h_sq=0.5)
-    with pytest.raises(NumericalError):
-        average_pep(1, 2, 0, 1, (0.8, 0.2), math.nan, model, c,
-                    sigma_n_sq=1e-2)
+    # average_pep reads the power of a SystemConfig, which rejects it
+    with pytest.raises(ValueError, match="finite and positive"):
+        SystemConfig(alpha=(0.8, 0.2), P=math.nan,
+                     channel=ChannelModel(sigma_h_sq=0.5),
+                     constellation=qpsk_constellation(1.0))
 
 
 # ------------------------------------------------- per-process kernel memo
 
 
 def test_kernel_memo_returns_the_cold_value():
-    c = qpsk_constellation(1.0)
-    model = ChannelModel(sigma_h_sq=0.5)
-    args = (1, 3, 0, 1, (0.7, 0.2, 0.1), 1.0, model, c)
+    args = (_system((0.7, 0.2, 0.1)), 20.0, 1, 0, 1)
     pep_mod._pep_kernel.cache_clear()
-    cold = average_pep(*args, sigma_n_sq=1e-2)
+    cold = average_pep(*args)
     misses = pep_mod._pep_kernel.cache_info().misses
-    warm = average_pep(*args, sigma_n_sq=1e-2)
+    warm = average_pep(*args)
     info = pep_mod._pep_kernel.cache_info()
     assert warm == cold
     assert info.hits > 0 and info.misses == misses
@@ -556,15 +546,16 @@ def _looped_average_pep(l, L, tx, rx, alpha, P, model, c, patterns,
 @pytest.mark.parametrize("L", [3, 4])
 @pytest.mark.parametrize("mode", ["perfect", "pattern", "weighted"])
 def test_average_pep_matches_per_tuple_loop(L, mode):
-    c = qpsk_constellation(1.0)
-    alpha = tuple(np.array([2.0 ** (L - i) for i in range(L)]) / (2**L - 1))
+    weights = np.array([2.0 ** (L - i) for i in range(L)])
+    cfg = _system(tuple(weights / weights.sum()))
+    alpha = cfg.alpha
+    c, model = cfg.constellation, cfg.channel
     pts = [complex(p) for p in c.points]
     diffs = [0j] + [a - b for a in pts for b in pts if a != b]
     rng = np.random.default_rng(7 + L)
     worst = 0.0
-    model = ChannelModel(sigma_h_sq=0.5)
     for snr_db in (0.0, 20.0, 40.0):
-        sigma_n_sq = 10 ** (-snr_db / 10)
+        sigma_n_sq = cfg.noise_var_for_snr(snr_db)
         for l in range(1, L + 1):
             if mode == "perfect":
                 table = None
@@ -582,8 +573,7 @@ def test_average_pep_matches_per_tuple_loop(L, mode):
             for tx, rx in ((0, 1), (0, 2), (3, 1)):
                 old = _looped_average_pep(l, L, tx, rx, alpha, 1.0, model, c,
                                           patterns, sigma_n_sq)
-                new = average_pep(l, L, tx, rx, alpha, 1.0, model, c, table,
-                                  sigma_n_sq=sigma_n_sq)
+                new = average_pep(cfg, snr_db, l, tx, rx, table)
                 worst = max(worst, abs(new - old) / old)
     assert worst < 1e-13, worst
 

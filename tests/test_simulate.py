@@ -24,6 +24,7 @@ from noma_pep import (
     empirical_detection_prob,
     empirical_pep,
     pep_quadrature,
+    pep_table,
     qpsk_constellation,
     sample_ordered_channels,
     sic_detect,
@@ -90,6 +91,30 @@ class TestConfigValidation:
         cfg = make_cfg((0.8, 0.2))
         with pytest.raises(ValueError):
             simulate(cfg, 10.0, 0, seed=1)
+
+
+def test_systems_built_from_any_sequence_are_one_hashable_value():
+    # SystemConfig stores alpha, and Constellation its points and labels,
+    # as tuples: the simulator keys its plan and its slicer cache by them,
+    # and pep_table its pair cache
+    alpha = (0.7, 0.2, 0.1)
+    cfgs = [SystemConfig(
+        alpha=make(alpha), P=1.0, channel=ChannelModel(sigma_h_sq=0.5),
+        constellation=Constellation(points=make(QPSK.points),
+                                    bit_labels=make(QPSK.bit_labels),
+                                    avg_power=1.0))
+        for make in (tuple, list, np.array)]
+    snrs = [10.0, 20.0]
+    results = [(simulate(cfg, snrs, 20_000, seed=4),
+                sic_patterns(cfg, snrs, 20_000, seed=4),
+                pep_table(cfg, 10.0)) for cfg in cfgs]
+    for cfg, (stats, patterns, table) in zip(cfgs, results):
+        assert cfg == cfgs[0] and hash(cfg) == hash(cfgs[0])
+        assert cfg.constellation == QPSK
+        assert hash(cfg.constellation) == hash(QPSK)
+        for got, want in zip(stats + patterns, results[0][0] + results[0][1]):
+            _assert_same_stats(got, want)
+        np.testing.assert_array_equal(table, results[0][2])
 
 
 def test_superposed_signal_energy():
@@ -199,7 +224,7 @@ def test_single_user_ber_matches_rayleigh_oracle():
     exact = 0.5 * (1 - math.sqrt(g / (2 + g)))
     trials = 2_000_000
     stats = simulate(cfg, snr_db, trials, seed=21)
-    ber = bit_error_rate(stats, 1, QPSK.bits_per_symbol)
+    ber = bit_error_rate(stats, 1)
     se = math.sqrt(exact / (trials * 2))
     assert abs(ber - exact) < 4 * se
 
@@ -257,9 +282,7 @@ def test_weighted_average_pep_tracks_simulation():
                                QPSK)
     for l in (2, 3):
         w = tables[l, 0]
-        analytic = average_pep(l, 3, 0, 1, cfg.alpha, 1.0, cfg.channel, QPSK,
-                               residuals=w,
-                               sigma_n_sq=cfg.noise_var_for_snr(snr_db))
+        analytic = average_pep(cfg, snr_db, l, 0, 1, w)
         est = empirical_pep(stats, l, 0, 1)
         assert abs(analytic - est.pep) / est.pep < 0.10
 
@@ -270,7 +293,7 @@ def test_ber_non_increasing_in_snr():
     bers = {}
     for snr in (5.0, 15.0, 25.0):
         stats = simulate(cfg, snr, trials, seed=12)
-        bers[snr] = [bit_error_rate(stats, l, 2) for l in (1, 2, 3)]
+        bers[snr] = [bit_error_rate(stats, l) for l in (1, 2, 3)]
     for l in range(3):
         seq = [bers[s][l] for s in (5.0, 15.0, 25.0)]
         slack = 2 * 1.96 * math.sqrt(max(seq) / (trials * 2))
@@ -283,7 +306,7 @@ def test_more_power_helps_user_one():
     for a1 in (0.6, 0.75, 0.9):
         cfg = make_cfg((a1, round(1 - a1, 6)))
         stats = simulate(cfg, snr, 300_000, seed=13)
-        bers.append(bit_error_rate(stats, 1, 2))
+        bers.append(bit_error_rate(stats, 1))
     assert bers[0] > bers[1] > bers[2]
 
 
@@ -313,7 +336,7 @@ def test_merge_rejects_mismatched_runs():
 def test_stats_rows_schema():
     cfg = make_cfg((0.8, 0.2))
     stats = simulate(cfg, 10.0, 100_000, seed=1)
-    rows = stats_rows(stats, QPSK.bits_per_symbol)
+    rows = stats_rows(stats)
     metrics = {r["metric"] for r in rows if r["user"] == 1}
     assert "ber" in metrics and "ser" in metrics
     assert "pep_0to1" in metrics
@@ -872,8 +895,8 @@ def test_simulate_agrees_with_an_old_style_batch():
         old, *_ = _reference_batch(cfg, snr_db,
                                      cfg.noise_var_for_snr(snr_db), draws)
         want = {(r["user"], r["metric"]): r
-                for r in stats_rows(old, QPSK.bits_per_symbol)}
-        rows = stats_rows(stats, QPSK.bits_per_symbol)
+                for r in stats_rows(old)}
+        rows = stats_rows(stats)
         assert {(r["user"], r["metric"]) for r in rows} == set(want)
         for r in rows:
             w = want[r["user"], r["metric"]]
