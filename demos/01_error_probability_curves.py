@@ -16,8 +16,7 @@ from noma_pep import (
     pep_table,
     pep_user1_closed,
     qpsk_constellation,
-    sic_patterns,
-    sic_weight_tables,
+    residual_tables,
     simulate,
 )
 
@@ -39,11 +38,12 @@ print()
 print("Per-user PEP, weighted SIC-residual mode vs simulation")
 print("snr_db  user  analytic      simulated     ci")
 snrs = [10.0, 20.0, 30.0]
-# the same arguments give the counters and the residual patterns of the
-# same trials
-run = (cfg, snrs, 1_000_000, 11)
-for snr, stats, patterns in zip(snrs, simulate(*run), sic_patterns(*run)):
-    table = pep_table(cfg, snr, sic_weight_tables(patterns, QPSK))
+# with the same trials and seed, residual_tables and simulate draw the
+# same trials: the weights and the counters come from one run
+tables = residual_tables(cfg, snrs, "weighted", trials=1_000_000, seed=11)
+for snr, residuals, stats in zip(snrs, tables,
+                                 simulate(cfg, snrs, 1_000_000, 11)):
+    table = pep_table(cfg, snr, residuals)
     for user in (1, 2, 3):
         analytic = table[user - 1, TX, RX]
         est = empirical_pep(stats, user, TX, RX)

@@ -63,18 +63,12 @@ from . import __version__
 from .asymptotic import chernoff_average, effective_diversity, pep_upper_bound
 from .channel import ChannelModel
 from .constellation import qpsk_constellation
-from .montecarlo import (
-    empirical_pep,
-    sic_patterns,
-    sic_weight_tables,
-    simulate,
-    stats_rows,
-)
+from .montecarlo import empirical_pep, simulate, stats_rows
 from .optimize import OptimizationProblem, pep_table, residual_tables, solve
 from .pep import EnumerationCapError, NumericalError, pair_classes
 # unused here, but the benchmark tracer wraps and restores cli.average_pep
 from .pep import average_pep  # noqa: F401
-from .system import SystemConfig, _require_weight_trials, linear_snr
+from .system import SystemConfig, linear_snr
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -223,17 +217,13 @@ def _system(s: dict) -> SystemConfig:
 
 def cmd_pep(s: dict, out: Path) -> list[str]:
     cfg = _system(s)
-    snrs, sic_mode = s["snr_db"], s["sic_mode"]
+    snrs = s["snr_db"]
     pairs = list(itertools.permutations(range(cfg.constellation.size), 2))
-    stats_by_snr = [None] * len(snrs)
-    if sic_mode == "weighted":
-        _require_weight_trials(s["trials"])
-        stats_by_snr = sic_patterns(cfg, snrs, s["trials"], s["seed"],
-                                    workers=s["workers"])
+    tables = residual_tables(cfg, snrs, s["sic_mode"], s["prior_deltas"],
+                             s["trials"], s["seed"], s["workers"])
     rows = []
-    for snr, stats in zip(snrs, stats_by_snr):
-        table = pep_table(cfg, snr, residual_tables(
-            cfg, sic_mode, s["prior_deltas"], stats))
+    for snr, residuals in zip(snrs, tables):
+        table = pep_table(cfg, snr, residuals)
         rows += [[snr, l, tx, rx, float(table[l - 1, tx, rx]), "quadrature"]
                  for l in range(1, cfg.num_users + 1) for tx, rx in pairs]
     write_csv(out / "pep.csv",
@@ -353,16 +343,14 @@ def cmd_fig2(s: dict, out: Path) -> list[str]:
     cfg = _system(s)
     snrs = s["snr_db"]
     tx, rx = DESIGNATED_PAIR
-    _require_weight_trials(s["trials"])
-    # the detection counters and the residual patterns of the same trials
-    run = (cfg, snrs, s["trials"], s["seed"])
+    trials, seed, workers = s["trials"], s["seed"], s["workers"]
+    # the residual weights and the detection counters of the same trials
+    tables = residual_tables(cfg, snrs, "weighted", None, trials, seed,
+                             workers)
     per_user_rows = {l: [] for l in range(1, cfg.num_users + 1)}
-    for snr, stats, patterns in zip(
-            snrs, simulate(*run, workers=s["workers"]),
-            sic_patterns(*run, workers=s["workers"])):
-        table = pep_table(
-            cfg, snr, sic_weight_tables(patterns, cfg.constellation),
-            pairs=[DESIGNATED_PAIR])
+    for snr, residuals, stats in zip(
+            snrs, tables, simulate(cfg, snrs, trials, seed, workers=workers)):
+        table = pep_table(cfg, snr, residuals, pairs=[DESIGNATED_PAIR])
         for l in range(1, cfg.num_users + 1):
             emp = empirical_pep(stats, l, tx, rx)
             per_user_rows[l].append(
@@ -400,12 +388,12 @@ SIC_MODES = ("perfect", "pattern", "weighted")
 SIM_KEYS = ("trials", "weights_trials", "seed")  # read only by a simulation
 
 
-def _base(users=3, alpha=None, sigma_h_sq=0.5) -> dict:
+def _base(users=3, sigma_h_sq=0.5) -> dict:
     """The system and the run settings, which every subcommand reads
     (optimize and fig4 drop alpha, which their search sets)."""
     return {
         "users": Setting(users, int),
-        "alpha": Setting(alpha or (lambda s: _default_alpha(s["users"])),
+        "alpha": Setting(lambda s: _default_alpha(s["users"]),
                          parse_alpha,
                          help="comma-separated power coefficients"),
         "power": Setting(1.0, float, help="total transmit power P"),
@@ -452,10 +440,10 @@ SUBCOMMANDS = {
                                 **_sim(1_000_000, 1)}),
     "diversity": (cmd_diversity, {**_base(), **_snr_list(FIG2_SNR_GRID)}),
     "bound": (cmd_bound, {**_base(), **_snr_list(FIG2_SNR_GRID)}),
-    "fig2": (cmd_fig2, {**_base(alpha=FIG2_ALPHA),
+    "fig2": (cmd_fig2, {**_base(),
                         **_snr_list(FIG2_SNR_GRID), **_sim(1_000_000, 7)}),
     "fig3": (functools.partial(cmd_diversity, name="fig3_diversity.csv"),
-             {**_base(alpha=FIG2_ALPHA), **_snr_list(FIG2_SNR_GRID)}),
+             {**_base(), **_snr_list(FIG2_SNR_GRID)}),
     "optimize": (cmd_optimize, _optimize(sigma_h_sq=0.5)),
     # sigma_h_sq = 1.0 reproduces the reference feasibility window.
     "fig4": (functools.partial(cmd_optimize, prefix="fig4"),
@@ -489,10 +477,6 @@ def _resolve(flags: argparse.Namespace) -> dict:
     if values["workers"] < 1:
         raise ValueError(
             f"--workers must be at least 1, got {values['workers']}")
-    if values.get("prior_deltas") is not None \
-            and values["sic_mode"] != "pattern":
-        raise ValueError("--prior-deltas is read only in pattern mode, "
-                         f"not with --sic-mode {values['sic_mode']}")
     return values
 
 

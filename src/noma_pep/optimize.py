@@ -11,7 +11,8 @@ averaged bound.
 pep_table is the one hypothesis-averaging path of the CLI, the search
 and the demos; it takes the SIC residual tables that residual_tables
 builds, the only place where the SIC modes (perfect, pattern, weighted)
-differ.
+differ.  residual_tables checks a mode's inputs before any draw and, in
+weighted mode, makes a run's one sic_patterns call over all its points.
 """
 
 from __future__ import annotations
@@ -45,35 +46,55 @@ __all__ = [
 MAX_GRID_POINTS = 100_000  # allocations one search may enumerate
 
 
-def residual_tables(cfg: SystemConfig, sic_mode: str, prior_deltas=None,
-                    stats=None):
-    """SIC residual tables of every user and transmitted symbol.
+def _check_sic(L: int, sic_mode: str, prior_deltas, trials) -> None:
+    """Raise ValueError unless residual_tables can build L users' tables
+    in sic_mode from prior_deltas and weighted mode's trials; draws
+    nothing."""
+    if sic_mode not in ("perfect", "pattern", "weighted"):
+        raise ValueError(f"unknown sic_mode {sic_mode!r}")
+    if sic_mode != "pattern" and prior_deltas is not None:
+        raise ValueError("--prior-deltas is read only in pattern mode, "
+                         f"not with --sic-mode {sic_mode}")
+    if sic_mode == "pattern" and (prior_deltas is None
+                                  or len(prior_deltas) < L - 1):
+        raise ValueError(f"pattern mode needs prior_deltas with at least "
+                         f"{L - 1} complex values")
+    if sic_mode == "weighted":
+        _require_weight_trials(trials)
 
-    The one place where the SIC modes differ.  Returns None for perfect
-    SIC, else a mapping from (l, tx) to the residual table average_pep
-    takes for user l's pairs that transmit tx:
+
+def residual_tables(cfg, snr_db, sic_mode: str, prior_deltas=None,
+                    trials=None, seed=None, workers: int = 1) -> list:
+    """SIC residual tables of every (config, SNR) point of a run.
+
+    The one place where the SIC modes differ.  cfg and snr_db are one
+    value or a sequence each, as sic_patterns takes them.  Returns a list
+    with one entry per (config, SNR) point, configs outer: None for
+    perfect SIC, else a mapping from (l, tx) to the residual table
+    average_pep takes for user l's pairs that transmit tx:
 
       perfect   None: every residual is zero
       pattern   {first l-1 prior_deltas: 1.0}; needs at least L-1 deltas
-      weighted  sic_weight_tables of stats, a PatternCounts of
-                sic_patterns
+      weighted  sic_weight_tables of the point's PatternCounts, from one
+                sic_patterns(cfg, snr_db, trials, seed, workers) call
+                over all the points (common random numbers); needs at
+                least system.MIN_WEIGHT_TRIALS trials
+
+    Checks the mode, prior_deltas (given only in pattern mode) and the
+    trials (ValueError) before any draw.
     """
-    L, m = cfg.num_users, cfg.constellation.size
-    if sic_mode == "perfect":
-        return None
-    if sic_mode == "pattern":
-        if prior_deltas is None or len(prior_deltas) < L - 1:
-            raise ValueError(
-                f"pattern mode needs prior_deltas with at least {L - 1} "
-                "complex values"
-            )
-        return {(l, tx): {tuple(prior_deltas[:l - 1]): 1.0}
-                for l in range(1, L + 1) for tx in range(m)}
+    cfgs = [cfg] if isinstance(cfg, SystemConfig) else list(cfg)
+    snrs = [snr_db] if np.ndim(snr_db) == 0 else list(snr_db)
+    L, m = cfgs[0].num_users, cfgs[0].constellation.size
+    _check_sic(L, sic_mode, prior_deltas, trials)
     if sic_mode == "weighted":
-        if stats is None:
-            raise ValueError("weighted mode needs a simulation's stats")
-        return sic_weight_tables(stats, cfg.constellation)
-    raise ValueError(f"unknown sic_mode {sic_mode!r}")
+        counts = sic_patterns(cfgs, snrs, trials, seed, workers=workers)
+        return [sic_weight_tables(patterns, c.constellation)
+                for c, per_snr in zip(cfgs, counts) for patterns in per_snr]
+    table = None if sic_mode == "perfect" else {
+        (l, tx): {tuple(prior_deltas[:l - 1]): 1.0}
+        for l in range(1, L + 1) for tx in range(m)}
+    return [table] * (len(cfgs) * len(snrs))
 
 
 @dataclass(frozen=True)
@@ -94,7 +115,7 @@ class OptimizationProblem:
                    seeded sic_patterns call over the whole grid (common
                    random numbers), keeping the search deterministic
     prior_deltas   pattern-mode SIC residuals, at least L-1 of them; user
-                   l uses the first l-1
+                   l uses the first l-1.  Given only in pattern mode
     weights_trials simulated trials per grid point in weighted mode, at
                    least system.MIN_WEIGHT_TRIALS there
     weights_seed   weighted-mode simulation seed; every grid point is
@@ -137,10 +158,7 @@ class OptimizationProblem:
                 f"grid_step {self.grid_step} gives {L} users no strictly "
                 f"descending allocation: the smallest takes "
                 f"{L * (L + 1) // 2} steps of {round(steps)}")
-        if self.sic_mode == "weighted":  # checked before any simulation
-            _require_weight_trials(self.weights_trials)
-        else:
-            residual_tables(self.cfg, self.sic_mode, self.prior_deltas)
+        _check_sic(L, self.sic_mode, self.prior_deltas, self.weights_trials)
 
 
 @dataclass(frozen=True)
@@ -221,20 +239,18 @@ def _sweep(problem: OptimizationProblem, grid, workers: int = 1):
 
     Builds each allocation's SystemConfig once, which checks every alpha
     (ValueError) before any simulation or quadrature.  Weighted mode
-    takes the SIC residual weights from one sic_patterns call at
-    problem.weights_seed over the whole grid, spread over `workers`
+    takes the SIC residual weights from residual_tables' one simulation
+    at problem.weights_seed over the whole grid, spread over `workers`
     processes, so every point detects the same draws; other modes
     simulate nothing.
     """
     cfgs = [replace(problem.cfg, alpha=a) for a in grid]
-    counts = [None] * len(cfgs)
-    if problem.sic_mode == "weighted":
-        counts = sic_patterns(cfgs, problem.snr_db, problem.weights_trials,
-                              problem.weights_seed, workers=workers)
+    tables = residual_tables(
+        cfgs, problem.snr_db, problem.sic_mode, problem.prior_deltas,
+        problem.weights_trials, problem.weights_seed, workers)
     entries = []
-    for cfg, patterns in zip(cfgs, counts):
-        table = pep_table(cfg, problem.snr_db, residual_tables(
-            cfg, problem.sic_mode, problem.prior_deltas, patterns))
+    for cfg, residuals in zip(cfgs, tables):
+        table = pep_table(cfg, problem.snr_db, residuals)
         bounds = [union_bound_from_pep(peps, cfg.constellation)
                   for peps in table]
         worst = tuple(float(peps.max()) for peps in table)

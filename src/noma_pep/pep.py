@@ -26,8 +26,9 @@ not mutually consistent.
 Hypothesis averaging (average_pep) takes the system as one SystemConfig
 and the SNR, as the rest of the package does, and the stronger users'
 imperfect SIC as one residual table: residual patterns x_k - x_hat_k of
-users 1..l-1 mapped to their probabilities, None being perfect SIC.  How
-a table is obtained is left to the caller (see optimize.residual_tables).
+users 1..l-1 mapped to their probabilities, None being perfect SIC.
+optimize.residual_tables builds the tables of every SIC mode, and in
+weighted mode runs the simulation they are estimated from.
 It calls pep_quadrature once per hypothesis, but the kernel evaluates
 each distinct beta/upsilon once per process, and the constants of a
 symbol pair (its difference and projections, _pair) are likewise

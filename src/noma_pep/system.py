@@ -2,7 +2,8 @@
 
 SystemConfig is what the analytic code, the optimizer, the simulator and
 the CLI all read.  MIN_WEIGHT_TRIALS is the fewest trials that SIC weight
-tables are estimated from, which a caller checks before it simulates.
+tables are estimated from, which optimize.residual_tables checks before
+it simulates.
 """
 
 from __future__ import annotations

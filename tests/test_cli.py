@@ -109,13 +109,6 @@ def test_simulate_worker_invariance_bytes(tmp_path):
 
 
 def test_workers_reach_weighted_pep_and_fig4(tmp_path, monkeypatch):
-    rc = main(["pep", "--users", "2", "--alpha", "0.8,0.2", "--sic-mode",
-               "weighted", "--snr-db", "10", "--trials", "100000",
-               "--workers", "2", "--out", str(tmp_path / "pep")])
-    assert rc == 0
-    config = json.loads((tmp_path / "pep" / "manifest.json").read_text())["config"]
-    assert config["workers"] == 2
-
     seen = []
     real_sic_patterns = optimize.sic_patterns
 
@@ -124,6 +117,19 @@ def test_workers_reach_weighted_pep_and_fig4(tmp_path, monkeypatch):
         return real_sic_patterns(*args, **kwargs)
 
     monkeypatch.setattr(optimize, "sic_patterns", recording_sic_patterns)
+    # one sic_patterns call covers every SNR of pep and fig2
+    for argv in (["pep", "--users", "2", "--alpha", "0.8,0.2", "--sic-mode",
+                  "weighted", "--snr-db", "10,20", "--trials", "100000"],
+                 ["fig2", "--users", "2", "--snr-db", "10,20",
+                  "--trials", "100000"]):
+        seen.clear()
+        out = tmp_path / argv[0]
+        assert main(argv + ["--workers", "2", "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["workers"] == 2
+        assert seen == [2], argv[0]
+
+    seen.clear()
     args = ["fig4", "--grid-step", "0.01", "--weights-trials", "100000",
             "--seed", "3"]
     outs = {w: tmp_path / f"fig4_w{w}" for w in (1, 2)}
@@ -408,8 +414,7 @@ def test_too_few_weight_trials_exit_2_before_simulating(tmp_path, capsys,
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulated before checking the trials")
 
-    for module in (cli, optimize):
-        monkeypatch.setattr(module, "sic_patterns", no_simulation)
+    monkeypatch.setattr(optimize, "sic_patterns", no_simulation)
     monkeypatch.setattr(cli, "simulate", no_simulation)
     rc = main(argv + ["--out", str(tmp_path)])
     assert rc == 2
@@ -418,12 +423,14 @@ def test_too_few_weight_trials_exit_2_before_simulating(tmp_path, capsys,
 
 
 def test_fig3_recipe(tmp_path):
-    rc = main(["fig3", "--snr-db", "30,35,40", "--out", str(tmp_path)])
-    assert rc == 0
-    header, rows = read_csv(tmp_path / "fig3_diversity.csv")
-    assert header == ["snr_db", "user", "pep", "d_eff_ratio",
-                      "d_eff_finite_diff"]
-    assert {r[1] for r in rows} == {"1", "2", "3"}
+    # any user count runs, with the default allocation of that count
+    for users, argv in ((3, ["--snr-db", "30,35,40"]), (4, ["--users", "4"])):
+        out = tmp_path / str(users)
+        assert main(["fig3"] + argv + ["--out", str(out)]) == 0
+        header, rows = read_csv(out / "fig3_diversity.csv")
+        assert header == ["snr_db", "user", "pep", "d_eff_ratio",
+                          "d_eff_finite_diff"]
+        assert {r[1] for r in rows} == {str(l) for l in range(1, users + 1)}
 
 
 def test_diversity_evaluates_one_pair_per_class(tmp_path, monkeypatch):
@@ -504,17 +511,23 @@ def test_manifest_records_long_lists_by_hash(tmp_path):
 
 
 def test_fig2_recipe_small(tmp_path):
-    rc = main(["fig2", "--snr-db", "10,20", "--trials", "150000",
-               "--seed", "2", "--out", str(tmp_path)])
-    assert rc == 0
-    for l in (1, 2, 3):
-        header, rows = read_csv(tmp_path / f"fig2_user{l}.csv")
-        assert header == ["snr_db", "pep_analytic", "pep_simulated",
-                          "ci_half_width", "trials"]
-        assert len(rows) == 2
-        for r in rows:
-            assert 0.0 <= float(r[1]) <= 1.0
-            assert 0.0 <= float(r[2]) <= 1.0
+    # any user count runs, with the default allocation of that count
+    for users, argv in (
+            (3, ["--snr-db", "10,20", "--trials", "150000", "--seed", "2"]),
+            (2, ["--users", "2", "--trials", "100000", "--snr-db", "0,10"])):
+        out = tmp_path / str(users)
+        assert main(["fig2"] + argv + ["--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == [f"fig2_user{l}.csv"
+                                       for l in range(1, users + 1)]
+        for l in range(1, users + 1):
+            header, rows = read_csv(out / f"fig2_user{l}.csv")
+            assert header == ["snr_db", "pep_analytic", "pep_simulated",
+                              "ci_half_width", "trials"]
+            assert len(rows) == 2
+            for r in rows:
+                assert 0.0 <= float(r[1]) <= 1.0
+                assert 0.0 <= float(r[2]) <= 1.0
 
 
 def test_rerun_reproduces_csv_bytes(tmp_path):
@@ -581,7 +594,7 @@ def test_prior_deltas_outside_pattern_mode_exits_2(tmp_path, monkeypatch,
     # default-mode optimize simulates its weights through sic_patterns
     for module in (cli, optimize):
         monkeypatch.setattr(module, "simulate", no_simulation)
-        monkeypatch.setattr(module, "sic_patterns", no_simulation)
+    monkeypatch.setattr(optimize, "sic_patterns", no_simulation)
     rc = main(argv + ["--prior-deltas", "5j", "--out", str(tmp_path)])
     assert rc == 2
     assert "--prior-deltas is read only in pattern mode" in (

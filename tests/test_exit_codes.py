@@ -25,6 +25,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import noma_pep.cli as cli
+import noma_pep.optimize as optimize
 from noma_pep import pep
 from noma_pep.cli import SUBCOMMANDS, main
 from noma_pep.system import MIN_WEIGHT_TRIALS
@@ -166,8 +167,8 @@ def test_valid_weighted_lines_simulate_and_exit_0(command, trials, snrs,
                                 f"--workers={workers}"]
     with pytest.MonkeyPatch.context() as patch, \
             tempfile.TemporaryDirectory() as tmp:
-        for name in ("simulate", "sic_patterns"):
-            patch.setattr(cli, name, counted(name, getattr(cli, name)))
+        for module, name in ((cli, "simulate"), (optimize, "sic_patterns")):
+            patch.setattr(module, name, counted(name, getattr(module, name)))
         assert main(argv + ["--out", tmp]) == 0, argv
     assert sorted(ran) == (["sic_patterns", "simulate"] if command == "fig2"
                            else ["sic_patterns"]), argv

@@ -308,12 +308,12 @@ def test_pep_table_equals_per_pair_average_pep(alpha, mode):
         cfg = SystemConfig(alpha=alpha, P=P,
                            channel=ChannelModel(sigma_h_sq=sigma_h_sq),
                            constellation=QPSK)
-        stats = weights = None
+        weights = None
         if mode == "weighted":
-            stats = sic_patterns(cfg, snr_db, 100_000, seed=3)
-            weights = sic_weight_tables(stats, QPSK)
-        table = pep_table(cfg, snr_db,
-                          residual_tables(cfg, mode, deltas, stats))
+            weights = sic_weight_tables(
+                sic_patterns(cfg, snr_db, 100_000, seed=3), QPSK)
+        [residuals] = residual_tables(cfg, snr_db, mode, deltas, 100_000, 3)
+        table = pep_table(cfg, snr_db, residuals)
         assert table.shape == (L, 4, 4)
         for l in range(1, L + 1):
             for tx in range(4):
@@ -336,25 +336,50 @@ def test_pep_table_equals_per_pair_average_pep(alpha, mode):
 @pytest.mark.parametrize("deltas", [None, (0j,)])
 def test_pep_table_needs_l_minus_1_pattern_deltas(deltas):
     with pytest.raises(ValueError, match="at least 2"):
-        residual_tables(make_cfg((0.7, 0.2, 0.1)), "pattern", deltas)
+        residual_tables(make_cfg((0.7, 0.2, 0.1)), 10.0, "pattern", deltas)
 
 
-def test_residual_tables_of_each_mode():
+def test_residual_tables_of_each_mode(monkeypatch):
     cfg = make_cfg((0.7, 0.2, 0.1))
-    assert residual_tables(cfg, "perfect") is None
-    tables = residual_tables(cfg, "pattern", (1j, 2j, 3j))
+    assert residual_tables(cfg, 10.0, "perfect") == [None]
+    [tables] = residual_tables(cfg, 10.0, "pattern", (1j, 2j, 3j))
     assert sorted(tables) == [(l, tx) for l in (1, 2, 3) for tx in range(4)]
     for (l, tx), table in tables.items():
         assert table == {(1j, 2j)[: l - 1]: 1.0}
     stats = sic_patterns(cfg, 10.0, 100_000, seed=3)
-    assert residual_tables(cfg, "weighted", stats=stats) == \
-        sic_weight_tables(stats, QPSK)
-    with pytest.raises(ValueError, match="stats"):
-        residual_tables(cfg, "weighted")
-    with pytest.raises(ValueError, match="unknown sic_mode"):
-        residual_tables(cfg, "genie")
+    assert residual_tables(cfg, 10.0, "weighted", trials=100_000, seed=3) \
+        == [sic_weight_tables(stats, QPSK)]
+    # one entry per (config, SNR) point, configs outer, from one
+    # simulation of all the points
+    cfgs, snrs = [cfg, make_cfg((0.6, 0.3, 0.1))], [10.0, 20.0]
+    for mode, deltas, trials in (("perfect", None, None),
+                                 ("pattern", (1j, 2j), None),
+                                 ("weighted", None, 100_000)):
+        want = [residual_tables(c, s, mode, deltas, trials, 3)[0]
+                for c in cfgs for s in snrs]
+        assert residual_tables(cfgs, snrs, mode, deltas, trials, 3) == want
+
+    # every check comes before any draw, and the library rejects what
+    # the CLI rejects: prior deltas outside pattern mode
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before checking")
+
+    monkeypatch.setattr(optimize, "sic_patterns", no_simulation)
+    for args, match in (
+            (("weighted", None, 99_999, 3), "at least 100000 trials"),
+            (("pattern", (1j,)), "at least 2"),
+            (("perfect", (5j,)), "read only in pattern mode"),
+            (("weighted", (5j,), 100_000, 3), "read only in pattern mode"),
+            (("genie",), "unknown sic_mode")):
+        with pytest.raises(ValueError, match=match):
+            residual_tables(cfg, 10.0, *args)
+        with pytest.raises(ValueError, match=match):
+            residual_tables(cfg, [10.0, 20.0], *args)
     with pytest.raises(ValueError, match="unknown sic_mode"):
         make_problem(sic_mode="genie")
+    for mode in ("perfect", "weighted"):
+        with pytest.raises(ValueError, match="read only in pattern mode"):
+            make_problem(sic_mode=mode, prior_deltas=(5j,))
 
 
 def test_pep_table_calls_average_pep_once_per_user_and_pair(monkeypatch):
