@@ -80,11 +80,13 @@ def residual_tables(cfg, snr_db, sic_mode: str, prior_deltas=None,
                 over all the points (common random numbers); needs at
                 least system.MIN_WEIGHT_TRIALS trials
 
-    Checks the mode, prior_deltas (given only in pattern mode) and the
-    trials (ValueError) before any draw.
+    Checks the points, the mode, prior_deltas (given only in pattern
+    mode) and the trials (ValueError) before any draw.
     """
     cfgs = [cfg] if isinstance(cfg, SystemConfig) else list(cfg)
     snrs = [snr_db] if np.ndim(snr_db) == 0 else list(snr_db)
+    if not cfgs or not snrs:
+        raise ValueError("need at least one configuration and SNR point")
     L, m = cfgs[0].num_users, cfgs[0].constellation.size
     _check_sic(L, sic_mode, prior_deltas, trials)
     if sic_mode == "weighted":

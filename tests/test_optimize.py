@@ -375,6 +375,10 @@ def test_residual_tables_of_each_mode(monkeypatch):
             residual_tables(cfg, 10.0, *args)
         with pytest.raises(ValueError, match=match):
             residual_tables(cfg, [10.0, 20.0], *args)
+    for mode in ("perfect", "pattern", "weighted"):
+        for cfgs, snrs in (([], 10.0), (cfg, [])):
+            with pytest.raises(ValueError, match="at least one"):
+                residual_tables(cfgs, snrs, mode, (1j, 2j), 100_000, 3)
     with pytest.raises(ValueError, match="unknown sic_mode"):
         make_problem(sic_mode="genie")
     for mode in ("perfect", "weighted"):
