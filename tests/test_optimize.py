@@ -349,8 +349,8 @@ def test_residual_tables_of_each_mode(monkeypatch):
     stats = sic_patterns(cfg, 10.0, 100_000, seed=3)
     assert residual_tables(cfg, 10.0, "weighted", trials=100_000, seed=3) \
         == [sic_weight_tables(stats, QPSK)]
-    # one entry per (config, SNR) point, configs outer, from one
-    # simulation of all the points
+    # one entry per (config, SNR) point, configs outer, equal to the
+    # point's own call
     cfgs, snrs = [cfg, make_cfg((0.6, 0.3, 0.1))], [10.0, 20.0]
     for mode, deltas, trials in (("perfect", None, None),
                                  ("pattern", (1j, 2j), None),
